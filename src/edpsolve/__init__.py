@@ -8,12 +8,10 @@ from .graphs import (
     MultiGraph,
     ParseError,
     StructureError,
-    TerminalGraph,
     feedback_edge_set,
     parse_instance,
     restrict_pairs,
     serialize_instance,
-    terminal_graph,
     terminal_normalize,
 )
 
@@ -22,11 +20,9 @@ __all__ = [
     "MultiGraph",
     "ParseError",
     "StructureError",
-    "TerminalGraph",
     "feedback_edge_set",
     "parse_instance",
     "restrict_pairs",
     "serialize_instance",
-    "terminal_graph",
     "terminal_normalize",
 ]

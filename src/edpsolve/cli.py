@@ -14,9 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import DecompositionError, parse_decomposition, serialize_decomposition, verify_decomposition
+from .decomposition import DecompositionError, TreecutDecomposition, parse_decomposition, serialize_decomposition, verify_decomposition
 from .generators import edp_to_vdp, gen_mss_layout, gen_random_instance
-from .graphs import EDPInstance, ParseError, StructureError, feedback_edge_set, parse_instance, relabel_compact, serialize_instance
+from .graphs import EDPInstance, ParseError, StructureError, feedback_edge_set, parse_instance, parse_ints, relabel_compact, serialize_instance
 from .kernel import kernelize
 from .oracle import CapExceeded, OracleCaps, RoutedPath, brute_force_edp
 from .simple import infer_hub, preprocess_simple, solve_simple_edp
@@ -55,110 +55,91 @@ def _answer(feasible: bool) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.method == "treecut" and not args.decomposition:
+        return _fail("--method treecut requires --decomposition", EXIT_NO_METHOD)
+    caps = _caps(args)
     try:
         inst = _load_instance(args.instance)
-    except (OSError, ParseError) as exc:
+        hub = _parse_hub(args.hub) if args.hub else None
+        feasible, routes, how = _decide(inst, args.method, caps, args.decomposition, hub)
+    except (OSError, ParseError, DecompositionError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    caps = _caps(args)
-
-    if args.method == "oracle":
-        try:
-            res = brute_force_edp(inst, caps=caps)
-        except CapExceeded as exc:
-            return _fail(str(exc), EXIT_NO_METHOD)
-        _answer(res.feasible)
-        if args.witness and res.feasible:
-            _print_witness(inst, res.routes)
-        return EXIT_OK
-
-    if args.method == "simple":
-        hub = _parse_hub(args.hub) if args.hub else infer_hub(inst)
-        try:
-            si = preprocess_simple(inst, hub)
-        except StructureError as exc:
-            return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
-        res = solve_simple_edp(si)
-        _answer(res.feasible)
-        if args.witness and res.feasible:
-            _print_witness(inst, res.routes)
-        return EXIT_OK
-
-    if args.method == "treecut":
-        if not args.decomposition:
-            return _fail("--method treecut requires --decomposition", EXIT_NO_METHOD)
-        try:
-            dec = parse_decomposition(Path(args.decomposition).read_text())
-        except (OSError, ParseError) as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        try:
-            res = solve_treecut(inst, dec)
-        except DecompositionError as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        _answer(res.feasible)
-        if args.witness and res.feasible:
-            return _oracle_witness(args, inst, caps)
-        return EXIT_OK
-
-    return _solve_auto(args, inst, caps)
-
-
-def _solve_auto(args, inst: EDPInstance, caps: OracleCaps) -> int:
-    kres = kernelize(inst)
-    if kres.answer is not None:
-        _info(args, "auto: settled by kernelization")
-        _answer(kres.answer == "YES")
-        return _maybe_witness(args, inst, caps, kres.answer == "YES")
-    kernel = kres.instance
-    try:
-        si = preprocess_simple(kernel, infer_hub(kernel))
-        feasible = solve_simple_edp(si).feasible
-        _info(args, "auto: kernel solved as a hub/satellite instance")
-        _answer(feasible)
-        return _maybe_witness(args, inst, caps, feasible)
-    except StructureError:
-        pass
-    if args.decomposition:
-        try:
-            dec = parse_decomposition(Path(args.decomposition).read_text())
-            res = solve_treecut(inst, dec)
-        except (OSError, ParseError, DecompositionError) as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        _info(args, "auto: solved along the supplied decomposition")
-        _answer(res.feasible)
-        return _maybe_witness(args, inst, caps, res.feasible)
-    try:
-        res = brute_force_edp(kernel, caps=caps)
-    except CapExceeded:
-        return _fail(
-            "no applicable method: kernel is neither a forest nor hub-shaped, "
-            "no decomposition was supplied, and the brute-force caps are exceeded",
-            EXIT_NO_METHOD,
-        )
-    _info(args, "auto: kernel settled by brute force")
-    _answer(res.feasible)
-    return _maybe_witness(args, inst, caps, res.feasible)
-
-
-def _maybe_witness(args, inst: EDPInstance, caps: OracleCaps, feasible: bool) -> int:
-    if not args.witness or not feasible:
-        return EXIT_OK
-    return _oracle_witness(args, inst, caps)
-
-
-def _oracle_witness(args, inst: EDPInstance, caps: OracleCaps) -> int:
-    # witness reconstruction through kernels/decompositions is not wired up;
-    # recompute one with the oracle when the caps allow it
-    try:
-        res = brute_force_edp(inst, caps=caps)
-    except CapExceeded:
-        return _fail("witness requested but the instance exceeds the brute-force caps", EXIT_NO_METHOD)
-    if res.feasible:
-        _print_witness(inst, res.routes)
+    except StructureError as exc:
+        return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
+    except CapExceeded as exc:
+        return _fail(str(exc), EXIT_NO_METHOD)
+    if how:
+        _info(args, f"auto: {how}")
+    _answer(feasible)
+    if args.witness and feasible:
+        if routes is None:
+            # witness reconstruction through kernels/decompositions is not
+            # wired up; recompute one with the oracle when the caps allow it
+            try:
+                routes = brute_force_edp(inst, caps=caps).routes
+            except CapExceeded:
+                return _fail("witness requested but the instance exceeds the brute-force caps", EXIT_NO_METHOD)
+        if routes is not None:
+            _print_witness(inst, routes)
     return EXIT_OK
 
 
+def _decide(
+    inst: EDPInstance,
+    method: str,
+    caps: OracleCaps,
+    decomposition: str | Path | None = None,
+    hub: frozenset[int] | None = None,
+) -> tuple[bool, dict[int, RoutedPath] | None, str | None]:
+    """Answer `inst` with `method`: oracle, simple, treecut or auto.
+
+    Returns the answer, the routes when the method routed `inst` itself
+    (oracle, simple), and which step decided for auto.  The decomposition
+    file is read only once the method needs it.  Raises CapExceeded over the
+    caps (for auto: no method left), StructureError off the hub/satellite
+    shape, DecompositionError for a missing or bad decomposition, and
+    OSError or ParseError while reading one.
+    """
+    if method == "oracle":
+        res = brute_force_edp(inst, caps=caps)
+        return res.feasible, res.routes, None
+    if method == "simple":
+        res = solve_simple_edp(preprocess_simple(inst, hub if hub is not None else infer_hub(inst)))
+        return res.feasible, res.routes, None
+    if method == "treecut":
+        if decomposition is None:
+            raise DecompositionError("--method treecut requires a decomposition")
+        return solve_treecut(inst, _load_decomposition(decomposition)).feasible, None, None
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+    kres = kernelize(inst)
+    if kres.answer is not None:
+        return kres.answer == "YES", None, "settled by kernelization"
+    kernel = kres.instance
+    try:
+        res = solve_simple_edp(preprocess_simple(kernel, infer_hub(kernel)))
+        return res.feasible, None, "kernel solved as a hub/satellite instance"
+    except StructureError:
+        pass
+    if decomposition is not None:
+        res = solve_treecut(inst, _load_decomposition(decomposition))
+        return res.feasible, None, "solved along the supplied decomposition"
+    try:
+        res = brute_force_edp(kernel, caps=caps)
+    except CapExceeded:
+        raise CapExceeded(
+            "no applicable method: kernel is neither a forest nor hub-shaped, "
+            "no decomposition was supplied, and the brute-force caps are exceeded"
+        ) from None
+    return res.feasible, None, "kernel settled by brute force"
+
+
+def _load_decomposition(path: str | Path) -> TreecutDecomposition:
+    return parse_decomposition(Path(path).read_text())
+
+
 def _parse_hub(spec: str) -> frozenset[int]:
-    return frozenset(int(x) for x in spec.replace(",", " ").split())
+    return frozenset(parse_ints(spec.replace(",", " ").split(), f"--hub {spec!r}"))
 
 
 def cmd_kernelize(args) -> int:
@@ -284,40 +265,17 @@ def cmd_bench(args) -> int:
             return _fail(f"{path}: {exc}", EXIT_INVALID)
         n, m, q = inst.graph.num_vertices(), inst.graph.num_edges(), len(inst.pairs)
         fes = len(feedback_edge_set(inst.graph))
+        dec_path = path.with_suffix(path.suffix + ".dec")
+        decomposition = dec_path if dec_path.exists() else None
         for method in methods:
             start = time.perf_counter()
-            answer = _bench_answer(inst, method, caps, path)
+            try:
+                answer = "YES" if _decide(inst, method, caps, decomposition)[0] else "NO"
+            except (OSError, ValueError, RuntimeError):  # CapExceeded is a RuntimeError
+                answer = "NA"
             elapsed = time.perf_counter() - start
             out.writerow([path.name, method, n, m, q, fes, answer, f"{elapsed:.4f}"])
     return EXIT_OK
-
-
-def _bench_answer(inst: EDPInstance, method: str, caps: OracleCaps, path: Path) -> str:
-    try:
-        if method == "oracle":
-            return "YES" if brute_force_edp(inst, caps=caps).feasible else "NO"
-        if method == "simple":
-            si = preprocess_simple(inst, infer_hub(inst))
-            return "YES" if solve_simple_edp(si).feasible else "NO"
-        if method == "treecut":
-            dec_path = path.with_suffix(path.suffix + ".dec")
-            if not dec_path.exists():
-                return "NA"
-            dec = parse_decomposition(dec_path.read_text())
-            return "YES" if solve_treecut(inst, dec).feasible else "NO"
-        if method == "auto":
-            kres = kernelize(inst)
-            if kres.answer is not None:
-                return kres.answer
-            kernel = kres.instance
-            try:
-                si = preprocess_simple(kernel, infer_hub(kernel))
-                return "YES" if solve_simple_edp(si).feasible else "NO"
-            except StructureError:
-                return "YES" if brute_force_edp(kernel, caps=caps).feasible else "NO"
-        return "NA"
-    except (CapExceeded, StructureError, DecompositionError, ParseError):
-        return "NA"
 
 
 def build_parser() -> argparse.ArgumentParser:

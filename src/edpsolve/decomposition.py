@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import EDPInstance, ParseError, StructureError
+from .graphs import EDPInstance, ParseError, StructureError, parse_ints
 
 
 class DecompositionError(ValueError):
@@ -86,9 +86,6 @@ class TreecutDecomposition:
             acc |= self._bags[x]
             stack.extend(self._children[x])
         return frozenset(acc)
-
-    def all_bag_vertices(self) -> frozenset[int]:
-        return self.subtree_vertices(self.root)
 
     def ensure_empty_root(self) -> "TreecutDecomposition":
         if not self._bags[self.root]:
@@ -294,7 +291,8 @@ def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
     if nice:
         width = verify_decomposition(inst, dec).width
         for t in dec.nodes():
-            assert len(bold_like[t]) <= 2 * width + 1, f"node {t} keeps too many record children"
+            if len(bold_like[t]) > 2 * width + 1:
+                raise RuntimeError(f"node {t} keeps too many record children")
     return NicenessReport(nice, tuple(sorted(offending)), bold_like, absorbable)
 
 
@@ -320,17 +318,17 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 3 or fields[1] != "tcw":
                 raise ParseError(f"malformed header {line!r}", lineno)
-            declared = int(fields[2])
+            (declared,) = parse_ints(fields[2:], f"header {line!r}", lineno)
         elif fields[0] == "n":
             if declared is None:
                 raise ParseError("node before header", lineno)
             if len(fields) < 3:
                 raise ParseError(f"malformed node line {line!r}", lineno)
-            node = int(fields[1])
-            par = int(fields[2])
+            node, par, *verts = parse_ints(fields[1:], f"node line {line!r}", lineno)
             if node in parent:
                 raise ParseError(f"duplicate node {node}", lineno)
-            verts = tuple(int(x) for x in fields[3:])
+            if len(set(verts)) != len(verts):
+                raise ParseError(f"node {node} lists a vertex twice", lineno)
             parent[node] = None if par == 0 else par
             bags[node] = frozenset(verts)
         else:

@@ -11,7 +11,6 @@ between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -253,26 +252,21 @@ class EDPInstance:
         return f"EDPInstance(|V|={self.graph.num_vertices()}, |E|={self.graph.num_edges()}, |P|={len(self._pairs)})"
 
 
-@dataclass(frozen=True)
-class TerminalGraph:
-    """The pair set viewed as a graph on the instance's vertices."""
-
-    vertices: frozenset[int]
-    edges: Mapping[int, frozenset[int]]  # pair id -> endpoints
-
-    def pair_degree(self, v: int) -> int:
-        return sum(1 for members in self.edges.values() if v in members)
-
-    def incident_pairs(self, v: int) -> tuple[int, ...]:
-        return tuple(pid for pid in sorted(self.edges) if v in self.edges[pid])
-
-
 # -- text format ----------------------------------------------------------
 #
 # Instance format (line oriented, '#' comments):
 #   p edp <n> <m> <q>
 #   e <u> <v>        (m lines, edge ids 1..m in file order)
 #   t <a> <b>        (q lines, pair ids 1..q in file order)
+
+
+def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> list[int]:
+    """The tokens as integers; a ParseError about the malformed `what`
+    otherwise."""
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ParseError(f"malformed {what}", line) from None
 
 
 def parse_instance(text: str | bytes) -> EDPInstance:
@@ -293,10 +287,7 @@ def parse_instance(text: str | bytes) -> EDPInstance:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 5 or fields[1] != "edp":
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n, m, q = (int(x) for x in fields[2:5])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
+            n, m, q = parse_ints(fields[2:5], f"header {line!r}", lineno)
             if n < 0 or m < 0 or q < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
             inst = EDPInstance(MultiGraph(range(1, n + 1)))
@@ -305,7 +296,7 @@ def parse_instance(text: str | bytes) -> EDPInstance:
                 raise ParseError("edge before header", lineno)
             if len(fields) != 3:
                 raise ParseError(f"malformed edge line {line!r}", lineno)
-            u, v = int(fields[1]), int(fields[2])
+            u, v = parse_ints(fields[1:], f"edge line {line!r}", lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex id out of range in {line!r}", lineno)
             if u == v:
@@ -319,7 +310,7 @@ def parse_instance(text: str | bytes) -> EDPInstance:
                 raise ParseError("pair before header", lineno)
             if len(fields) != 3:
                 raise ParseError(f"malformed pair line {line!r}", lineno)
-            a, b = int(fields[1]), int(fields[2])
+            a, b = parse_ints(fields[1:], f"pair line {line!r}", lineno)
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ParseError(f"vertex id out of range in {line!r}", lineno)
             if a == b:
@@ -422,10 +413,6 @@ def terminal_normalize(inst: EDPInstance) -> EDPInstance:
         out.remove_pair(pid)
         out.add_pair(la, lb, pid)
     return out
-
-
-def terminal_graph(inst: EDPInstance) -> TerminalGraph:
-    return TerminalGraph(inst.graph.vertices, dict(inst.pairs))
 
 
 def restrict_pairs(inst: EDPInstance, subset: Iterable[int]) -> dict[int, frozenset[int]]:

@@ -109,11 +109,6 @@ def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelStat
     to the exit, reattach the terminal directly; otherwise the whole instance
     is a NO-instance.
     """
-    state = _run_pendant(state, once)
-    return state
-
-
-def _run_pendant(state: KernelState, once: bool) -> KernelState:
     inst = state.inst.copy()
     fes = frozenset(state.fes_edges)
     fired = False

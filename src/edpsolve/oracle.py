@@ -53,64 +53,37 @@ def brute_force_edp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
     """Decide EDP by backtracking over simple paths on unused edges."""
     if caps is not None and caps.max_edges is not None and inst.graph.num_edges() > caps.max_edges:
         raise CapExceeded(f"{inst.graph.num_edges()} edges exceeds cap {caps.max_edges}")
-    g = inst.graph
-    order = _ordered_pairs(inst)
-    used: set[int] = set()
-    routes: dict[int, RoutedPath] = {}
-
-    def paths_from(v: int, target: int, visited: set[int], verts: list[int], eids: list[int]):
-        if v == target:
-            yield RoutedPath(tuple(verts), tuple(eids))
-            return
-        for eid in g.incident(v):
-            if eid in used or eid in eids:
-                continue
-            w = g.other_end(eid, v)
-            if w in visited:
-                continue
-            visited.add(w)
-            verts.append(w)
-            eids.append(eid)
-            yield from paths_from(w, target, visited, verts, eids)
-            visited.remove(w)
-            verts.pop()
-            eids.pop()
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        pid = order[i]
-        a, b = sorted(inst.pair(pid))
-        for route in paths_from(a, b, {a}, [a], []):
-            used.update(route.edges)
-            routes[pid] = route
-            if place(i + 1):
-                return True
-            used.difference_update(route.edges)
-            del routes[pid]
-        return False
-
-    if place(0):
-        return SolveResult(True, dict(routes))
-    return SolveResult(False)
+    return _search(inst, vertex_disjoint=False)
 
 
 def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -> SolveResult:
     """Decide VDP: paths pairwise vertex-disjoint, endpoints included."""
     if caps is not None and caps.max_vertices is not None and inst.graph.num_vertices() > caps.max_vertices:
         raise CapExceeded(f"{inst.graph.num_vertices()} vertices exceeds cap {caps.max_vertices}")
+    return _search(inst, vertex_disjoint=True)
+
+
+def _search(inst: EDPInstance, vertex_disjoint: bool) -> SolveResult:
+    """Route the pairs in order, backtracking over simple paths.  A placed
+    route blocks its edges, or its vertices when `vertex_disjoint`; the
+    other blocked set stays empty."""
     g = inst.graph
     order = _ordered_pairs(inst)
+    used: set[int] = set()
     taken: set[int] = set()
     routes: dict[int, RoutedPath] = {}
+    blocked = taken if vertex_disjoint else used
 
     def paths_from(v: int, target: int, visited: set[int], verts: list[int], eids: list[int]):
         if v == target:
             yield RoutedPath(tuple(verts), tuple(eids))
             return
         for eid in g.incident(v):
+            if eid in used:
+                continue
             w = g.other_end(eid, v)
-            if w in visited or (w in taken and w != target):
+            # also rejects an edge already on the path: it joins two visited vertices
+            if w in visited or w in taken:
                 continue
             visited.add(w)
             verts.append(w)
@@ -128,11 +101,12 @@ def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
         if a in taken or b in taken:
             return False
         for route in paths_from(a, b, {a}, [a], []):
-            taken.update(route.vertices)
+            items = route.vertices if vertex_disjoint else route.edges
+            blocked.update(items)
             routes[pid] = route
             if place(i + 1):
                 return True
-            taken.difference_update(route.vertices)
+            blocked.difference_update(items)
             del routes[pid]
         return False
 

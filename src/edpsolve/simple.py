@@ -224,26 +224,6 @@ def enumerate_hub_paths(si: SimpleInstance, u: int, v: int) -> frozenset[Solutio
     return frozenset(_hub_paths(si, u, v))
 
 
-def combine(
-    xs: Iterable[SolutionVector],
-    ys: Iterable[SolutionVector],
-    limits: Mapping[HubPair, int] | None = None,
-) -> frozenset[SolutionVector]:
-    """Pointwise-sum every vector of xs with every vector of ys, deduplicated.
-
-    With `limits` given, sums already exceeding some multiplicity are pruned
-    eagerly; sound because counts only ever grow.
-    """
-    out = set()
-    for x in xs:
-        for y in ys:
-            s = x + y
-            if limits is not None and not s.within(limits):
-                continue
-            out.add(s)
-    return frozenset(out)
-
-
 # -- the solver -------------------------------------------------------------
 
 Table = dict  # SolutionVector -> tuple[RouteRec, ...]
@@ -260,7 +240,8 @@ class _DP:
 
     def check(self, table: Table) -> Table:
         self.max_seen = max(self.max_seen, len(table))
-        assert len(table) <= self.size_bound, "vector set exceeds its size bound"
+        if len(table) > self.size_bound:
+            raise RuntimeError("vector set exceeds its size bound")
         return table
 
     def paths(self, u: int, v: int) -> dict[SolutionVector, tuple[int, ...]]:
@@ -414,48 +395,13 @@ def _walk_cycle(comp_verts, sat_adj):
         verts.append(w)
 
 
-def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
-    g = si.inst.graph
-    for v in comp_verts:
-        assert g.degree(v) == 2, f"cycle satellite {v} must have degree exactly 2"
-    verts, pids = _walk_cycle(comp_verts, sat_adj)
-    n = len(verts)
-    # state: (chain edge used at verts[0], chain edge used at verts[i]) -> table
-    states: dict[tuple[int, int], Table] = {}
-    for e1 in g.incident(verts[0]):
-        for e2 in g.incident(verts[1]):
-            tab = dp.route_options(pids[0], hub_end(e1), hub_end(e2), e1, e2)
-            if tab:
-                states[(e1, e2)] = tab
-    for i in range(1, n - 1):
-        nxt: dict[tuple[int, int], Table] = {}
-        for (e1, ecur), table in sorted(states.items()):
-            eoth = other_edge[(verts[i], ecur)]
-            if eoth is None:
-                continue
-            for enext in g.incident(verts[i + 1]):
-                opts = dp.route_options(pids[i], hub_end(eoth), hub_end(enext), eoth, enext)
-                merged = dp.merge(table, opts)
-                if merged:
-                    key = (e1, enext)
-                    nxt[key] = _union(nxt.get(key), merged, dp)
-        states = nxt
-    out: Table = {}
-    for (e1, ecur), table in sorted(states.items()):
-        eoth_n = other_edge[(verts[-1], ecur)]
-        eoth_1 = other_edge[(verts[0], e1)]
-        if eoth_n is None or eoth_1 is None:
-            continue
-        opts = dp.route_options(pids[-1], hub_end(eoth_n), hub_end(eoth_1), eoth_n, eoth_1)
-        out = _union(out or None, dp.merge(table, opts), dp) or {}
-    return dp.check(out)
+def _chain_states(si, dp, verts, pids, other_edge, hub_end) -> dict[tuple[int, int], Table]:
+    """Route pids[i] between verts[i] and verts[i + 1] along the chain.
 
-
-def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
+    state: (edge used at verts[0], edge used at the last vertex) -> table;
+    each inner vertex takes one pair on each of its two edges.
+    """
     g = si.inst.graph
-    verts, pids = _walk_path(comp_verts, sat_adj)
-    if len(verts) == 1:
-        return _lone_satellite_table(si, dp, verts[0], hub_attach, hub_end)
     states: dict[tuple[int, int], Table] = {}
     for e1 in g.incident(verts[0]):
         for e2 in g.incident(verts[1]):
@@ -475,9 +421,34 @@ def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
                     key = (e1, enext)
                     nxt[key] = _union(nxt.get(key), merged, dp)
         states = nxt
+    return states
+
+
+def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
+    g = si.inst.graph
+    for v in comp_verts:
+        if g.degree(v) != 2:
+            raise StructureError(f"cycle satellite {v} must have degree exactly 2")
+    verts, pids = _walk_cycle(comp_verts, sat_adj)
+    # the last pair closes the cycle through the first vertex's other edge
+    out: Table = {}
+    for (e1, ecur), table in sorted(_chain_states(si, dp, verts, pids, other_edge, hub_end).items()):
+        eoth_n = other_edge[(verts[-1], ecur)]
+        eoth_1 = other_edge[(verts[0], e1)]
+        if eoth_n is None or eoth_1 is None:
+            continue
+        opts = dp.route_options(pids[-1], hub_end(eoth_n), hub_end(eoth_1), eoth_n, eoth_1)
+        out = _union(out or None, dp.merge(table, opts), dp) or {}
+    return dp.check(out)
+
+
+def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
+    verts, pids = _walk_path(comp_verts, sat_adj)
+    if len(verts) == 1:
+        return _lone_satellite_table(si, dp, verts[0], hub_attach, hub_end)
     # pairs attaching a path endpoint to the hub use the endpoint's other edge
     out: Table = {}
-    for (e1, ecur), table in sorted(states.items()):
+    for (e1, ecur), table in sorted(_chain_states(si, dp, verts, pids, other_edge, hub_end).items()):
         for endpoint, chain_edge in ((verts[0], e1), (verts[-1], ecur)):
             for pid, a in sorted(hub_attach[endpoint]):
                 eoth = other_edge[(endpoint, chain_edge)]
@@ -503,7 +474,8 @@ def _lone_satellite_table(si, dp, v, hub_attach, hub_end):
     else:
         (p1, a1), (p2, a2) = attach
         inc = g.incident(v)
-        assert len(inc) == 2
+        if len(inc) != 2:
+            raise StructureError(f"satellite {v} in two pairs must have degree exactly 2")
         for eA, eB in (inc, inc[::-1]):
             tab = dp.merge(
                 dp.route_options(p1, hub_end(eA), a1, eA, None),

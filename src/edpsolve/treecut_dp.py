@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .decomposition import (
     DecompositionError,
@@ -185,6 +185,45 @@ def leaf_valid_records(inst: EDPInstance, dec: TreecutDecomposition, leaf: int) 
 # -- simplification ----------------------------------------------------------
 
 
+def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, int]:
+    """Pair id -> outside member, for each pair with exactly one member in `sub`."""
+    partner: dict[int, int] = {}
+    for pid in cur.sorted_pairs():
+        members = cur.pair(pid)
+        if len(members & sub) == 1:
+            partner[pid] = next(iter(members - sub))
+    return partner
+
+
+def _detach(cur: EDPInstance, sub: frozenset[int]) -> tuple[EDPInstance, Callable[..., int]]:
+    """A copy of `cur` without the subtree `sub`: its vertices and every pair
+    touching it are gone.
+
+    Also returns `stub(*attach)`, which adds a fresh vertex joined to the
+    outside vertex `y` by edge `eid` for each `(eid, y)` in `attach`.  Stub
+    ids count up from one past `cur`'s largest vertex.
+    """
+    out = cur.copy()
+    for pid in out.sorted_pairs():
+        if out.pair(pid) & sub:
+            out.remove_pair(pid)
+    for v in sorted(sub):
+        if out.graph.has_vertex(v):
+            out.graph.remove_vertex(v)
+    next_vertex = max(cur.graph.vertices | {0}) + 1
+
+    def stub(*attach: tuple[int, int]) -> int:
+        nonlocal next_vertex
+        s = next_vertex
+        next_vertex += 1
+        out.graph.add_vertex(s)
+        for eid, y in attach:
+            out.graph.add_edge(s, y, eid)
+        return s
+
+    return out, stub
+
+
 def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], rec: Record) -> EDPInstance | None:
     """Replace the subtree by the record's degree-<=2 fringe inside `cur`.
 
@@ -205,48 +244,22 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
         if (u in sub) == (v in sub):
             return None
         outside_end[e] = v if u in sub else u
-    partner: dict[int, int] = {}
-    for pid in cur.sorted_pairs():
-        members = cur.pair(pid)
-        inside = members & sub
-        if len(inside) == 1:
-            partner[pid] = next(iter(members - sub))
+    partner = _straddling(cur, sub)
     if set(partner) != {pid for pid, _ in rec.leaving}:
         return None
 
-    out = cur.copy()
-    for pid in out.sorted_pairs():
-        if out.pair(pid) & sub:
-            out.remove_pair(pid)
-    for v in sorted(sub):
-        if out.graph.has_vertex(v):
-            out.graph.remove_vertex(v)
-
-    next_vertex = max(cur.graph.vertices | {0}) + 1
+    out, stub = _detach(cur, sub)
     next_pid = max(list(cur.pairs) + [0]) + 1
-
-    def fresh() -> int:
-        nonlocal next_vertex
-        v = next_vertex
-        next_vertex += 1
-        out.graph.add_vertex(v)
-        return v
-
     for pid, eid in sorted(rec.leaving):
-        s = fresh()
-        out.graph.add_edge(s, outside_end[eid], eid)
+        s = stub((eid, outside_end[eid]))
         out.add_pair(s, partner[pid], pid)
     for e1, e2 in sorted(rec.internal_pairs):
-        s1 = fresh()
-        out.graph.add_edge(s1, outside_end[e1], e1)
-        s2 = fresh()
-        out.graph.add_edge(s2, outside_end[e2], e2)
+        s1 = stub((e1, outside_end[e1]))
+        s2 = stub((e2, outside_end[e2]))
         out.add_pair(s1, s2, next_pid)
         next_pid += 1
     for e1, e2 in sorted(rec.foreign_pairs):
-        w = fresh()
-        out.graph.add_edge(w, outside_end[e1], e1)
-        out.graph.add_edge(w, outside_end[e2], e2)
+        stub((e1, outside_end[e1]), (e2, outside_end[e2]))
     return out
 
 
@@ -317,45 +330,20 @@ def _replace_thin_in(
     its record table; None means no record fits, i.e. a NO verdict."""
     g = cur.graph
     for e in cut_ids:
-        assert g.has_edge(e), f"cut edge {e} vanished before thin replacement"
-    straddle: dict[int, int] = {}
-    for pid in cur.sorted_pairs():
-        members = cur.pair(pid)
-        inside = members & sub
-        if len(inside) == 1:
-            straddle[pid] = next(iter(members - sub))
+        if not g.has_edge(e):
+            raise StructureError(f"cut edge {e} vanished before thin replacement")
+    straddle = _straddling(cur, sub)
     u_pids = tuple(sorted(straddle))
     recs = set(table.records)
 
     def delta(*classes: str) -> tuple[tuple[int, str], ...]:
         return tuple(zip(cut_ids, classes))
 
-    def removed() -> EDPInstance:
-        out = cur.copy()
-        for pid in out.sorted_pairs():
-            if out.pair(pid) & sub:
-                out.remove_pair(pid)
-        for v in sorted(sub):
-            if out.graph.has_vertex(v):
-                out.graph.remove_vertex(v)
-        return out
-
-    def stub(out: EDPInstance, attach: list[tuple[int, int]], pair: tuple[int, int] | None) -> int:
-        s = max(cur.graph.vertices | {0}) + 1
-        while out.graph.has_vertex(s):
-            s += 1
-        out.graph.add_vertex(s)
-        for eid, y in attach:
-            out.graph.add_edge(s, y, eid)
-        if pair is not None:
-            out.add_pair(s, pair[1], pair[0])
-        return s
-
     outside = {e: (set(g.endpoints(e)) - sub).pop() for e in cut_ids}
 
     if len(cut_ids) == 0:
         if not u_pids and EMPTY_RECORD in recs:
-            return removed()
+            return _detach(cur, sub)[0]
         return None
 
     if len(cut_ids) == 1:
@@ -363,13 +351,13 @@ def _replace_thin_in(
         if len(u_pids) == 1:
             pid = u_pids[0]
             if Record(delta(LEAVING), (), (), ((pid, e),)) in recs:
-                out = removed()
-                stub(out, [(e, outside[e])], (pid, straddle[pid]))
+                out, stub = _detach(cur, sub)
+                out.add_pair(stub((e, outside[e])), straddle[pid], pid)
                 return out
             return None
         if not u_pids:
             if Record(delta(UNUSED), (), (), ()) in recs:
-                return removed()
+                return _detach(cur, sub)[0]
             return None
         return None
 
@@ -377,17 +365,15 @@ def _replace_thin_in(
         e1, e2 = cut_ids
         if not u_pids:
             if Record(delta(FOREIGN, FOREIGN), (), ((e1, e2),), ()) in recs:
-                out = removed()
-                stub(out, [(e1, outside[e1]), (e2, outside[e2])], None)
+                out, stub = _detach(cur, sub)
+                stub((e1, outside[e1]), (e2, outside[e2]))
                 return out
             if Record(delta(UNUSED, UNUSED), (), (), ()) in recs:
-                return removed()
+                return _detach(cur, sub)[0]
             if Record(delta(INTERNAL, INTERNAL), ((e1, e2),), (), ()) in recs:
-                out = removed()
+                out, stub = _detach(cur, sub)
                 next_pid = max(list(cur.pairs) + [0]) + 1
-                s1 = stub(out, [(e1, outside[e1])], None)
-                s2 = stub(out, [(e2, outside[e2])], None)
-                out.add_pair(s1, s2, next_pid)
+                out.add_pair(stub((e1, outside[e1])), stub((e2, outside[e2])), next_pid)
                 return out
             return None
         if len(u_pids) == 1:
@@ -401,28 +387,25 @@ def _replace_thin_in(
                 attach.append((e2, outside[e2]))
             if not attach:
                 return None
-            out = removed()
-            stub(out, attach, (pid, straddle[pid]))
+            out, stub = _detach(cur, sub)
+            out.add_pair(stub(*attach), straddle[pid], pid)
             return out
         if len(u_pids) == 2:
             p1, p2 = u_pids
             ra = Record(delta(LEAVING, LEAVING), (), (), ((p1, e1), (p2, e2)))
             rb = Record(delta(LEAVING, LEAVING), (), (), ((p1, e2), (p2, e1)))
             if ra in recs and rb in recs:
-                out = removed()
-                s = stub(out, [(e1, outside[e1]), (e2, outside[e2])], None)
+                out, stub = _detach(cur, sub)
+                s = stub((e1, outside[e1]), (e2, outside[e2]))
                 out.add_pair(s, straddle[p1], p1)
                 out.add_pair(s, straddle[p2], p2)
                 return out
-            if ra in recs:
-                out = removed()
-                stub(out, [(e1, outside[e1])], (p1, straddle[p1]))
-                stub(out, [(e2, outside[e2])], (p2, straddle[p2]))
-                return out
-            if rb in recs:
-                out = removed()
-                stub(out, [(e2, outside[e2])], (p1, straddle[p1]))
-                stub(out, [(e1, outside[e1])], (p2, straddle[p2]))
+            if ra in recs or rb in recs:
+                # ra sends p1 through e1, rb sends it through e2
+                f1, f2 = (e1, e2) if ra in recs else (e2, e1)
+                out, stub = _detach(cur, sub)
+                out.add_pair(stub((f1, outside[f1])), straddle[p1], p1)
+                out.add_pair(stub((f2, outside[f2])), straddle[p2], p2)
                 return out
             return None
         return None
@@ -536,7 +519,9 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
             tables[t] = dynamic_step(inst, dec, t, tables)
         else:
             tables[t] = leaf_valid_records(inst, dec, t)
-        assert len(tables[t]) <= bound, f"node {t} exceeds the record-count bound"
+        if len(tables[t]) > bound:
+            raise RuntimeError(f"node {t} exceeds the record-count bound")
     root_table = tables[dec.root]
-    assert all(rec == EMPTY_RECORD for rec in root_table.records)
+    if any(rec != EMPTY_RECORD for rec in root_table.records):
+        raise RuntimeError("the root keeps a non-empty record")
     return TreecutResult(bool(root_table.records), tables, wrep.width)

@@ -127,6 +127,19 @@ def test_solve_parse_error_exit_2(tmp_path):
     code, _, err = run_cli("solve", str(bad))
     assert code == 2
     assert "self-pair" in err
+    bad.write_text("p edp 2 1 0\ne a b\n")
+    code, _, err = run_cli("solve", str(bad))
+    assert code == 2 and "line 2" in err
+
+    tri = tmp_path / "tri.edp"
+    tri.write_text("p edp 3 3 1\ne 1 2\ne 2 3\ne 1 3\nt 1 3\n")
+    dec = tmp_path / "tri.dec"
+    for text, line in (("d tcw x\n", "line 1"), ("d tcw 2\nn 1 0\nn 2 1 1 x\n", "line 3")):
+        dec.write_text(text)
+        code, _, err = run_cli("solve", str(tri), "--method", "treecut", "--decomposition", str(dec))
+        assert code == 2 and line in err
+    code, _, err = run_cli("solve", str(tri), "--method", "simple", "--hub", "1,x")
+    assert code == 2 and "--hub" in err
 
 
 def test_solve_treecut_needs_decomposition(triangle):
@@ -236,6 +249,25 @@ def test_bench_rows_and_determinism(tmp_path):
         name, _method, *_rest, answer, _t = line.split(",")
         per_instance.setdefault(name, set()).add(answer)
     assert all(len(ans) == 1 for ans in per_instance.values())
+
+
+def test_bench_auto_uses_decomposition(tmp_path):
+    from edpsolve.decomposition import serialize_decomposition
+
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    for name, args in (("no", (24, 40, 5, 2)), ("yes", (11, 60, 7, 2))):
+        inst, dec = gen_random_instance(*args, profile="bounded-tcw")
+        (bench_dir / f"{name}.edp").write_text(serialize_instance(inst))
+        (bench_dir / f"{name}.edp.dec").write_text(serialize_decomposition(dec))
+    code, out, _ = run_cli("bench", str(bench_dir), "--methods", "auto")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",")[6] for line in out.strip().splitlines()[1:]}
+    for name in ("no", "yes"):
+        path = str(bench_dir / f"{name}.edp")
+        code, solved, _ = run_cli("solve", path, "--method", "auto", "--decomposition", path + ".dec", "--quiet")
+        assert code == 0
+        assert rows[f"{name}.edp"] == solved.splitlines()[0] == name.upper()
 
 
 def test_bench_empty_directory_header_only(tmp_path):

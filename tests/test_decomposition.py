@@ -103,6 +103,9 @@ def test_parse_errors():
         parse_decomposition("d tcw 2\nn 1 0\n")
     with pytest.raises(ParseError):
         parse_decomposition("d tcw 2\nn 1 0\nn 2 9\n")
+    for text in ("d tcw x\n", "d tcw 2\nn 1 0\nn 2 1 1 x\n", "d tcw 2\nn 1 0\nn 2 1 1 1 2 3\n"):
+        with pytest.raises(ParseError, match="line [13]: "):
+            parse_decomposition(text)
     with pytest.raises(DecompositionError):
         TreecutDecomposition({1: None, 2: None}, {1: set(), 2: set()})
     with pytest.raises(DecompositionError):

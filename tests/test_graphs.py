@@ -14,7 +14,6 @@ from edpsolve.graphs import (
     relabel_compact,
     restrict_pairs,
     serialize_instance,
-    terminal_graph,
     terminal_normalize,
 )
 from edpsolve.oracle import brute_force_edp
@@ -61,6 +60,9 @@ def test_parse_errors_name_lines():
         parse_instance("e 1 2\n")
     with pytest.raises(ParseError):
         parse_instance("p edp 2 3 0\ne 1 2\n")
+    for text in ("p edp 2 1 0\ne a b\n", "p edp 2 0 1\nt 1 x\n", "p edp 2 x 0\n"):
+        with pytest.raises(ParseError, match="line [12]: malformed"):
+            parse_instance(text)
 
 
 def test_serialize_triangle_shape():
@@ -196,25 +198,6 @@ def test_terminal_normalize_preserves_answer(seed):
     rng = random.Random(seed)
     inst = _random_instance(rng, rng.randint(2, 6), rng.randint(0, 3), rng.randint(0, 3))
     assert brute_force_edp(inst).feasible == brute_force_edp(terminal_normalize(inst), caps=None).feasible
-
-
-def test_terminal_graph_empty_and_triangle():
-    inst = triangle()
-    tg = terminal_graph(inst)
-    assert tg.vertices == inst.graph.vertices
-    assert tg.edges == {1: frozenset({1, 3})}
-    no_pairs = EDPInstance(inst.graph.copy())
-    assert terminal_graph(no_pairs).edges == {}
-
-
-def test_terminal_graph_pair_triangle():
-    g = MultiGraph([1, 2, 3])
-    inst = EDPInstance(g)
-    inst.add_pair(1, 2)
-    inst.add_pair(2, 3)
-    inst.add_pair(3, 1)
-    tg = terminal_graph(inst)
-    assert all(tg.pair_degree(v) == 2 for v in (1, 2, 3))
 
 
 def test_restrict_pairs():

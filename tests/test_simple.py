@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError
 from edpsolve.oracle import brute_force_edp, check_witness
 from edpsolve.simple import (
+    _DP,
     SolutionVector,
-    combine,
     enumerate_hub_paths,
     infer_hub,
     preprocess_simple,
@@ -114,6 +114,16 @@ def test_hub_paths_rejects_equal_endpoints():
         enumerate_hub_paths(si, 1, 1)
 
 
+def combine(xs, ys, prune=False):
+    """`_DP.merge` on two vector sets, over a triangle hub with one edge per
+    side and three pairs (size bound 4**3)."""
+    inst = hub_only((1, 2), (1, 3), (2, 3))
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        inst.add_pair(a, b)
+    dp = _DP(si_of(inst, [1, 2, 3]), prune)
+    return frozenset(dp.merge({x: () for x in xs}, {y: () for y in ys}))
+
+
 def test_combine_identity_and_sum():
     x = frozenset({SolutionVector.of({(1, 2): 1})})
     zero = frozenset({SolutionVector.zero()})
@@ -123,7 +133,7 @@ def test_combine_identity_and_sum():
 
 def test_combine_prunes_against_limits():
     x = frozenset({SolutionVector.of({(1, 2): 1})})
-    assert combine(x, x, limits={(1, 2): 1}) == frozenset()
+    assert combine(x, x, prune=True) == frozenset()
 
 
 @given(st.integers(0, 10**6))
