@@ -70,17 +70,17 @@ def cmd_solve(args) -> int:
         return _fail(str(exc), EXIT_NO_METHOD)
     if how:
         _info(args, f"auto: {how}")
+    if args.witness and feasible and routes is None:
+        # witness reconstruction through kernels/decompositions is not wired
+        # up; recompute one with the oracle when the caps allow it, before
+        # anything reaches stdout
+        try:
+            routes = brute_force_edp(inst, caps=caps).routes
+        except CapExceeded:
+            return _fail("witness requested but the instance exceeds the brute-force caps", EXIT_NO_METHOD)
     _answer(feasible)
-    if args.witness and feasible:
-        if routes is None:
-            # witness reconstruction through kernels/decompositions is not
-            # wired up; recompute one with the oracle when the caps allow it
-            try:
-                routes = brute_force_edp(inst, caps=caps).routes
-            except CapExceeded:
-                return _fail("witness requested but the instance exceeds the brute-force caps", EXIT_NO_METHOD)
-        if routes is not None:
-            _print_witness(inst, routes)
+    if args.witness and feasible and routes is not None:
+        _print_witness(inst, routes)
     return EXIT_OK
 
 

@@ -106,34 +106,42 @@ class TreecutDecomposition:
 
 @dataclass(frozen=True)
 class NodeViews:
-    """Derived per-node data: subtree vertex set, cut edges, adhesion, torso
-    size and thinness."""
+    """Derived per-node data: subtree vertex set, cut edges, adhesion, the
+    outside endpoints of the cut edges (the subtree's neighborhood) and
+    thinness."""
 
     node: int
     subtree: frozenset[int]
     cut: tuple[int, ...]
     adhesion: int
-    torso: int
+    outside: frozenset[int]
     thin: bool
 
 
 def node_views(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> NodeViews:
+    g = inst.graph
     sub = dec.subtree_vertices(node)
-    cut = tuple(
-        eid
-        for eid in inst.graph.sorted_edges()
-        if len(set(inst.graph.endpoints(eid)) & sub) == 1
-    )
-    adh = len(cut)
-    is_root = node == dec.root
+    cut = []
+    outside = set()
+    for eid in g.sorted_edges():
+        u, v = g.endpoints(eid)
+        if (u in sub) != (v in sub):
+            cut.append(eid)
+            outside.add(v if u in sub else u)
     return NodeViews(
         node=node,
         subtree=sub,
-        cut=cut,
-        adhesion=adh,
-        torso=torso_size(inst, dec, node),
-        thin=(not is_root) and adh <= 2,
+        cut=tuple(cut),
+        adhesion=len(cut),
+        outside=frozenset(outside),
+        thin=node != dec.root and len(cut) <= 2,
     )
+
+
+def is_absorbable(views: NodeViews, bag: frozenset[int]) -> bool:
+    """A child whose subtree is thin and sees only its parent's bag; the
+    dynamic step replaces it from its record table instead of branching."""
+    return views.adhesion <= 2 and views.outside <= bag
 
 
 def torso_size(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> int:
@@ -146,25 +154,16 @@ def torso_size(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> int:
     """
     g = inst.graph
     bag = dec.bag(node)
-    # one blob per connected component of the decomposition tree minus `node`
-    blob_of: dict[int, int] = {}
-    next_blob = -1
-    parts: list[set[int]] = []
-    p = dec.parent(node)
-    if p is not None:
-        part = set(dec.nodes()) - {node}
-        for c in dec.children(node):
-            part -= set(_subtree_nodes(dec, c))
-        parts.append(part)
-    for c in sorted(dec.children(node)):
-        parts.append(set(_subtree_nodes(dec, c)))
+    # one blob per connected component of the decomposition tree minus
+    # `node`: the parent side first (-1), then the children in sorted order
+    parts: list[frozenset[int]] = []
+    if dec.parent(node) is not None:
+        parts.append(dec.subtree_vertices(dec.root) - dec.subtree_vertices(node))
+    parts.extend(dec.subtree_vertices(c) for c in sorted(dec.children(node)))
     vmap: dict[int, int] = {v: v for v in bag}
-    for part in parts:
-        blob = next_blob
-        next_blob -= 1
-        for t in part:
-            for v in dec.bag(t):
-                vmap[v] = blob
+    for i, part in enumerate(parts, start=1):
+        for v in part:
+            vmap[v] = -i
     # consolidated multigraph as adjacency with edge multiplicity
     adj: dict[int, dict[int, int]] = {}
     for eid in g.sorted_edges():
@@ -203,16 +202,6 @@ def torso_size(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> int:
     return len(vertices)
 
 
-def _subtree_nodes(dec: TreecutDecomposition, t: int) -> list[int]:
-    out = []
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        stack.extend(dec.children(x))
-    return out
-
-
 @dataclass(frozen=True)
 class WidthReport:
     valid: bool
@@ -242,10 +231,7 @@ def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthR
         errors.append(f"root bag must be empty, has {sorted(dec.bag(dec.root))}")
     if errors:
         return WidthReport(False, tuple(errors), {}, -1)
-    per_node = {}
-    for t in dec.nodes():
-        views = node_views(inst, dec, t)
-        per_node[t] = (views.torso, views.adhesion)
+    per_node = {t: (torso_size(inst, dec, t), node_views(inst, dec, t).adhesion) for t in dec.nodes()}
     width = max((max(tor, adh) for tor, adh in per_node.values()), default=0)
     return WidthReport(True, (), per_node, width)
 
@@ -261,32 +247,20 @@ class NicenessReport:
 def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
     """Check that every thin node's subtree neighborhood avoids all sibling
     subtrees, and classify each node's children for the dynamic program."""
-    g = inst.graph
-    sub = {t: dec.subtree_vertices(t) for t in dec.nodes()}
-    nbhd = {}
-    for t in dec.nodes():
-        reach: set[int] = set()
-        for v in sub[t]:
-            reach |= g.neighbors(v)
-        nbhd[t] = frozenset(reach - sub[t])
     views = {t: node_views(inst, dec, t) for t in dec.nodes()}
     offending = []
     for t in dec.nodes():
         if not views[t].thin:
             continue
-        sibling_union: set[int] = set()
-        for s in dec.siblings(t):
-            sibling_union |= sub[s]
-        if nbhd[t] & sibling_union:
+        sibling_union = frozenset().union(*(views[s].subtree for s in dec.siblings(t)))
+        if views[t].outside & sibling_union:
             offending.append(t)
     absorbable: dict[int, tuple[int, ...]] = {}
     bold_like: dict[int, tuple[int, ...]] = {}
     for t in dec.nodes():
-        absorbed = tuple(
-            c for c in sorted(dec.children(t)) if views[c].adhesion <= 2 and nbhd[c] <= dec.bag(t)
-        )
-        absorbable[t] = absorbed
-        bold_like[t] = tuple(c for c in sorted(dec.children(t)) if c not in absorbed)
+        children = sorted(dec.children(t))
+        absorbable[t] = tuple(c for c in children if is_absorbable(views[c], dec.bag(t)))
+        bold_like[t] = tuple(c for c in children if c not in absorbable[t])
     nice = not offending
     if nice:
         width = verify_decomposition(inst, dec).width

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 from .decomposition import (
     DecompositionError,
     TreecutDecomposition,
+    is_absorbable,
     node_views,
     verify_decomposition,
     verify_nice,
@@ -74,13 +75,8 @@ def record_count_bound(width: int) -> int:
 
 def unmatched_terminals(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> tuple[tuple[int, int], ...]:
     """One (pair id, terminal) entry per pair straddling the node's subtree."""
-    sub = dec.subtree_vertices(node)
-    out = []
-    for pid in inst.sorted_pairs():
-        inside = inst.pair(pid) & sub
-        if len(inside) == 1:
-            out.append((pid, next(iter(inside))))
-    return tuple(out)
+    straddle = _straddling(inst, dec.subtree_vertices(node))
+    return tuple((pid, inside) for pid, (inside, _) in straddle.items())
 
 
 def _perfect_matchings(items: tuple[int, ...]):
@@ -128,42 +124,25 @@ def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: in
     can leave and re-enter through the same vertex).
     """
     sub = dec.subtree_vertices(node)
-    out = induced_instance(inst, sub)
-    g = out.graph
-    next_vertex = max(inst.graph.vertices | {0}) + 1
+    out, stub = _restrict(inst, sub)
+    straddle = _straddling(inst, sub)
     next_pid = max(list(inst.pairs) + [0]) + 1
 
     def inside_end(eid: int) -> int:
         u, v = inst.graph.endpoints(eid)
         return u if u in sub else v
 
-    def fresh() -> int:
-        nonlocal next_vertex
-        v = next_vertex
-        next_vertex += 1
-        g.add_vertex(v)
-        return v
-
     for e1, e2 in sorted(rec.internal_pairs):
         a, c = inside_end(e1), inside_end(e2)
-        if a == c:
-            continue
-        w = fresh()
-        g.add_edge(a, w, e1)
-        g.add_edge(c, w, e2)
+        if a != c:
+            stub((e1, a), (e2, c))
     for pid, eid in sorted(rec.leaving):
-        members = inst.pair(pid) & sub
-        if len(members) != 1:
+        if pid not in straddle:
             raise StructureError(f"pair {pid} is not a straddling pair of node {node}")
-        s = next(iter(members))
-        leaf = fresh()
-        g.add_edge(inside_end(eid), leaf, eid)
-        out.add_pair(s, leaf, pid)
+        out.add_pair(straddle[pid][0], stub((eid, inside_end(eid))), pid)
     for e1, e2 in sorted(rec.foreign_pairs):
-        b = fresh()
-        g.add_edge(inside_end(e1), b, e1)
-        d = fresh()
-        g.add_edge(inside_end(e2), d, e2)
+        b = stub((e1, inside_end(e1)))
+        d = stub((e2, inside_end(e2)))
         out.add_pair(b, d, next_pid)
         next_pid += 1
     return out
@@ -185,31 +164,26 @@ def leaf_valid_records(inst: EDPInstance, dec: TreecutDecomposition, leaf: int) 
 # -- simplification ----------------------------------------------------------
 
 
-def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, int]:
-    """Pair id -> outside member, for each pair with exactly one member in `sub`."""
-    partner: dict[int, int] = {}
+def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, tuple[int, int]]:
+    """Pair id -> (inside member, outside member), for each pair with exactly
+    one member in `sub`, in pair-id order."""
+    out: dict[int, tuple[int, int]] = {}
     for pid in cur.sorted_pairs():
-        members = cur.pair(pid)
-        if len(members & sub) == 1:
-            partner[pid] = next(iter(members - sub))
-    return partner
+        inside = cur.pair(pid) & sub
+        if len(inside) == 1:
+            out[pid] = (next(iter(inside)), next(iter(cur.pair(pid) - sub)))
+    return out
 
 
-def _detach(cur: EDPInstance, sub: frozenset[int]) -> tuple[EDPInstance, Callable[..., int]]:
-    """A copy of `cur` without the subtree `sub`: its vertices and every pair
-    touching it are gone.
+def _restrict(cur: EDPInstance, keep: Iterable[int]) -> tuple[EDPInstance, Callable[..., int]]:
+    """The instance induced on `keep`: every other vertex, its edges and every
+    pair touching it are gone; ids are preserved.
 
     Also returns `stub(*attach)`, which adds a fresh vertex joined to the
-    outside vertex `y` by edge `eid` for each `(eid, y)` in `attach`.  Stub
-    ids count up from one past `cur`'s largest vertex.
+    kept vertex `y` by edge `eid` for each `(eid, y)` in `attach`.  Stub ids
+    count up from one past `cur`'s largest vertex.
     """
-    out = cur.copy()
-    for pid in out.sorted_pairs():
-        if out.pair(pid) & sub:
-            out.remove_pair(pid)
-    for v in sorted(sub):
-        if out.graph.has_vertex(v):
-            out.graph.remove_vertex(v)
+    out = induced_instance(cur, keep)
     next_vertex = max(cur.graph.vertices | {0}) + 1
 
     def stub(*attach: tuple[int, int]) -> int:
@@ -244,15 +218,15 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
         if (u in sub) == (v in sub):
             return None
         outside_end[e] = v if u in sub else u
-    partner = _straddling(cur, sub)
-    if set(partner) != {pid for pid, _ in rec.leaving}:
+    straddle = _straddling(cur, sub)
+    if set(straddle) != {pid for pid, _ in rec.leaving}:
         return None
 
-    out, stub = _detach(cur, sub)
+    out, stub = _restrict(cur, g.vertices - sub)
     next_pid = max(list(cur.pairs) + [0]) + 1
     for pid, eid in sorted(rec.leaving):
         s = stub((eid, outside_end[eid]))
-        out.add_pair(s, partner[pid], pid)
+        out.add_pair(s, straddle[pid][1], pid)
     for e1, e2 in sorted(rec.internal_pairs):
         s1 = stub((e1, outside_end[e1]))
         s2 = stub((e2, outside_end[e2]))
@@ -333,7 +307,8 @@ def _replace_thin_in(
         if not g.has_edge(e):
             raise StructureError(f"cut edge {e} vanished before thin replacement")
     straddle = _straddling(cur, sub)
-    u_pids = tuple(sorted(straddle))
+    u_pids = tuple(straddle)
+    keep = g.vertices - sub
     recs = set(table.records)
 
     def delta(*classes: str) -> tuple[tuple[int, str], ...]:
@@ -343,7 +318,7 @@ def _replace_thin_in(
 
     if len(cut_ids) == 0:
         if not u_pids and EMPTY_RECORD in recs:
-            return _detach(cur, sub)[0]
+            return _restrict(cur, keep)[0]
         return None
 
     if len(cut_ids) == 1:
@@ -351,13 +326,13 @@ def _replace_thin_in(
         if len(u_pids) == 1:
             pid = u_pids[0]
             if Record(delta(LEAVING), (), (), ((pid, e),)) in recs:
-                out, stub = _detach(cur, sub)
-                out.add_pair(stub((e, outside[e])), straddle[pid], pid)
+                out, stub = _restrict(cur, keep)
+                out.add_pair(stub((e, outside[e])), straddle[pid][1], pid)
                 return out
             return None
         if not u_pids:
             if Record(delta(UNUSED), (), (), ()) in recs:
-                return _detach(cur, sub)[0]
+                return _restrict(cur, keep)[0]
             return None
         return None
 
@@ -365,13 +340,13 @@ def _replace_thin_in(
         e1, e2 = cut_ids
         if not u_pids:
             if Record(delta(FOREIGN, FOREIGN), (), ((e1, e2),), ()) in recs:
-                out, stub = _detach(cur, sub)
+                out, stub = _restrict(cur, keep)
                 stub((e1, outside[e1]), (e2, outside[e2]))
                 return out
             if Record(delta(UNUSED, UNUSED), (), (), ()) in recs:
-                return _detach(cur, sub)[0]
+                return _restrict(cur, keep)[0]
             if Record(delta(INTERNAL, INTERNAL), ((e1, e2),), (), ()) in recs:
-                out, stub = _detach(cur, sub)
+                out, stub = _restrict(cur, keep)
                 next_pid = max(list(cur.pairs) + [0]) + 1
                 out.add_pair(stub((e1, outside[e1])), stub((e2, outside[e2])), next_pid)
                 return out
@@ -387,25 +362,25 @@ def _replace_thin_in(
                 attach.append((e2, outside[e2]))
             if not attach:
                 return None
-            out, stub = _detach(cur, sub)
-            out.add_pair(stub(*attach), straddle[pid], pid)
+            out, stub = _restrict(cur, keep)
+            out.add_pair(stub(*attach), straddle[pid][1], pid)
             return out
         if len(u_pids) == 2:
             p1, p2 = u_pids
             ra = Record(delta(LEAVING, LEAVING), (), (), ((p1, e1), (p2, e2)))
             rb = Record(delta(LEAVING, LEAVING), (), (), ((p1, e2), (p2, e1)))
             if ra in recs and rb in recs:
-                out, stub = _detach(cur, sub)
+                out, stub = _restrict(cur, keep)
                 s = stub((e1, outside[e1]), (e2, outside[e2]))
-                out.add_pair(s, straddle[p1], p1)
-                out.add_pair(s, straddle[p2], p2)
+                out.add_pair(s, straddle[p1][1], p1)
+                out.add_pair(s, straddle[p2][1], p2)
                 return out
             if ra in recs or rb in recs:
                 # ra sends p1 through e1, rb sends it through e2
                 f1, f2 = (e1, e2) if ra in recs else (e2, e1)
-                out, stub = _detach(cur, sub)
-                out.add_pair(stub((f1, outside[f1])), straddle[p1], p1)
-                out.add_pair(stub((f2, outside[f2])), straddle[p2], p2)
+                out, stub = _restrict(cur, keep)
+                out.add_pair(stub((f1, outside[f1])), straddle[p1][1], p1)
+                out.add_pair(stub((f2, outside[f2])), straddle[p2][1], p2)
                 return out
             return None
         return None
@@ -441,18 +416,10 @@ def dynamic_step(
     children = dec.children(node)
     if not children:
         raise StructureError(f"node {node} is a leaf; use leaf_valid_records")
-    g = inst.graph
     child_views = {c: node_views(inst, dec, c) for c in children}
     bag = dec.bag(node)
-    absorbable = []
-    record_children = []
-    for c in sorted(children):
-        views = child_views[c]
-        nbhd = frozenset().union(*(g.neighbors(v) for v in views.subtree)) - views.subtree if views.subtree else frozenset()
-        if views.adhesion <= 2 and nbhd <= bag:
-            absorbable.append(c)
-        else:
-            record_children.append(c)
+    absorbable = [c for c in sorted(children) if is_absorbable(child_views[c], bag)]
+    record_children = [c for c in sorted(children) if c not in absorbable]
 
     candidates = enumerate_records(inst, dec, node)
     if any(not tables[c].records for c in record_children):

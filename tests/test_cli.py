@@ -156,6 +156,19 @@ def test_solve_cap_exceeded_exit_3(tmp_path):
     assert code == 3
 
 
+def test_solve_witness_over_caps_prints_no_answer(tmp_path):
+    # auto answers YES through the kernel, but the witness needs the capped
+    # oracle on the whole input; exit 3 must leave stdout empty
+    inst, _ = gen_random_instance(0, 300, 6, 2, profile="tree-plus")
+    path = tmp_path / "big.edp"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run_cli("solve", str(path), "--method", "auto", "--quiet")
+    assert code == 0 and out.splitlines() == ["YES"]
+    code, out, err = run_cli("solve", str(path), "--method", "auto", "--witness", "--quiet")
+    assert code == 3 and "witness" in err
+    assert out == ""
+
+
 def test_kernelize_summary(triangle, tmp_path):
     out_path = tmp_path / "kernel.edp"
     code, out, _ = run_cli("kernelize", triangle, "-o", str(out_path))

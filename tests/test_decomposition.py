@@ -52,7 +52,7 @@ def test_node_views_leaf_with_empty_bag():
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: inst.graph.vertices, 3: set()})
     views = node_views(inst, dec, 3)
     assert views.subtree == frozenset()
-    assert views.adhesion == 0 and views.torso == 0
+    assert views.adhesion == 0 and torso_size(inst, dec, 3) == 0
 
 
 def test_torso_single_bag_is_whole_graph():
@@ -142,6 +142,17 @@ def test_spanning_tree_decomposition_always_nice():
         dec = spanning_tree_decomposition(inst).ensure_empty_root()
         assert verify_decomposition(inst, dec).valid
         assert verify_nice(inst, dec).nice
+
+
+def test_node_views_outside_is_subtree_neighborhood():
+    for seed in range(20):
+        inst, _ = gen_random_instance(seed, 4 + seed % 9, seed % 4, 0, profile="tree-plus")
+        dec = spanning_tree_decomposition(inst).ensure_empty_root()
+        g = inst.graph
+        for t in dec.nodes():
+            sub = dec.subtree_vertices(t)
+            want = frozenset().union(*(g.neighbors(v) for v in sub)) - sub
+            assert node_views(inst, dec, t).outside == want, f"seed {seed} node {t}"
 
 
 def test_nice_classification_splits_children():

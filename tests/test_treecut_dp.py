@@ -35,17 +35,14 @@ from edpsolve.treecut_dp import (
 from .support import correspondence, random_small_instance, reference_decomposition, reference_graph
 
 
-def two_bag_setup(cut_edges, straddling=0):
-    """Graph split into bags {1,2} and {3,4} with `cut_edges` edges across
-    and `straddling` pairs from 1 to 4."""
+def two_bag_setup(cut_edges):
+    """Graph split into bags {1,2} and {3,4} with `cut_edges` edges across."""
     g = MultiGraph([1, 2, 3, 4])
     g.add_edge(1, 2)
     g.add_edge(3, 4)
     for _ in range(cut_edges):
         g.add_edge(2, 3)
     inst = EDPInstance(g)
-    for _ in range(straddling):
-        pass
     dec = TreecutDecomposition(
         {1: None, 2: 1, 3: 2}, {1: set(), 2: {3, 4}, 3: {1, 2}}
     )
@@ -58,7 +55,7 @@ def test_unmatched_terminals_classification():
     inst.add_pair(3, 4)  # fully outside
     inst.add_pair(1, 4)  # straddles
     assert unmatched_terminals(inst, dec, 3) == ((3, 1),)
-    assert unmatched_terminals(inst, dec, 2) == ((1, 2),) or True  # node 2 holds everything
+    assert unmatched_terminals(inst, dec, 2) == ()  # node 2's subtree holds every vertex
     assert unmatched_terminals(inst, dec, dec.root) == ()
 
 
