@@ -62,7 +62,7 @@ def cmd_solve(args) -> int:
         inst = _load_instance(args.instance)
         hub = _parse_hub(args.hub) if args.hub else None
         feasible, routes, how = _decide(inst, args.method, caps, args.decomposition, hub)
-    except (OSError, ParseError, DecompositionError) as exc:
+    except (ParseError, DecompositionError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except StructureError as exc:
         return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
@@ -145,7 +145,7 @@ def _parse_hub(spec: str) -> frozenset[int]:
 def cmd_kernelize(args) -> int:
     try:
         inst = _load_instance(args.instance)
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         return _fail(str(exc), EXIT_INVALID)
     res = kernelize(inst)
     compact, _ = relabel_compact(res.instance)
@@ -222,7 +222,7 @@ def cmd_verify_decomposition(args) -> int:
     try:
         inst = _load_instance(args.instance)
         dec = parse_decomposition(Path(args.decomposition).read_text())
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         return _fail(str(exc), EXIT_INVALID)
     report = verify_decomposition(inst, dec)
     if not report.valid:
@@ -239,7 +239,7 @@ def cmd_verify_decomposition(args) -> int:
 def cmd_reduce_to_vdp(args) -> int:
     try:
         inst = _load_instance(args.instance)
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         return _fail(str(exc), EXIT_INVALID)
     red = edp_to_vdp(inst)
     if red.answer_override is not None:
@@ -280,14 +280,14 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edpsolve", description="Edge-disjoint paths toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
-    common.add_argument("--cap-edges", type=int, default=20, help="brute-force edge cap")
-    common.add_argument("--cap-vertices", type=int, default=12, help="brute-force vertex cap")
-    common.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--cap-edges", type=int, default=20, help="brute-force edge cap")
+    caps.add_argument("--cap-vertices", type=int, default=12, help="brute-force vertex cap")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="decide an instance")
+    p = sub.add_parser("solve", parents=[caps, quiet], help="decide an instance")
     p.add_argument("instance")
     p.add_argument("--method", choices=("oracle", "simple", "treecut", "auto"), default="auto")
     p.add_argument("--decomposition", help="treecut decomposition file")
@@ -295,12 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hub", help="explicit hub vertices for --method simple, e.g. '1,2,3'")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("kernelize", parents=[common], help="shrink an instance")
+    p = sub.add_parser("kernelize", help="shrink an instance")
     p.add_argument("instance")
     p.add_argument("-o", "--output", help="write the kernel here instead of stdout")
     p.set_defaults(func=cmd_kernelize)
 
-    p = sub.add_parser("generate", parents=[common], help="emit test instances")
+    p = sub.add_parser("generate", help="emit test instances")
+    p.add_argument("--seed", type=int, default=0, help="seed for --type random")
     p.add_argument("--type", choices=("mss", "random"), default="random")
     p.add_argument("--profile", choices=("tree-plus", "simple", "bounded-tcw"), default="tree-plus")
     p.add_argument("--mss", help="subset-sum parameters: k=..,S=..,t=..,l=..")
@@ -312,17 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition-out", help="decomposition file to write, when the profile has one")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify-decomposition", parents=[common], help="check width and report per-node values")
+    p = sub.add_parser("verify-decomposition", help="check width and report per-node values")
     p.add_argument("instance")
     p.add_argument("decomposition")
     p.set_defaults(func=cmd_verify_decomposition)
 
-    p = sub.add_parser("reduce-to-vdp", parents=[common], help="rewrite under vertex-disjoint semantics")
+    p = sub.add_parser("reduce-to-vdp", parents=[quiet], help="rewrite under vertex-disjoint semantics")
     p.add_argument("instance")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_reduce_to_vdp)
 
-    p = sub.add_parser("bench", parents=[common], help="CSV timing over a directory of instances")
+    p = sub.add_parser("bench", parents=[caps], help="CSV timing over a directory of instances")
     p.add_argument("directory")
     p.add_argument("--methods", default="auto,oracle")
     p.set_defaults(func=cmd_bench)
@@ -331,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output
+        return _fail(str(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

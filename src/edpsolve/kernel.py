@@ -15,9 +15,10 @@ counted value).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .graphs import EDPInstance, MultiGraph, feedback_edge_set, terminal_normalize
+from .graphs import EDPInstance, MultiGraph, feedback_edge_set, induced_instance, terminal_normalize
 from .oracle import tree_edp_feasible
 
 
@@ -30,74 +31,76 @@ class KernelState:
     fes_edges: frozenset[int]
     answer: str | None = None  # "YES" | "NO" | None while open
 
-    @property
-    def anchors(self) -> frozenset[int]:
-        """Endpoints of the feedback edge set."""
-        out: set[int] = set()
-        for eid in self.fes_edges:
-            out.update(self.inst.graph.endpoints(eid))
-        return frozenset(out)
-
     def forest_part(self) -> MultiGraph:
         g = self.inst.graph
         return MultiGraph(g.vertices, {e: g.endpoints(e) for e in g.edges if e not in self.fes_edges})
 
 
-def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
-    """Drop non-terminal vertices with at most one distinct neighbor,
-    exhaustively; no path can use them."""
+def _exhaust(
+    state: KernelState, step: Callable[[EDPInstance, set[int]], bool | str], once: bool
+) -> KernelState:
+    """Fire `step` on one working copy of the instance and its feedback edge
+    set until it stops (after one firing when `once`).  A step makes one
+    firing in place and returns True, False when nothing matched, or "NO"
+    when it settled the component.  The input state itself comes back when
+    nothing fired."""
     inst = state.inst.copy()
     fes = set(state.fes_edges)
-    changed = True
     fired = False
-    while changed:
-        changed = False
-        for v in inst.graph.sorted_vertices():
-            if inst.pairs_at(v) or len(inst.graph.neighbors(v)) > 1:
-                continue
-            fes.difference_update(inst.graph.incident(v))
-            inst.graph.remove_vertex(v)
-            changed = fired = True
-            if once:
-                changed = False
+    while not (fired and once):
+        outcome = step(inst, fes)
+        if outcome == "NO":
+            return replace(state, inst=inst, fes_edges=frozenset(fes), answer="NO")
+        if not outcome:
             break
+        fired = True
     if not fired:
         return state
     return replace(state, inst=inst, fes_edges=frozenset(fes))
+
+
+def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
+    """Drop non-terminal vertices with at most one distinct neighbor,
+    exhaustively; no path can use them."""
+    return _exhaust(state, _prune_leaf_step, once)
+
+
+def _prune_leaf_step(inst: EDPInstance, fes: set[int]) -> bool:
+    g = inst.graph
+    for v in g.sorted_vertices():
+        if inst.pairs_at(v) or len(g.neighbors(v)) > 1:
+            continue
+        fes.difference_update(g.incident(v))
+        g.remove_vertex(v)
+        return True
+    return False
 
 
 def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
     """Replace a non-terminal degree-2 vertex with two distinct neighbors by
     a direct edge, provided no bypass edge exists; a suppressed feedback edge
     hands its membership to the replacement edge."""
-    inst = state.inst.copy()
-    fes = set(state.fes_edges)
-    changed = True
-    fired = False
-    while changed:
-        changed = False
-        for v in inst.graph.sorted_vertices():
-            g = inst.graph
-            if inst.pairs_at(v) or g.degree(v) != 2:
-                continue
-            e1, e2 = g.incident(v)
-            a, b = g.other_end(e1, v), g.other_end(e2, v)
-            if a == b or g.edges_between(a, b):
-                continue
-            was_fes = e1 in fes or e2 in fes
-            fes.discard(e1)
-            fes.discard(e2)
-            g.remove_vertex(v)
-            new_edge = g.add_edge(a, b)
-            if was_fes:
-                fes.add(new_edge)
-            changed = fired = True
-            if once:
-                changed = False
-            break
-    if not fired:
-        return state
-    return replace(state, inst=inst, fes_edges=frozenset(fes))
+    return _exhaust(state, _suppress_degree_two_step, once)
+
+
+def _suppress_degree_two_step(inst: EDPInstance, fes: set[int]) -> bool:
+    g = inst.graph
+    for v in g.sorted_vertices():
+        if inst.pairs_at(v) or g.degree(v) != 2:
+            continue
+        e1, e2 = g.incident(v)
+        a, b = g.other_end(e1, v), g.other_end(e2, v)
+        if a == b or g.edges_between(a, b):
+            continue
+        was_fes = e1 in fes or e2 in fes
+        fes.discard(e1)
+        fes.discard(e2)
+        g.remove_vertex(v)
+        new_edge = g.add_edge(a, b)
+        if was_fes:
+            fes.add(new_edge)
+        return True
+    return False
 
 
 def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelState:
@@ -109,110 +112,83 @@ def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelStat
     to the exit, reattach the terminal directly; otherwise the whole instance
     is a NO-instance.
     """
-    inst = state.inst.copy()
-    fes = frozenset(state.fes_edges)
-    fired = False
-    while True:
-        g = inst.graph
-        anchors = set()
-        for eid in fes:
-            anchors.update(g.endpoints(eid))
-        action = None
-        for comp in g.induced(g.vertices - frozenset(anchors)).connected_components():
-            boundary = [
-                eid
-                for eid in g.sorted_edges()
-                if len(set(g.endpoints(eid)) & comp) == 1
-            ]
-            if len(boundary) != 1:
-                continue
-            bridge = boundary[0]
-            ends = g.endpoints(bridge)
-            local = next(iter(set(ends) & comp))
-            outside = next(iter(set(ends) - comp))
-            inner_pairs = {}
-            unmatched = []
-            for pid in inst.sorted_pairs():
-                members = inst.pair(pid)
-                got = members & comp
-                if len(got) == 2:
-                    inner_pairs[pid] = members
-                elif len(got) == 1:
-                    unmatched.append((pid, next(iter(got))))
-            sub = g.induced(comp)
-            if len(unmatched) == 0:
-                if tree_edp_feasible(sub, inner_pairs):
-                    action = ("drop", comp, inner_pairs, None, None, None)
-                else:
-                    action = ("no",)
-            elif len(unmatched) == 1:
-                pid, s = unmatched[0]
-                trial = dict(inner_pairs)
-                if s != local:
-                    trial[max(list(inst.pairs) + [0]) + 1] = frozenset((s, local))
-                if tree_edp_feasible(sub, trial):
-                    if comp == {s}:
-                        continue  # already a bare reattached terminal; nothing to shrink
-                    action = ("reattach", comp, inner_pairs, pid, s, outside)
-                else:
-                    action = ("no",)
-            else:
-                action = ("no",)
-            if action:
-                break
-        if action is None:
-            break
-        fired = True
-        if action[0] == "no":
-            return replace(state, inst=inst, fes_edges=fes, answer="NO")
-        _, comp, inner_pairs, pid, s, outside = action
+    return _exhaust(state, _prune_pendant_step, once)
+
+
+def _prune_pendant_step(inst: EDPInstance, fes: set[int]) -> bool | str:
+    g = inst.graph
+    anchors = set()
+    for eid in fes:
+        anchors.update(g.endpoints(eid))
+    for comp in g.induced(g.vertices - frozenset(anchors)).connected_components():
+        boundary = [
+            eid
+            for eid in g.sorted_edges()
+            if len(set(g.endpoints(eid)) & comp) == 1
+        ]
+        if len(boundary) != 1:
+            continue
+        ends = g.endpoints(boundary[0])
+        local = next(iter(set(ends) & comp))
+        outside = next(iter(set(ends) - comp))
+        inner_pairs = {}
+        unmatched = []
+        for pid in inst.sorted_pairs():
+            members = inst.pair(pid)
+            got = members & comp
+            if len(got) == 2:
+                inner_pairs[pid] = members
+            elif len(got) == 1:
+                unmatched.append((pid, next(iter(got))))
+        sub = g.induced(comp)
+        if len(unmatched) > 1:
+            return "NO"
+        if not unmatched:
+            if not tree_edp_feasible(sub, inner_pairs):
+                return "NO"
+        else:
+            pid, s = unmatched[0]
+            trial = dict(inner_pairs)
+            if s != local:
+                trial[max(list(inst.pairs) + [0]) + 1] = frozenset((s, local))
+            if not tree_edp_feasible(sub, trial):
+                return "NO"
+            if comp == {s}:
+                continue  # already a bare reattached terminal; nothing to shrink
         for dead in inner_pairs:
             inst.remove_pair(dead)
-        if action[0] == "drop":
-            for v in sorted(comp):
-                inst.graph.remove_vertex(v)
-        else:
+        for v in sorted(comp):
+            g.remove_vertex(v)
+        if unmatched:
             partner = next(iter(inst.pair(pid) - {s}))
             inst.remove_pair(pid)
-            for v in sorted(comp):
-                inst.graph.remove_vertex(v)
-            inst.graph.add_vertex(s)
-            inst.graph.add_edge(outside, s)
+            g.add_vertex(s)
+            g.add_edge(outside, s)
             inst.add_pair(s, partner, pid)
-        if once:
-            break
-    if not fired:
-        return state
-    return replace(state, inst=inst, fes_edges=fes)
+        return True
+    return False
 
 
 def remove_matched_leaf_pairs(state: KernelState, once: bool = False) -> KernelState:
     """Delete a terminal pair of two leaves hanging off the same vertex; the
     two pendant edges route it and help nothing else."""
-    inst = state.inst.copy()
-    changed = True
-    fired = False
-    fes = set(state.fes_edges)
-    while changed:
-        changed = False
-        for pid in inst.sorted_pairs():
-            a, b = sorted(inst.pair(pid))
-            g = inst.graph
-            if g.degree(a) != 1 or g.degree(b) != 1:
-                continue
-            if g.neighbors(a) != g.neighbors(b):
-                continue
-            fes.difference_update(g.incident(a) + g.incident(b))
-            inst.remove_pair(pid)
-            g.remove_vertex(a)
-            g.remove_vertex(b)
-            changed = fired = True
-            if once:
-                changed = False
-            break
-    if not fired:
-        return state
-    return replace(state, inst=inst, fes_edges=frozenset(fes))
+    return _exhaust(state, _remove_matched_leaf_step, once)
+
+
+def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int]) -> bool:
+    g = inst.graph
+    for pid in inst.sorted_pairs():
+        a, b = sorted(inst.pair(pid))
+        if g.degree(a) != 1 or g.degree(b) != 1:
+            continue
+        if g.neighbors(a) != g.neighbors(b):
+            continue
+        fes.difference_update(g.incident(a) + g.incident(b))
+        inst.remove_pair(pid)
+        g.remove_vertex(a)
+        g.remove_vertex(b)
+        return True
+    return False
 
 
 _RULES = (prune_leaf_vertices, suppress_degree_two, prune_pendant_subtrees, remove_matched_leaf_pairs)
@@ -348,25 +324,16 @@ def _fixpoint(state: KernelState) -> KernelState:
             state = rule(state)
             if state.answer is not None:
                 return state
-        if state.inst == before.inst and state.fes_edges == before.fes_edges:
+        if state is before:  # a rule returns its input when it does not fire
             return state
 
 
 def _split_components(inst: EDPInstance) -> list[EDPInstance] | None:
     """Per-component instances; None when a pair straddles two components."""
-    comps = inst.graph.connected_components()
-    out = []
-    for comp in comps:
-        piece = EDPInstance(inst.graph.induced(comp))
-        out.append(piece)
-    for pid in inst.sorted_pairs():
-        members = inst.pair(pid)
-        homes = [i for i, comp in enumerate(comps) if members & comp]
-        if len(homes) != 1:
-            return None
-        a, b = sorted(members)
-        out[homes[0]].add_pair(a, b, pid)
-    return out
+    pieces = [induced_instance(inst, comp) for comp in inst.graph.connected_components()]
+    if sum(len(piece.pairs) for piece in pieces) < len(inst.pairs):
+        return None
+    return pieces
 
 
 def _forest_leaves(state: KernelState) -> int:

@@ -418,8 +418,7 @@ def _chain_states(si, dp, verts, pids, other_edge, hub_end) -> dict[tuple[int, i
                 opts = dp.route_options(pids[i], hub_end(eoth), hub_end(enext), eoth, enext)
                 merged = dp.merge(table, opts)
                 if merged:
-                    key = (e1, enext)
-                    nxt[key] = _union(nxt.get(key), merged, dp)
+                    _union(nxt.setdefault((e1, enext), {}), merged, dp)
         states = nxt
     return states
 
@@ -438,7 +437,7 @@ def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
         if eoth_n is None or eoth_1 is None:
             continue
         opts = dp.route_options(pids[-1], hub_end(eoth_n), hub_end(eoth_1), eoth_n, eoth_1)
-        out = _union(out or None, dp.merge(table, opts), dp) or {}
+        _union(out, dp.merge(table, opts), dp)
     return dp.check(out)
 
 
@@ -459,7 +458,7 @@ def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
             if not table:
                 break
         if table:
-            out = _union(out or None, table, dp) or {}
+            _union(out, table, dp)
     return dp.check(out)
 
 
@@ -470,7 +469,7 @@ def _lone_satellite_table(si, dp, v, hub_attach, hub_end):
     if len(attach) == 1:
         pid, a = attach[0]
         for e in g.incident(v):
-            out = _union(out or None, dp.route_options(pid, hub_end(e), a, e, None), dp) or {}
+            _union(out, dp.route_options(pid, hub_end(e), a, e, None), dp)
     else:
         (p1, a1), (p2, a2) = attach
         inc = g.incident(v)
@@ -481,17 +480,15 @@ def _lone_satellite_table(si, dp, v, hub_attach, hub_end):
                 dp.route_options(p1, hub_end(eA), a1, eA, None),
                 dp.route_options(p2, hub_end(eB), a2, eB, None),
             )
-            out = _union(out or None, tab, dp) or {}
+            _union(out, tab, dp)
     return dp.check(out)
 
 
-def _union(table: Table | None, extra: Table, dp: _DP) -> Table:
-    if table is None:
-        return dict(extra)
-    for vec, prov in sorted(extra.items(), key=lambda kv: kv[0].entries):
-        if vec not in table:
-            table[vec] = prov
-    return dp.check(table)
+def _union(table: Table, extra: Table, dp: _DP) -> None:
+    """Add the vectors of `extra` that `table` lacks, in place."""
+    for vec, prov in extra.items():
+        table.setdefault(vec, prov)
+    dp.check(table)
 
 
 # -- witness expansion ------------------------------------------------------

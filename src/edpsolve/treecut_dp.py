@@ -479,6 +479,9 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
             f"decomposition is not nice (offending thin nodes {list(nrep.offending)}); "
             "run verify_nice for details"
         )
+    for t, children in nrep.bold_like_children.items():
+        if len(children) > 2 * wrep.width + 1:
+            raise RuntimeError(f"node {t} keeps too many record children")
     bound = record_count_bound(wrep.width)
     tables: dict[int, RecordTable] = {}
     for t in dec.postorder():

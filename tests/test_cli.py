@@ -176,6 +176,11 @@ def test_kernelize_summary(triangle, tmp_path):
     summary = out.strip()
     assert summary.startswith("fes=") and "answer=" in summary
     parse_instance(out_path.read_text())  # kernel file parses back
+    # flags of other subcommands are rejected, not silently ignored
+    for flag in (("--seed", "1"), ("--cap-edges", "3"), ("--quiet",)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("kernelize", triangle, *flag)
+        assert exc.value.code == 2
 
 
 def test_generate_roundtrip_and_determinism(tmp_path):
@@ -232,6 +237,19 @@ def test_reduce_to_vdp_writes_instance(triangle, tmp_path):
     assert code == 0
     reduced = parse_instance(out_path.read_text())
     assert len(reduced.pairs) == 1
+
+
+def test_unwritable_output_exit_2(triangle, tmp_path):
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (
+        ("generate", "-o", missing),
+        ("generate", "--profile", "bounded-tcw", "-o", str(tmp_path / "g.edp"), "--decomposition-out", missing),
+        ("kernelize", triangle, "-o", missing),
+        ("reduce-to-vdp", triangle, "-o", missing),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "missing" in err, argv
 
 
 def test_reduce_to_vdp_override(tmp_path):

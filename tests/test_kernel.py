@@ -282,7 +282,9 @@ def test_rules_preserve_oracle_individually():
         for name, rule in rules.items():
             target = base if name != "matched" else with_twin_leaf_pair(seed)
             state = state_of(target)
+            inst_before, fes_before = state.inst.copy(), state.fes_edges
             out = rule(state, once=True)
+            assert state.inst == inst_before and state.fes_edges == fes_before, f"{name} seed {seed}"
             if out is state:
                 continue
             fired[name] += 1

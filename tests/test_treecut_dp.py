@@ -544,3 +544,20 @@ def test_root_table_is_empty_record_only():
         res = solve_treecut(inst, dec)
         root_table = res.tables[dec.ensure_empty_root().root]
         assert all(r == EMPTY_RECORD for r in root_table.records)
+
+
+def test_solve_treecut_computes_each_torso_once(monkeypatch):
+    from edpsolve import decomposition
+
+    calls = []
+    real = decomposition.torso_size
+
+    def counting(inst, dec, node):
+        calls.append(node)
+        return real(inst, dec, node)
+
+    monkeypatch.setattr(decomposition, "torso_size", counting)
+    inst, dec = gen_random_instance(3, 30, 4, 3, profile="bounded-tcw")
+    res = solve_treecut(inst, dec)
+    assert res.feasible == brute_force_edp(inst, caps=None).feasible
+    assert sorted(calls) == sorted(dec.ensure_empty_root().nodes())
