@@ -2,8 +2,8 @@
 reduce-to-vdp and bench subcommands.
 
 Answers go to stdout (first line YES or NO), diagnostics to stderr.  Exit
-codes: 0 for a definite answer, 2 for I/O or validation problems, 3 when no
-applicable method remains.
+codes: 0 for a definite answer, 1 when `bench` methods disagree, 2 for I/O
+or validation problems, 3 when no applicable method remains.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .simple import infer_hub, preprocess_simple, solve_simple_edp
 from .treecut_dp import solve_treecut
 
 EXIT_OK = 0
+EXIT_DISAGREE = 1
 EXIT_INVALID = 2
 EXIT_NO_METHOD = 3
 
@@ -258,6 +259,7 @@ def cmd_bench(args) -> int:
     caps = _caps(args)
     out = csv.writer(sys.stdout)
     out.writerow(["instance", "method", "n", "m", "pairs", "fes", "answer", "seconds"])
+    disagree = False
     for path in sorted(root.glob("*.edp")):
         try:
             inst = parse_instance(path.read_text())
@@ -267,6 +269,7 @@ def cmd_bench(args) -> int:
         fes = len(feedback_edge_set(inst.graph))
         dec_path = path.with_suffix(path.suffix + ".dec")
         decomposition = dec_path if dec_path.exists() else None
+        answers = set()
         for method in methods:
             start = time.perf_counter()
             try:
@@ -275,7 +278,12 @@ def cmd_bench(args) -> int:
                 answer = "NA"
             elapsed = time.perf_counter() - start
             out.writerow([path.name, method, n, m, q, fes, answer, f"{elapsed:.4f}"])
-    return EXIT_OK
+            if answer != "NA":
+                answers.add(answer)
+        if len(answers) > 1:
+            disagree = True
+            print(f"# DISAGREE {path.name}: {','.join(sorted(answers))}", file=sys.stderr)
+    return EXIT_DISAGREE if disagree else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -270,12 +270,13 @@ def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> lis
 
 
 def parse_instance(text: str | bytes) -> EDPInstance:
+    """Parse the line format; every line is checked before the graph is
+    built, so a bad line costs no work proportional to the header's n."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = q = None
-    edges_seen = 0
-    pairs_seen = 0
-    inst: EDPInstance | None = None
+    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
     seen_pair_contents: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -283,16 +284,15 @@ def parse_instance(text: str | bytes) -> EDPInstance:
             continue
         fields = line.split()
         if fields[0] == "p":
-            if inst is not None:
+            if n is not None:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 5 or fields[1] != "edp":
                 raise ParseError(f"malformed header {line!r}", lineno)
             n, m, q = parse_ints(fields[2:5], f"header {line!r}", lineno)
             if n < 0 or m < 0 or q < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
-            inst = EDPInstance(MultiGraph(range(1, n + 1)))
         elif fields[0] == "e":
-            if inst is None:
+            if n is None:
                 raise ParseError("edge before header", lineno)
             if len(fields) != 3:
                 raise ParseError(f"malformed edge line {line!r}", lineno)
@@ -301,12 +301,11 @@ def parse_instance(text: str | bytes) -> EDPInstance:
                 raise ParseError(f"vertex id out of range in {line!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop edge {{{u},{v}}}", lineno)
-            edges_seen += 1
-            if edges_seen > m:
+            edges.append((u, v))
+            if len(edges) > m:
                 raise ParseError("more edge lines than declared", lineno)
-            inst.graph.add_edge(u, v, edges_seen)
         elif fields[0] == "t":
-            if inst is None:
+            if n is None:
                 raise ParseError("pair before header", lineno)
             if len(fields) != 3:
                 raise ParseError(f"malformed pair line {line!r}", lineno)
@@ -319,18 +318,22 @@ def parse_instance(text: str | bytes) -> EDPInstance:
             if content in seen_pair_contents:
                 raise ParseError(f"duplicated pair {{{min(content)},{max(content)}}}", lineno)
             seen_pair_contents.add(content)
-            pairs_seen += 1
-            if pairs_seen > q:
+            pairs.append((a, b))
+            if len(pairs) > q:
                 raise ParseError("more pair lines than declared", lineno)
-            inst.add_pair(a, b, pairs_seen)
         else:
             raise ParseError(f"unknown line {line!r}", lineno)
-    if inst is None:
+    if n is None:
         raise ParseError("missing header")
-    if edges_seen != m:
-        raise ParseError(f"declared {m} edges, found {edges_seen}")
-    if pairs_seen != q:
-        raise ParseError(f"declared {q} pairs, found {pairs_seen}")
+    if len(edges) != m:
+        raise ParseError(f"declared {m} edges, found {len(edges)}")
+    if len(pairs) != q:
+        raise ParseError(f"declared {q} pairs, found {len(pairs)}")
+    inst = EDPInstance(MultiGraph(range(1, n + 1)))
+    for eid, (u, v) in enumerate(edges, start=1):
+        inst.graph.add_edge(u, v, eid)
+    for pid, (a, b) in enumerate(pairs, start=1):
+        inst.add_pair(a, b, pid)
     return inst
 
 

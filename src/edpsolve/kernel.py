@@ -170,8 +170,9 @@ def _prune_pendant_step(inst: EDPInstance, fes: set[int]) -> bool | str:
 
 
 def remove_matched_leaf_pairs(state: KernelState, once: bool = False) -> KernelState:
-    """Delete a terminal pair of two leaves hanging off the same vertex; the
-    two pendant edges route it and help nothing else."""
+    """Delete a terminal pair of two leaves hanging off the same vertex when
+    neither leaf is a terminal of another pair; the two pendant edges route
+    it and help nothing else."""
     return _exhaust(state, _remove_matched_leaf_step, once)
 
 
@@ -182,6 +183,8 @@ def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int]) -> bool:
         if g.degree(a) != 1 or g.degree(b) != 1:
             continue
         if g.neighbors(a) != g.neighbors(b):
+            continue
+        if inst.pairs_at(a) != (pid,) or inst.pairs_at(b) != (pid,):
             continue
         fes.difference_update(g.incident(a) + g.incident(b))
         inst.remove_pair(pid)

@@ -45,16 +45,6 @@ class SolutionVector:
     def of(counts: Mapping[HubPair, int]) -> "SolutionVector":
         return SolutionVector(tuple(sorted((k, c) for k, c in counts.items() if c > 0)))
 
-    def get(self, u: int, v: int) -> int:
-        key = _key(u, v)
-        for k, c in self.entries:
-            if k == key:
-                return c
-        return 0
-
-    def as_dict(self) -> dict[HubPair, int]:
-        return dict(self.entries)
-
     def __add__(self, other: "SolutionVector") -> "SolutionVector":
         counts = dict(self.entries)
         for k, c in other.entries:
@@ -108,17 +98,18 @@ class SimpleResult:
         return self.feasible
 
 
-def preprocess_simple(inst: EDPInstance, hub: Iterable[int], satellites: Iterable[int] | None = None) -> SimpleInstance:
-    """Validate the hub/satellite split and remove pairless satellites.
+def preprocess_simple(inst: EDPInstance, hub: Iterable[int]) -> SimpleInstance:
+    """Validate the hub/satellite split, where every non-hub vertex is a
+    satellite, and remove pairless satellites.
 
     A pairless degree-2 satellite with two distinct hub neighbors turns into
     one extra unit of hub-hub multiplicity; with at most one distinct
     neighbor it can never lie on a simple path and is dropped outright.
     """
     hub_set = frozenset(hub)
-    sat_set = frozenset(satellites) if satellites is not None else inst.graph.vertices - hub_set
     g = inst.graph
-    if hub_set | sat_set != g.vertices or hub_set & sat_set:
+    sat_set = g.vertices - hub_set
+    if not hub_set <= g.vertices:
         raise StructureError("hub and satellites must partition the vertex set")
     for v in sorted(sat_set):
         if g.degree(v) > 2:

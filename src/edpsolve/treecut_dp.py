@@ -5,9 +5,10 @@ edges into internal / leaving / foreign / unused, a perfect matching on the
 internal edges, one on the foreign edges, and a bijection between the
 subtree's unmatched terminals and the leaving edges.  A record is valid when
 the subtree, extended with stub terminals describing the record, is solvable
-on its own.  Leaves are decided by brute force; interior nodes branch over
-their children's valid records, replace each child subtree by a small
-degree-<=2 representative, and feed the residue to the hub/satellite solver.
+on its own.  Every node is decided by the same step: branch over the
+children's valid records (none at a leaf), replace each child subtree by a
+small degree-<=2 representative, and feed the residue to the hub/satellite
+solver.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .decomposition import (
     verify_nice,
 )
 from .graphs import EDPInstance, StructureError, induced_instance
-from .oracle import brute_force_edp
 from .simple import preprocess_simple, solve_simple_edp
 
 INTERNAL = "internal"
@@ -44,14 +44,8 @@ class Record:
     foreign_pairs: tuple[tuple[int, int], ...]
     leaving: tuple[tuple[int, int], ...]  # (pair id, edge id), sorted by pair id
 
-    def edges_of(self, cls: str) -> tuple[int, ...]:
-        return tuple(e for e, c in self.classes if c == cls)
-
     def used_edges(self) -> tuple[int, ...]:
         return tuple(e for e, c in self.classes if c != UNUSED)
-
-    def is_empty(self) -> bool:
-        return not self.classes
 
 
 EMPTY_RECORD = Record((), (), (), ())
@@ -61,9 +55,6 @@ EMPTY_RECORD = Record((), (), (), ())
 class RecordTable:
     node: int
     records: tuple[Record, ...]
-
-    def __contains__(self, rec: Record) -> bool:
-        return rec in self.records
 
     def __len__(self) -> int:
         return len(self.records)
@@ -149,16 +140,12 @@ def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: in
 
 
 def leaf_valid_records(inst: EDPInstance, dec: TreecutDecomposition, leaf: int) -> RecordTable:
-    """Decide every candidate record of a leaf by brute force on its small
-    stub-extended instance."""
+    """The valid records of a leaf, decided by `dynamic_step` like every
+    other node.  At a leaf each non-bag vertex of a record instance is a stub
+    of degree <= 2 touching only bag vertices, so the bag is a valid hub."""
     if dec.children(leaf):
         raise StructureError(f"node {leaf} is not a leaf")
-    valid = tuple(
-        rec
-        for rec in enumerate_records(inst, dec, leaf)
-        if brute_force_edp(build_record_instance(inst, dec, leaf, rec), caps=None).feasible
-    )
-    return RecordTable(leaf, valid)
+    return dynamic_step(inst, dec, leaf, {})
 
 
 # -- simplification ----------------------------------------------------------
@@ -411,11 +398,9 @@ def dynamic_step(
     For each candidate record, branch over one record per child needing full
     record-sets, simplify those subtrees, replace the absorbable thin
     children, clean up degree-two chains, and ask the hub/satellite solver
-    whether the residue routes.
+    whether the residue routes.  A leaf has no children to branch over.
     """
     children = dec.children(node)
-    if not children:
-        raise StructureError(f"node {node} is a leaf; use leaf_valid_records")
     child_views = {c: node_views(inst, dec, c) for c in children}
     bag = dec.bag(node)
     absorbable = [c for c in sorted(children) if is_absorbable(child_views[c], bag)]
@@ -485,10 +470,7 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
     bound = record_count_bound(wrep.width)
     tables: dict[int, RecordTable] = {}
     for t in dec.postorder():
-        if dec.children(t):
-            tables[t] = dynamic_step(inst, dec, t, tables)
-        else:
-            tables[t] = leaf_valid_records(inst, dec, t)
+        tables[t] = dynamic_step(inst, dec, t, tables)
         if len(tables[t]) > bound:
             raise RuntimeError(f"node {t} exceeds the record-count bound")
     root_table = tables[dec.root]

@@ -282,6 +282,27 @@ def test_bench_rows_and_determinism(tmp_path):
     assert all(len(ans) == 1 for ans in per_instance.values())
 
 
+def test_bench_disagreement_exit_1(tmp_path, monkeypatch):
+    import edpsolve.cli as cli
+
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    for seed in range(2):
+        inst, _ = gen_random_instance(seed, 6, 1, 2, profile="tree-plus")
+        (bench_dir / f"i{seed}.edp").write_text(serialize_instance(inst))
+    decide = cli._decide
+
+    def flipped(inst, method, *args):
+        feasible, routes, how = decide(inst, method, *args)
+        return (not feasible if method == "oracle" else feasible), routes, how
+
+    monkeypatch.setattr(cli, "_decide", flipped)
+    code, out, err = run_cli("bench", str(bench_dir), "--methods", "auto,oracle")
+    assert code == 1
+    assert len(out.strip().splitlines()) == 1 + 2 * 2
+    assert err.splitlines() == ["# DISAGREE i0.edp: NO,YES", "# DISAGREE i1.edp: NO,YES"]
+
+
 def test_bench_auto_uses_decomposition(tmp_path):
     from edpsolve.decomposition import serialize_decomposition
 

@@ -65,6 +65,19 @@ def test_parse_errors_name_lines():
             parse_instance(text)
 
 
+def test_parse_checks_lines_before_building_the_graph():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 2: unknown line 'x'"):
+            parse_instance("p edp 1000000 0 0\nx\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # building 10**6 vertices first peaks near 180 MB
+
+
 def test_serialize_triangle_shape():
     out = serialize_instance(triangle())
     lines = out.strip().splitlines()

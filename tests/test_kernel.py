@@ -162,6 +162,23 @@ def test_matched_leaf_pairs_needs_shared_neighbor():
     assert remove_matched_leaf_pairs(state) is state
 
 
+def test_matched_leaf_pairs_on_raw_instances():
+    """Input that is not terminal-normalized: a leaf may carry other pairs
+    too (seed 16 has pairs {6,7}, {3,6} and {2,6}), and then the pair must
+    stay."""
+    fired = 0
+    for seed in range(300):
+        inst = random_small_instance(seed, max_n=9, max_extra=4, max_pairs=4)
+        state = state_of(inst)
+        out = remove_matched_leaf_pairs(state)
+        if out is state:
+            continue
+        fired += 1
+        want = brute_force_edp(inst, caps=None).feasible
+        assert out.answer is None and brute_force_edp(out.inst, caps=None).feasible == want, seed
+    assert fired > 0
+
+
 def test_overloaded_vertex_detection():
     # two pendant terminals on vertex 1 with a single exit edge
     g = MultiGraph([1, 2, 3, 4, 5])

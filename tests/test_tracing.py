@@ -1,0 +1,46 @@
+"""The benchmark's tracer wraps functions by name, so a rename in the
+package must fail here rather than only in a traced benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from edpsolve import treecut_dp
+from edpsolve.graphs import EDPInstance, MultiGraph
+
+TRACING = Path(__file__).resolve().parent.parent / "edpbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("_edpbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("edpsolve") and module is not None:
+            for key, value in vars(module).items():
+                out[(name, key)] = value
+    for cls in (EDPInstance, MultiGraph):
+        for key, value in vars(cls).items():
+            out[(cls.__name__, key)] = value
+    return out
+
+
+def test_tracer_installs_and_restores_every_patch(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    before = _bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert treecut_dp.leaf_valid_records is not before[("edpsolve.treecut_dp", "leaf_valid_records")]
+        assert len(tracer.patches) > 0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

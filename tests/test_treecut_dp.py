@@ -561,3 +561,28 @@ def test_solve_treecut_computes_each_torso_once(monkeypatch):
     res = solve_treecut(inst, dec)
     assert res.feasible == brute_force_edp(inst, caps=None).feasible
     assert sorted(calls) == sorted(dec.ensure_empty_root().nodes())
+
+
+def test_solve_treecut_never_calls_the_oracle(monkeypatch):
+    from edpsolve import oracle
+
+    ref = reference_graph()
+    ref.add_pair(5, 7)
+    ref.add_pair(1, 3)
+    cases = [(ref, chain_decomposition(ref)), (ref, spanning_tree_decomposition(ref))]
+    for seed in range(40):
+        cases.append(gen_random_instance(seed, 3 + seed % 8, (seed * 7) % 4, (seed * 3) % 5, profile="bounded-tcw"))
+    want = [brute_force_edp(inst, caps=None).feasible for inst, _ in cases]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the treecut DP reached the brute-force search")
+
+    monkeypatch.setattr(oracle, "_search", no_search)
+    for (inst, dec), feasible in zip(cases, want):
+        res = solve_treecut(inst, dec)
+        assert res.feasible == feasible
+        rooted = dec.ensure_empty_root()
+        for leaf in rooted.nodes():
+            if not rooted.children(leaf):
+                assert leaf_valid_records(inst, rooted, leaf) == res.tables[leaf]
+
