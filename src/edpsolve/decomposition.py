@@ -5,6 +5,9 @@ A decomposition is a rooted tree whose nodes carry a near-partition of the
 graph's vertices into bags (empty bags allowed).  The root bag is kept empty;
 `ensure_empty_root` splices a fresh empty-bag root above any decomposition
 that violates this, which leaves the width unchanged.
+
+Every per-node fact comes from `node_views`, one bottom-up pass over all
+nodes; the width check, the niceness check and the treecut DP read its map.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from .graphs import EDPInstance, ParseError, StructureError, parse_ints
 
 
 class DecompositionError(ValueError):
-    """Decomposition fails a structural requirement."""
+    """Decomposition fails a structural requirement; `node` is the offending
+    node, or None when the fault belongs to no single node."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 class TreecutDecomposition:
@@ -29,7 +37,7 @@ class TreecutDecomposition:
             raise DecompositionError("parent map and bags must cover the same nodes")
         roots = [t for t, p in parent.items() if p is None]
         if len(roots) != 1:
-            raise DecompositionError(f"need exactly one root, found {len(roots)}")
+            raise DecompositionError(f"need exactly one root, found {len(roots)}", roots[1] if roots else None)
         self.root = roots[0]
         self._parent = dict(parent)
         self._bags = {t: frozenset(bags[t]) for t in bags}
@@ -38,7 +46,7 @@ class TreecutDecomposition:
             p = parent[t]
             if p is not None:
                 if p not in self._children:
-                    raise DecompositionError(f"node {t} has unknown parent {p}")
+                    raise DecompositionError(f"node {t} has unknown parent {p}", t)
                 self._children[p].append(t)
         # reject cycles / disconnected forests
         reach = set()
@@ -48,7 +56,8 @@ class TreecutDecomposition:
             reach.add(t)
             stack.extend(self._children[t])
         if reach != set(parent):
-            raise DecompositionError("parent links do not form a tree")
+            stray = next(t for t in parent if t not in reach)
+            raise DecompositionError("parent links do not form a tree", stray)
 
     def parent(self, t: int) -> int | None:
         return self._parent[t]
@@ -62,12 +71,6 @@ class TreecutDecomposition:
     def nodes(self) -> list[int]:
         return sorted(self._parent)
 
-    def siblings(self, t: int) -> tuple[int, ...]:
-        p = self._parent[t]
-        if p is None:
-            return ()
-        return tuple(c for c in self._children[p] if c != t)
-
     def postorder(self) -> list[int]:
         out: list[int] = []
         stack = [self.root]
@@ -77,15 +80,6 @@ class TreecutDecomposition:
             stack.extend(self._children[t])
         out.reverse()
         return out
-
-    def subtree_vertices(self, t: int) -> frozenset[int]:
-        acc: set[int] = set()
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            acc |= self._bags[x]
-            stack.extend(self._children[x])
-        return frozenset(acc)
 
     def ensure_empty_root(self) -> "TreecutDecomposition":
         if not self._bags[self.root]:
@@ -106,9 +100,11 @@ class TreecutDecomposition:
 
 @dataclass(frozen=True)
 class NodeViews:
-    """Derived per-node data: subtree vertex set, cut edges, adhesion, the
-    outside endpoints of the cut edges (the subtree's neighborhood) and
-    thinness."""
+    """Derived per-node data: subtree vertex set, cut edges in id order,
+    adhesion, the cut edges' outside endpoints (the subtree's neighborhood),
+    thinness, straddling pairs (see `_straddling`) and absorbability (thin
+    and seeing only the parent's bag, so the dynamic step replaces the
+    subtree from its record table instead of branching over it)."""
 
     node: int
     subtree: frozenset[int]
@@ -116,68 +112,82 @@ class NodeViews:
     adhesion: int
     outside: frozenset[int]
     thin: bool
+    straddling: Mapping[int, tuple[int, int]]
+    absorbable: bool
 
 
-def node_views(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> NodeViews:
+def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, tuple[int, int]]:
+    """Pair id -> (inside member, outside member), for each pair with exactly
+    one member in `sub`, in pair-id order."""
+    out: dict[int, tuple[int, int]] = {}
+    for pid in cur.sorted_pairs():
+        inside = cur.pair(pid) & sub
+        if len(inside) == 1:
+            out[pid] = (next(iter(inside)), next(iter(cur.pair(pid) - sub)))
+    return out
+
+
+def node_views(inst: EDPInstance, dec: TreecutDecomposition) -> dict[int, NodeViews]:
+    """Every node's views, from one postorder pass over a decomposition whose
+    bags are a near-partition of the vertices.  A subtree is its bag plus its
+    children's subtrees; a cut edge's inside end is in the bag or in a child's
+    subtree, so the cut is found among the edges at the bag and the children's
+    cut edges."""
     g = inst.graph
-    sub = dec.subtree_vertices(node)
-    cut = []
-    outside = set()
-    for eid in g.sorted_edges():
-        u, v = g.endpoints(eid)
-        if (u in sub) != (v in sub):
-            cut.append(eid)
-            outside.add(v if u in sub else u)
-    return NodeViews(
-        node=node,
-        subtree=sub,
-        cut=tuple(cut),
-        adhesion=len(cut),
-        outside=frozenset(outside),
-        thin=node != dec.root and len(cut) <= 2,
-    )
+    views: dict[int, NodeViews] = {}
+    for t in dec.postorder():
+        bag = dec.bag(t)
+        kids = [views[c] for c in dec.children(t)]
+        sub = bag.union(*(k.subtree for k in kids))
+        edges = {e for v in bag for e in g.incident(v)}.union(*(k.cut for k in kids))
+        cut = tuple(e for e in sorted(edges) if len(sub.intersection(g.endpoints(e))) == 1)
+        outside = frozenset(x for e in cut for x in g.endpoints(e) if x not in sub)
+        parent = dec.parent(t)
+        thin = parent is not None and len(cut) <= 2
+        views[t] = NodeViews(
+            node=t,
+            subtree=sub,
+            cut=cut,
+            adhesion=len(cut),
+            outside=outside,
+            thin=thin,
+            straddling=_straddling(inst, sub),
+            absorbable=thin and outside <= dec.bag(parent),
+        )
+    return views
 
 
-def is_absorbable(views: NodeViews, bag: frozenset[int]) -> bool:
-    """A child whose subtree is thin and sees only its parent's bag; the
-    dynamic step replaces it from its record table instead of branching."""
-    return views.adhesion <= 2 and views.outside <= bag
-
-
-def torso_size(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> int:
+def torso_size(inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], node: int) -> int:
     """Vertex count of the node's torso after consolidating every other
     subtree and exhaustively suppressing degree-<=2 vertices outside the bag.
 
     Suppressing a vertex whose two edges lead to the same neighbor would
     create a self-loop; the loop is dropped.  Disconnected inputs are handled
-    by the same consolidation (blobs without edges just disappear).
+    by the same consolidation (blobs without edges just disappear).  Every
+    torso edge is at the bag or crosses the cut of the node or of a child,
+    so only those edges are read.
     """
     g = inst.graph
     bag = dec.bag(node)
     # one blob per connected component of the decomposition tree minus
     # `node`: the parent side first (-1), then the children in sorted order
-    parts: list[frozenset[int]] = []
-    if dec.parent(node) is not None:
-        parts.append(dec.subtree_vertices(dec.root) - dec.subtree_vertices(node))
-    parts.extend(dec.subtree_vertices(c) for c in sorted(dec.children(node)))
-    vmap: dict[int, int] = {v: v for v in bag}
-    for i, part in enumerate(parts, start=1):
-        for v in part:
-            vmap[v] = -i
+    children = sorted(dec.children(node))
+    first = 2 if dec.parent(node) is not None else 1
+    part = {v: v for v in bag}
+    for i, c in enumerate(children, start=first):
+        for eid in views[c].cut:
+            u, v = g.endpoints(eid)
+            part[u if u in views[c].subtree else v] = -i
+    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(views[c].cut for c in children))
     # consolidated multigraph as adjacency with edge multiplicity
-    adj: dict[int, dict[int, int]] = {}
-    for eid in g.sorted_edges():
-        u, v = g.endpoints(eid)
-        if u not in vmap or v not in vmap:
-            continue
-        mu, mv = vmap[u], vmap[v]
+    adj: dict[int, dict[int, int]] = {v: {} for v in bag}
+    for eid in sorted(edges):
+        mu, mv = (part.get(x, -1) for x in g.endpoints(eid))  # -1: the parent side
         if mu == mv:
             continue
         adj.setdefault(mu, {})[mv] = adj.setdefault(mu, {}).get(mv, 0) + 1
         adj.setdefault(mv, {})[mu] = adj.setdefault(mv, {}).get(mu, 0) + 1
-    vertices = set(bag) | {b for b in set(vmap.values()) if b < 0}
-    for x in vertices:
-        adj.setdefault(x, {})
+    vertices = set(adj)
 
     def degree(x: int) -> int:
         return sum(adj[x].values())
@@ -231,7 +241,8 @@ def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthR
         errors.append(f"root bag must be empty, has {sorted(dec.bag(dec.root))}")
     if errors:
         return WidthReport(False, tuple(errors), {}, -1)
-    per_node = {t: (torso_size(inst, dec, t), node_views(inst, dec, t).adhesion) for t in dec.nodes()}
+    views = node_views(inst, dec)
+    per_node = {t: (torso_size(inst, dec, views, t), views[t].adhesion) for t in dec.nodes()}
     width = max((max(tor, adh) for tor, adh in per_node.values()), default=0)
     return WidthReport(True, (), per_node, width)
 
@@ -246,22 +257,24 @@ class NicenessReport:
 
 def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
     """Check that every thin node's subtree neighborhood avoids all sibling
-    subtrees, and classify each node's children for the dynamic program."""
-    views = {t: node_views(inst, dec, t) for t in dec.nodes()}
+    subtrees, and classify each node's children for the dynamic program.
+    The bags must be a near-partition of the vertices (see
+    `verify_decomposition`)."""
+    views = node_views(inst, dec)
     offending = []
     for t in dec.nodes():
-        if not views[t].thin:
-            continue
-        sibling_union = frozenset().union(*(views[s].subtree for s in dec.siblings(t)))
-        if views[t].outside & sibling_union:
+        p = dec.parent(t)
+        # the sibling subtrees are the parent's subtree minus its bag and
+        # `t`'s own subtree, which `outside` already avoids
+        if views[t].thin and (views[t].outside - dec.bag(p)) & views[p].subtree:
             offending.append(t)
     absorbable: dict[int, tuple[int, ...]] = {}
     bold_like: dict[int, tuple[int, ...]] = {}
     for t in dec.nodes():
         children = sorted(dec.children(t))
-        absorbable[t] = tuple(c for c in children if is_absorbable(views[c], dec.bag(t)))
-        bold_like[t] = tuple(c for c in children if c not in absorbable[t])
-    return NicenessReport(not offending, tuple(sorted(offending)), bold_like, absorbable)
+        absorbable[t] = tuple(c for c in children if views[c].absorbable)
+        bold_like[t] = tuple(c for c in children if not views[c].absorbable)
+    return NicenessReport(not offending, tuple(offending), bold_like, absorbable)
 
 
 # -- text format -----------------------------------------------------------
@@ -274,8 +287,10 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     declared = None
+    header_line = None
     parent: dict[int, int | None] = {}
     bags: dict[int, frozenset[int]] = {}
+    node_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -287,6 +302,7 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
             if len(fields) != 3 or fields[1] != "tcw":
                 raise ParseError(f"malformed header {line!r}", lineno)
             (declared,) = parse_ints(fields[2:], f"header {line!r}", lineno)
+            header_line = lineno
         elif fields[0] == "n":
             if declared is None:
                 raise ParseError("node before header", lineno)
@@ -299,16 +315,17 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
                 raise ParseError(f"node {node} lists a vertex twice", lineno)
             parent[node] = None if par == 0 else par
             bags[node] = frozenset(verts)
+            node_line[node] = lineno
         else:
             raise ParseError(f"unknown line {line!r}", lineno)
     if declared is None:
         raise ParseError("missing header")
     if len(parent) != declared:
-        raise ParseError(f"declared {declared} nodes, found {len(parent)}")
+        raise ParseError(f"declared {declared} nodes, found {len(parent)}", header_line)
     try:
         dec = TreecutDecomposition(parent, bags)
     except DecompositionError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), node_line.get(exc.node, header_line)) from exc
     return dec.ensure_empty_root()
 
 

@@ -8,7 +8,8 @@ the subtree, extended with stub terminals describing the record, is solvable
 on its own.  Every node is decided by the same step: branch over the
 children's valid records (none at a leaf), replace each child subtree by a
 small degree-<=2 representative, and feed the residue to the hub/satellite
-solver.
+solver.  Per-node data (subtree, cut, straddling pairs, which children are
+absorbable) is read from the `node_views` map, computed once per solve.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Callable, Iterable, Mapping
 
 from .decomposition import (
     DecompositionError,
+    NodeViews,
     TreecutDecomposition,
-    is_absorbable,
+    _straddling,
     node_views,
     verify_decomposition,
     verify_nice,
@@ -64,12 +66,6 @@ def record_count_bound(width: int) -> int:
     return 4**width * math.factorial(width)
 
 
-def unmatched_terminals(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> tuple[tuple[int, int], ...]:
-    """One (pair id, terminal) entry per pair straddling the node's subtree."""
-    straddle = _straddling(inst, dec.subtree_vertices(node))
-    return tuple((pid, inside) for pid, (inside, _) in straddle.items())
-
-
 def _perfect_matchings(items: tuple[int, ...]):
     if not items:
         yield ()
@@ -82,7 +78,10 @@ def _perfect_matchings(items: tuple[int, ...]):
             yield ((first, partner),) + rest_match
 
 
-def _records_for(cut: tuple[int, ...], u_pids: tuple[int, ...]) -> list[Record]:
+def enumerate_records(view: NodeViews) -> list[Record]:
+    """All structurally well-formed records for the node, in a fixed order:
+    one leaving edge per straddling pair."""
+    cut, u_pids = view.cut, tuple(view.straddling)
     out: list[Record] = []
     for assignment in itertools.product((INTERNAL, LEAVING, FOREIGN, UNUSED), repeat=len(cut)):
         internal = tuple(e for e, c in zip(cut, assignment) if c == INTERNAL)
@@ -98,14 +97,7 @@ def _records_for(cut: tuple[int, ...], u_pids: tuple[int, ...]) -> list[Record]:
     return out
 
 
-def enumerate_records(inst: EDPInstance, dec: TreecutDecomposition, node: int) -> list[Record]:
-    """All structurally well-formed records for the node, in a fixed order."""
-    views = node_views(inst, dec, node)
-    u_pids = tuple(pid for pid, _ in unmatched_terminals(inst, dec, node))
-    return _records_for(views.cut, u_pids)
-
-
-def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: int, rec: Record) -> EDPInstance:
+def build_record_instance(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
     """The subtree instance extended with the record's stub structure; the
     record is valid exactly when this instance is solvable.
 
@@ -114,9 +106,8 @@ def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: in
     whose two inside endpoints coincide is dropped entirely (no simple path
     can leave and re-enter through the same vertex).
     """
-    sub = dec.subtree_vertices(node)
+    sub = view.subtree
     out, stub = _restrict(inst, sub)
-    straddle = _straddling(inst, sub)
     next_pid = max(list(inst.pairs) + [0]) + 1
 
     def inside_end(eid: int) -> int:
@@ -128,9 +119,9 @@ def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: in
         if a != c:
             stub((e1, a), (e2, c))
     for pid, eid in sorted(rec.leaving):
-        if pid not in straddle:
-            raise StructureError(f"pair {pid} is not a straddling pair of node {node}")
-        out.add_pair(straddle[pid][0], stub((eid, inside_end(eid))), pid)
+        if pid not in view.straddling:
+            raise StructureError(f"pair {pid} is not a straddling pair of node {view.node}")
+        out.add_pair(view.straddling[pid][0], stub((eid, inside_end(eid))), pid)
     for e1, e2 in sorted(rec.foreign_pairs):
         b = stub((e1, inside_end(e1)))
         d = stub((e2, inside_end(e2)))
@@ -139,27 +130,18 @@ def build_record_instance(inst: EDPInstance, dec: TreecutDecomposition, node: in
     return out
 
 
-def leaf_valid_records(inst: EDPInstance, dec: TreecutDecomposition, leaf: int) -> RecordTable:
+def leaf_valid_records(
+    inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], leaf: int
+) -> RecordTable:
     """The valid records of a leaf, decided by `dynamic_step` like every
     other node.  At a leaf each non-bag vertex of a record instance is a stub
     of degree <= 2 touching only bag vertices, so the bag is a valid hub."""
     if dec.children(leaf):
         raise StructureError(f"node {leaf} is not a leaf")
-    return dynamic_step(inst, dec, leaf, {})
+    return dynamic_step(inst, dec, views, leaf, {})
 
 
 # -- simplification ----------------------------------------------------------
-
-
-def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, tuple[int, int]]:
-    """Pair id -> (inside member, outside member), for each pair with exactly
-    one member in `sub`, in pair-id order."""
-    out: dict[int, tuple[int, int]] = {}
-    for pid in cur.sorted_pairs():
-        inside = cur.pair(pid) & sub
-        if len(inside) == 1:
-            out[pid] = (next(iter(inside)), next(iter(cur.pair(pid) - sub)))
-    return out
 
 
 def _restrict(cur: EDPInstance, keep: Iterable[int]) -> tuple[EDPInstance, Callable[..., int]]:
@@ -224,10 +206,9 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
     return out
 
 
-def simplify(inst: EDPInstance, dec: TreecutDecomposition, node: int, rec: Record) -> EDPInstance:
+def simplify(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
     """Public form of simplification on the original instance."""
-    views = node_views(inst, dec, node)
-    out = _simplify_in(inst, views.subtree, views.cut, rec)
+    out = _simplify_in(inst, view.subtree, view.cut, rec)
     if out is None:
         raise StructureError("record does not fit the node's cut")
     return out
@@ -374,14 +355,11 @@ def _replace_thin_in(
     return None
 
 
-def replace_thin_subtree(
-    inst: EDPInstance, dec: TreecutDecomposition, node: int, table: RecordTable
-) -> EDPInstance | None:
+def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable) -> EDPInstance | None:
     """Public form of the thin-node replacement; None signals a NO-instance."""
-    views = node_views(inst, dec, node)
-    if views.adhesion > 2:
-        raise StructureError(f"node {node} is not thin (adhesion {views.adhesion})")
-    return _replace_thin_in(inst, views.subtree, views.cut, table)
+    if view.adhesion > 2:
+        raise StructureError(f"node {view.node} is not thin (adhesion {view.adhesion})")
+    return _replace_thin_in(inst, view.subtree, view.cut, table)
 
 
 # -- the dynamic step and full solve -----------------------------------------
@@ -390,6 +368,7 @@ def replace_thin_subtree(
 def dynamic_step(
     inst: EDPInstance,
     dec: TreecutDecomposition,
+    views: Mapping[int, NodeViews],
     node: int,
     tables: Mapping[int, RecordTable],
 ) -> RecordTable:
@@ -400,29 +379,28 @@ def dynamic_step(
     children, clean up degree-two chains, and ask the hub/satellite solver
     whether the residue routes.  A leaf has no children to branch over.
     """
-    children = dec.children(node)
-    child_views = {c: node_views(inst, dec, c) for c in children}
+    children = sorted(dec.children(node))
+    absorbable = [c for c in children if views[c].absorbable]
+    record_children = [c for c in children if not views[c].absorbable]
     bag = dec.bag(node)
-    absorbable = [c for c in sorted(children) if is_absorbable(child_views[c], bag)]
-    record_children = [c for c in sorted(children) if c not in absorbable]
 
-    candidates = enumerate_records(inst, dec, node)
+    candidates = enumerate_records(views[node])
     if any(not tables[c].records for c in record_children):
         return RecordTable(node, ())
     valid = []
     for rec in candidates:
-        base = build_record_instance(inst, dec, node, rec)
+        base = build_record_instance(inst, views[node], rec)
         found = False
         for combo in itertools.product(*(tables[c].records for c in record_children)):
             cur: EDPInstance | None = base
             for c, crec in zip(record_children, combo):
-                cur = _simplify_in(cur, child_views[c].subtree, child_views[c].cut, crec)
+                cur = _simplify_in(cur, views[c].subtree, views[c].cut, crec)
                 if cur is None:
                     break
             if cur is None:
                 continue
             for b in absorbable:
-                cur = _replace_thin_in(cur, child_views[b].subtree, child_views[b].cut, tables[b])
+                cur = _replace_thin_in(cur, views[b].subtree, views[b].cut, tables[b])
                 if cur is None:
                     break
             if cur is None:
@@ -468,9 +446,10 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
         if len(children) > 2 * wrep.width + 1:
             raise RuntimeError(f"node {t} keeps too many record children")
     bound = record_count_bound(wrep.width)
+    views = node_views(inst, dec)
     tables: dict[int, RecordTable] = {}
     for t in dec.postorder():
-        tables[t] = dynamic_step(inst, dec, t, tables)
+        tables[t] = dynamic_step(inst, dec, views, t, tables)
         if len(tables[t]) > bound:
             raise RuntimeError(f"node {t} exceeds the record-count bound")
     root_table = tables[dec.root]

@@ -20,7 +20,7 @@ def correspondence(
     """The unique record a concrete solution induces at a node: crossing
     edges are read off each path in order and paired up per the path's
     relation to the subtree."""
-    views = node_views(inst, dec, node)
+    views = node_views(inst, dec)[node]
     sub = views.subtree
     cut = set(views.cut)
     classes: dict[int, str] = {}

@@ -207,14 +207,14 @@ def test_criterion_7_record_count_bound():
         inst, dec = gen_random_instance(seed, n, (seed * 7) % 4, (seed * 3) % 5, profile="bounded-tcw")
         width = verify_decomposition(inst, dec).width
         bound = record_count_bound(width)
-        for t in dec.nodes():
-            if len(enumerate_records(inst, dec, t)) > bound:
+        for t, view in node_views(inst, dec).items():
+            if len(enumerate_records(view)) > bound:
                 violations.append((seed, t))
     inst = reference_graph()
     dec = reference_decomposition()
     bound = record_count_bound(verify_decomposition(inst, dec).width)
-    for t in dec.nodes():
-        if len(enumerate_records(inst, dec, t)) > bound:
+    for t, view in node_views(inst, dec).items():
+        if len(enumerate_records(view)) > bound:
             violations.append(("pinned", t))
     report("7 record-count bound", not violations)
     assert not violations, violations[:5]
@@ -241,14 +241,14 @@ def _fires_rule_2():
     fired = 0
     for seed in range(1500):
         inst, dec = gen_random_instance(seed, 3 + seed % 6, seed % 3, seed % 4, profile="bounded-tcw")
+        views = node_views(inst, dec)
         for node in dec.postorder():
             if node == dec.root or dec.children(node):
                 continue
-            views = node_views(inst, dec, node)
-            if views.adhesion > 2 or not views.subtree:
+            if views[node].adhesion > 2 or not views[node].subtree:
                 continue
-            table = leaf_valid_records(inst, dec, node)
-            out = replace_thin_subtree(inst, dec, node, table)
+            table = leaf_valid_records(inst, dec, views, node)
+            out = replace_thin_subtree(inst, views[node], table)
             want = brute_force_edp(inst, caps=None).feasible
             got = False if out is None else brute_force_edp(out, caps=None).feasible
             if want != got:

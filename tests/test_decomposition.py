@@ -2,6 +2,7 @@ import pytest
 
 from edpsolve.decomposition import (
     DecompositionError,
+    NodeViews,
     TreecutDecomposition,
     chain_decomposition,
     node_views,
@@ -41,7 +42,7 @@ def test_reference_decomposition_is_not_nice():
 def test_node_views_root():
     inst = reference_graph()
     dec = reference_decomposition()
-    views = node_views(inst, dec, dec.root)
+    views = node_views(inst, dec)[dec.root]
     assert views.subtree == inst.graph.vertices
     assert views.cut == () and views.adhesion == 0
     assert not views.thin
@@ -50,9 +51,9 @@ def test_node_views_root():
 def test_node_views_leaf_with_empty_bag():
     inst = reference_graph()
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: inst.graph.vertices, 3: set()})
-    views = node_views(inst, dec, 3)
-    assert views.subtree == frozenset()
-    assert views.adhesion == 0 and torso_size(inst, dec, 3) == 0
+    views = node_views(inst, dec)
+    assert views[3].subtree == frozenset()
+    assert views[3].adhesion == 0 and torso_size(inst, dec, views, 3) == 0
 
 
 def test_torso_single_bag_is_whole_graph():
@@ -63,7 +64,7 @@ def test_torso_single_bag_is_whole_graph():
     inst = EDPInstance(g)
     dec = single_node_decomposition(inst)
     bag_node = next(t for t in dec.nodes() if dec.bag(t))
-    assert torso_size(inst, dec, bag_node) == 4
+    assert torso_size(inst, dec, node_views(inst, dec), bag_node) == 4
     assert verify_decomposition(inst, dec).width == 4
 
 
@@ -103,8 +104,17 @@ def test_parse_errors():
         parse_decomposition("d tcw 2\nn 1 0\n")
     with pytest.raises(ParseError):
         parse_decomposition("d tcw 2\nn 1 0\nn 2 9\n")
-    for text in ("d tcw x\n", "d tcw 2\nn 1 0\nn 2 1 1 x\n", "d tcw 2\nn 1 0\nn 2 1 1 1 2 3\n"):
-        with pytest.raises(ParseError, match="line [13]: "):
+    for text, line in (
+        ("d tcw x\n", 1),
+        ("d tcw 2\nn 1 0\nn 2 1 1 x\n", 3),
+        ("d tcw 2\nn 1 0\nn 2 1 1 1 2 3\n", 3),
+        ("d tcw 2\nn 1 0\n", 1),  # node count differs from the header's
+        ("d tcw 3\nn 1 0\nn 2 9\nn 3 1\n", 3),  # unknown parent: the node's line
+        ("d tcw 3\nn 0 0\nn 1 0 1\nn 2 0\n", 3),  # second root
+        ("# no root\nd tcw 2\nn 1 2\nn 2 1\n", 2),  # the header
+        ("d tcw 4\nn 1 0\nn 4 1\nn 3 2\nn 2 3\n", 4),  # first unreachable line
+    ):
+        with pytest.raises(ParseError, match=f"line {line}: "):
             parse_decomposition(text)
     with pytest.raises(DecompositionError):
         TreecutDecomposition({1: None, 2: None}, {1: set(), 2: set()})
@@ -144,15 +154,46 @@ def test_spanning_tree_decomposition_always_nice():
         assert verify_nice(inst, dec).nice
 
 
-def test_node_views_outside_is_subtree_neighborhood():
+def _views_by_definition(inst, dec, t):
+    """One node's views from the definitions: the subtree is the union of
+    the bags below `t`, the cut holds the edges with one endpoint inside, the
+    outside is the subtree's neighborhood and a pair straddles when one
+    member is inside."""
+    g = inst.graph
+    sub, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        sub |= dec.bag(x)
+        stack.extend(dec.children(x))
+    cut = tuple(e for e in g.sorted_edges() if len(sub & set(g.endpoints(e))) == 1)
+    outside = frozenset().union(*(g.neighbors(v) for v in sub)) - sub
+    straddling = {}
+    for pid in inst.sorted_pairs():
+        inside = inst.pair(pid) & sub
+        if len(inside) == 1:
+            straddling[pid] = (min(inside), min(inst.pair(pid) - inside))
+    parent = dec.parent(t)
+    thin = parent is not None and len(cut) <= 2
+    absorbable = thin and outside <= dec.bag(parent)
+    return NodeViews(t, frozenset(sub), cut, len(cut), outside, thin, straddling, absorbable)
+
+
+def test_node_views_match_per_node_definitions():
+    cases = []
     for seed in range(20):
-        inst, _ = gen_random_instance(seed, 4 + seed % 9, seed % 4, 0, profile="tree-plus")
-        dec = spanning_tree_decomposition(inst).ensure_empty_root()
-        g = inst.graph
+        inst, _ = gen_random_instance(seed, 4 + seed % 9, seed % 4, seed % 5, profile="tree-plus")
+        cases.append((inst, spanning_tree_decomposition(inst).ensure_empty_root()))
+        cases.append(gen_random_instance(seed, 3 + seed % 12, seed % 5, seed % 6, profile="bounded-tcw"))
+    ref = reference_graph()
+    for a, b in [(1, 5), (2, 6), (3, 7), (4, 6)]:
+        ref.add_pair(a, b)
+    cases.append((ref, reference_decomposition()))
+    for i, (inst, dec) in enumerate(cases):
+        views = node_views(inst, dec)
+        assert sorted(views) == dec.nodes(), f"case {i}"
         for t in dec.nodes():
-            sub = dec.subtree_vertices(t)
-            want = frozenset().union(*(g.neighbors(v) for v in sub)) - sub
-            assert node_views(inst, dec, t).outside == want, f"seed {seed} node {t}"
+            assert views[t] == _views_by_definition(inst, dec, t), f"case {i} node {t}"
+            assert list(views[t].straddling) == sorted(views[t].straddling), f"case {i} node {t}"
 
 
 def test_nice_classification_splits_children():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from edpsolve.decomposition import (
     node_views,
     spanning_tree_decomposition,
     verify_decomposition,
+    verify_nice,
 )
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph
@@ -29,7 +31,6 @@ from edpsolve.treecut_dp import (
     replace_thin_subtree,
     simplify,
     solve_treecut,
-    unmatched_terminals,
 )
 
 from .support import correspondence, random_small_instance, reference_decomposition, reference_graph
@@ -54,14 +55,15 @@ def test_unmatched_terminals_classification():
     inst.add_pair(1, 2)  # fully inside node 3's subtree
     inst.add_pair(3, 4)  # fully outside
     inst.add_pair(1, 4)  # straddles
-    assert unmatched_terminals(inst, dec, 3) == ((3, 1),)
-    assert unmatched_terminals(inst, dec, 2) == ()  # node 2's subtree holds every vertex
-    assert unmatched_terminals(inst, dec, dec.root) == ()
+    views = node_views(inst, dec)
+    assert tuple((pid, inside) for pid, (inside, _) in views[3].straddling.items()) == ((3, 1),)
+    assert tuple(views[2].straddling) == ()  # node 2's subtree holds every vertex
+    assert tuple(views[dec.root].straddling) == ()
 
 
 def test_enumerate_records_single_edge():
     inst, dec = two_bag_setup(1)
-    recs = enumerate_records(inst, dec, 3)
+    recs = enumerate_records(node_views(inst, dec)[3])
     assert len(recs) == 1
     assert recs[0].classes[0][1] == UNUSED
 
@@ -69,14 +71,14 @@ def test_enumerate_records_single_edge():
 def test_enumerate_records_single_edge_with_straddler():
     inst, dec = two_bag_setup(1)
     inst.add_pair(1, 4)
-    recs = enumerate_records(inst, dec, 3)
+    recs = enumerate_records(node_views(inst, dec)[3])
     assert len(recs) == 1
     assert recs[0].leaving and recs[0].classes[0][1] == LEAVING
 
 
 def test_enumerate_records_two_edges_exhaustive_recount():
     inst, dec = two_bag_setup(2)
-    recs = enumerate_records(inst, dec, 3)
+    recs = enumerate_records(node_views(inst, dec)[3])
     # exhaustion: both unused, both internal matched, both foreign matched;
     # no mixed class admits a perfect matching
     kinds = sorted(tuple(c for _, c in r.classes) for r in recs)
@@ -86,36 +88,37 @@ def test_enumerate_records_two_edges_exhaustive_recount():
 
 def test_enumerate_records_empty_cut():
     inst, dec = two_bag_setup(0)
-    assert enumerate_records(inst, dec, 3) == [EMPTY_RECORD]
+    assert enumerate_records(node_views(inst, dec)[3]) == [EMPTY_RECORD]
 
 
 def test_enumerate_records_unmatchable_terminals_gives_nothing():
     inst, dec = two_bag_setup(1)
     inst.add_pair(1, 4)
     inst.add_pair(2, 3)
-    assert enumerate_records(inst, dec, 3) == []
+    assert enumerate_records(node_views(inst, dec)[3]) == []
 
 
 def test_record_count_bound_across_nodes():
     for seed in range(60):
         inst, dec = gen_random_instance(seed, 3 + seed % 7, seed % 4, seed % 4, profile="bounded-tcw")
         width = verify_decomposition(inst, dec).width
-        for t in dec.nodes():
-            assert len(enumerate_records(inst, dec, t)) <= record_count_bound(width)
+        for view in node_views(inst, dec).values():
+            assert len(enumerate_records(view)) <= record_count_bound(width)
 
 
 def test_build_record_instance_empty_record_at_root():
     inst, dec = two_bag_setup(1)
     inst.add_pair(1, 4)
-    built = build_record_instance(inst, dec, dec.root, EMPTY_RECORD)
+    built = build_record_instance(inst, node_views(inst, dec)[dec.root], EMPTY_RECORD)
     assert built == inst
 
 
 def test_build_record_instance_foreign_adds_two_leaves_and_pair():
     inst, dec = two_bag_setup(2)
-    (rec,) = [r for r in enumerate_records(inst, dec, 3) if r.foreign_pairs]
-    built = build_record_instance(inst, dec, 3, rec)
-    sub = dec.subtree_vertices(3)
+    view = node_views(inst, dec)[3]
+    (rec,) = [r for r in enumerate_records(view) if r.foreign_pairs]
+    built = build_record_instance(inst, view, rec)
+    sub = view.subtree
     fresh = built.graph.vertices - sub
     assert len(fresh) == 2
     assert len(built.pairs) == 1
@@ -134,8 +137,9 @@ def test_build_record_instance_internal_same_endpoint_ignored():
     g.add_edge(2, 3)
     inst = EDPInstance(g)
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {3, 4}, 3: {1, 2}})
-    (rec,) = [r for r in enumerate_records(inst, dec, 3) if r.internal_pairs]
-    built = build_record_instance(inst, dec, 3, rec)
+    view = node_views(inst, dec)[3]
+    (rec,) = [r for r in enumerate_records(view) if r.internal_pairs]
+    built = build_record_instance(inst, view, rec)
     assert built.graph.vertices == frozenset({1, 2})
     assert built.graph.edges == {1: (1, 2)}
 
@@ -148,7 +152,7 @@ def test_leaf_valid_records_pass_through_vertex():
     g.add_edge(1, 2)
     inst = EDPInstance(g)
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {1, 2}, 3: {3}})
-    table = leaf_valid_records(inst, dec, 3)
+    table = leaf_valid_records(inst, dec, node_views(inst, dec), 3)
     kinds = sorted(tuple(c for _, c in r.classes) for r in table.records)
     assert (UNUSED, UNUSED) in kinds
     assert (FOREIGN, FOREIGN) in kinds
@@ -163,7 +167,7 @@ def test_leaf_valid_records_straddling_terminal():
     inst = EDPInstance(g)
     inst.add_pair(1, 2)
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {2}, 3: {1}})
-    table = leaf_valid_records(inst, dec, 3)
+    table = leaf_valid_records(inst, dec, node_views(inst, dec), 3)
     assert len(table.records) == 1
     assert table.records[0].leaving == ((1, 1),)
 
@@ -171,22 +175,24 @@ def test_leaf_valid_records_straddling_terminal():
 def test_leaf_valid_records_empty_bag():
     inst = EDPInstance(MultiGraph([1]))
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {1}, 3: set()})
-    table = leaf_valid_records(inst, dec, 3)
+    table = leaf_valid_records(inst, dec, node_views(inst, dec), 3)
     assert table.records == (EMPTY_RECORD,)
 
 
 def test_simplify_empty_record_is_subtree_removal():
     inst, dec = two_bag_setup(1)
     inst.add_pair(3, 4)
-    out = simplify(inst, dec, 3, enumerate_records(inst, dec, 3)[0])
+    view = node_views(inst, dec)[3]
+    out = simplify(inst, view, enumerate_records(view)[0])
     assert out.graph.vertices == frozenset({3, 4})
     assert out.pairs == {1: frozenset({3, 4})}
 
 
 def test_simplify_foreign_creates_pass_through():
     inst, dec = two_bag_setup(2)
-    (rec,) = [r for r in enumerate_records(inst, dec, 3) if r.foreign_pairs]
-    out = simplify(inst, dec, 3, rec)
+    view = node_views(inst, dec)[3]
+    (rec,) = [r for r in enumerate_records(view) if r.foreign_pairs]
+    out = simplify(inst, view, rec)
     fresh = out.graph.vertices - {3, 4}
     assert len(fresh) == 1
     (w,) = fresh
@@ -197,8 +203,9 @@ def test_simplify_foreign_creates_pass_through():
 def test_simplify_leaving_restores_pair_on_stub():
     inst, dec = two_bag_setup(1)
     inst.add_pair(1, 4)
-    (rec,) = enumerate_records(inst, dec, 3)
-    out = simplify(inst, dec, 3, rec)
+    view = node_views(inst, dec)[3]
+    (rec,) = enumerate_records(view)
+    out = simplify(inst, view, rec)
     (stub,) = out.graph.vertices - {3, 4}
     assert out.pairs == {1: frozenset({stub, 4})}
     assert out.graph.neighbors(stub) == frozenset({3})
@@ -212,6 +219,7 @@ def _oracle_record_checks(seed):
     if not res.feasible:
         return 0
     dec = chain_decomposition(inst)
+    views = node_views(inst, dec)
     checked = 0
     for node in dec.nodes():
         if node == dec.root:
@@ -219,10 +227,10 @@ def _oracle_record_checks(seed):
         rec = correspondence(inst, dec, node, res.routes)
         # deterministic: recomputation and route-order shuffling agree
         assert rec == correspondence(inst, dec, node, dict(reversed(list(res.routes.items()))))
-        assert rec in enumerate_records(inst, dec, node)
-        built = build_record_instance(inst, dec, node, rec)
+        assert rec in enumerate_records(views[node])
+        built = build_record_instance(inst, views[node], rec)
         assert brute_force_edp(built, caps=None).feasible, "correspondence record must be valid"
-        simplified = simplify(inst, dec, node, rec)
+        simplified = simplify(inst, views[node], rec)
         assert brute_force_edp(simplified, caps=None).feasible, "simplification must stay solvable"
         checked += 1
     return checked
@@ -245,10 +253,11 @@ def test_simplify_corner_cases_against_oracle():
     inst = EDPInstance(g)
     inst.add_pair(1, 4)
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {3, 4}, 3: {1, 2}})
-    for rec in enumerate_records(inst, dec, 3):
-        built_ok = brute_force_edp(build_record_instance(inst, dec, 3, rec), caps=None).feasible
+    view = node_views(inst, dec)[3]
+    for rec in enumerate_records(view):
+        built_ok = brute_force_edp(build_record_instance(inst, view, rec), caps=None).feasible
         if built_ok:
-            out = simplify(inst, dec, 3, rec)
+            out = simplify(inst, view, rec)
             assert brute_force_edp(out, caps=None).feasible == brute_force_edp(inst, caps=None).feasible
 
 
@@ -363,8 +372,9 @@ def thin_setup(cut_edges, straddling):
 
 def test_thin_replacement_single_edge_leaving():
     inst, dec = thin_setup(1, 1)
-    table = leaf_valid_records(inst, dec, 3)
-    out = replace_thin_subtree(inst, dec, 3, table)
+    views = node_views(inst, dec)
+    table = leaf_valid_records(inst, dec, views, 3)
+    out = replace_thin_subtree(inst, views[3], table)
     (stub,) = out.graph.vertices - {3, 4}
     assert out.pairs == {1: frozenset({stub, 4})}
     assert out.graph.neighbors(stub) == frozenset({3})
@@ -372,20 +382,23 @@ def test_thin_replacement_single_edge_leaving():
 
 def test_thin_replacement_unused_only_deletes():
     inst, dec = thin_setup(2, 0)
-    table = leaf_valid_records(inst, dec, 3)
-    out = replace_thin_subtree(inst, dec, 3, table)
+    views = node_views(inst, dec)
+    table = leaf_valid_records(inst, dec, views, 3)
+    out = replace_thin_subtree(inst, views[3], table)
     # pass-through is valid here, so the replacement offers it
     fresh = out.graph.vertices - {3, 4}
     assert len(fresh) <= 1
     inst2, dec2 = thin_setup(0, 0)
-    out2 = replace_thin_subtree(inst2, dec2, 3, leaf_valid_records(inst2, dec2, 3))
+    views2 = node_views(inst2, dec2)
+    out2 = replace_thin_subtree(inst2, views2[3], leaf_valid_records(inst2, dec2, views2, 3))
     assert out2.graph.vertices == frozenset({3, 4})
 
 
 def test_thin_replacement_flexible_exit_for_one_straddler():
     inst, dec = thin_setup(2, 1)
-    table = leaf_valid_records(inst, dec, 3)
-    out = replace_thin_subtree(inst, dec, 3, table)
+    views = node_views(inst, dec)
+    table = leaf_valid_records(inst, dec, views, 3)
+    out = replace_thin_subtree(inst, views[3], table)
     (stub,) = [v for v in out.graph.vertices - {3, 4}]
     # both symmetric leaving records are valid, so the stub rides either edge
     assert out.graph.degree(stub) == 2
@@ -394,9 +407,10 @@ def test_thin_replacement_flexible_exit_for_one_straddler():
 
 def test_thin_replacement_rejects_overloaded_cut():
     inst, dec = thin_setup(1, 2)
-    table = leaf_valid_records(inst, dec, 3)
+    views = node_views(inst, dec)
+    table = leaf_valid_records(inst, dec, views, 3)
     assert table.records == ()
-    assert replace_thin_subtree(inst, dec, 3, table) is None
+    assert replace_thin_subtree(inst, views[3], table) is None
 
 
 def test_thin_replacement_two_straddlers_merged_stub():
@@ -410,9 +424,10 @@ def test_thin_replacement_two_straddlers_merged_stub():
     inst.add_pair(1, 4)
     inst.add_pair(1, 4)
     dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), 2: {3, 4}, 3: {1, 2}})
-    table = leaf_valid_records(inst, dec, 3)
+    views = node_views(inst, dec)
+    table = leaf_valid_records(inst, dec, views, 3)
     assert len(table.records) == 2  # both exit assignments work
-    out = replace_thin_subtree(inst, dec, 3, table)
+    out = replace_thin_subtree(inst, views[3], table)
     (stub,) = [v for v in out.graph.vertices - {3, 4}]
     assert out.graph.degree(stub) == 2
     assert sorted(out.pairs.values(), key=sorted) == [frozenset({stub, 4}), frozenset({stub, 4})]
@@ -422,14 +437,14 @@ def test_thin_replacement_preserves_oracle():
     fired = 0
     for seed in range(160):
         inst, dec = gen_random_instance(seed, 3 + seed % 6, seed % 3, seed % 4, profile="bounded-tcw")
+        views = node_views(inst, dec)
         for node in dec.postorder():
             if node == dec.root or dec.children(node):
                 continue
-            views = node_views(inst, dec, node)
-            if views.adhesion > 2 or not views.subtree:
+            if views[node].adhesion > 2 or not views[node].subtree:
                 continue
-            table = leaf_valid_records(inst, dec, node)
-            out = replace_thin_subtree(inst, dec, node, table)
+            table = leaf_valid_records(inst, dec, views, node)
+            out = replace_thin_subtree(inst, views[node], table)
             want = brute_force_edp(inst, caps=None).feasible
             got = False if out is None else brute_force_edp(out, caps=None).feasible
             assert want == got, f"seed {seed} node {node}"
@@ -446,9 +461,10 @@ def test_dynamic_step_empty_child_table_gives_empty():
     inst.add_pair(1, 4)
     inst.add_pair(2, 3)
     # bold-ish child: force it into the record-set branch by a low bag
-    tables = {3: leaf_valid_records(inst, dec, 3)}
+    views = node_views(inst, dec)
+    tables = {3: leaf_valid_records(inst, dec, views, 3)}
     assert tables[3].records == ()  # two straddlers, one cut edge
-    out = dynamic_step(inst, dec, 2, tables)
+    out = dynamic_step(inst, dec, views, 2, tables)
     assert out.records == ()
 
 
@@ -552,9 +568,9 @@ def test_solve_treecut_computes_each_torso_once(monkeypatch):
     calls = []
     real = decomposition.torso_size
 
-    def counting(inst, dec, node):
+    def counting(inst, dec, views, node):
         calls.append(node)
-        return real(inst, dec, node)
+        return real(inst, dec, views, node)
 
     monkeypatch.setattr(decomposition, "torso_size", counting)
     inst, dec = gen_random_instance(3, 30, 4, 3, profile="bounded-tcw")
@@ -582,7 +598,63 @@ def test_solve_treecut_never_calls_the_oracle(monkeypatch):
         res = solve_treecut(inst, dec)
         assert res.feasible == feasible
         rooted = dec.ensure_empty_root()
+        views = node_views(inst, rooted)
         for leaf in rooted.nodes():
             if not rooted.children(leaf):
-                assert leaf_valid_records(inst, rooted, leaf) == res.tables[leaf]
+                assert leaf_valid_records(inst, rooted, views, leaf) == res.tables[leaf]
 
+
+
+def test_solve_treecut_derives_node_views_at_most_three_times(monkeypatch):
+    from edpsolve import decomposition, treecut_dp
+
+    calls = []
+    real = decomposition.node_views
+
+    def counting(inst, dec):
+        calls.append(dec)
+        return real(inst, dec)
+
+    monkeypatch.setattr(decomposition, "node_views", counting)
+    monkeypatch.setattr(treecut_dp, "node_views", counting)
+    per_solve = []
+    for n in (20, 80):
+        inst, dec = gen_random_instance(5, n, n // 8, 2, profile="bounded-tcw")
+        calls.clear()
+        solve_treecut(inst, dec)
+        per_solve.append(len(calls))
+    assert per_solve[0] == per_solve[1] <= 3, per_solve
+
+
+# sha256 over the outputs below on the corpus of `_digest_cases`; a change to
+# any record table, width report or niceness report changes it
+DP_DIGEST = "41bc44654e01076b9c2102d60139d063affa857fa6e1aea0bbcb78924cbf1f0c"
+
+
+def _digest_cases():
+    cases = []
+    for seed in range(60):
+        cases.append(gen_random_instance(seed, 6 + seed % 15, seed % 5, seed % 4, profile="bounded-tcw"))
+    for seed in range(20):
+        inst, _ = gen_random_instance(seed, 6 + seed % 7, seed % 3, seed % 4, profile="tree-plus")
+        cases.append((inst, spanning_tree_decomposition(inst)))
+    ref = reference_graph()
+    ref.add_pair(5, 7)
+    ref.add_pair(1, 3)
+    cases += [(ref, reference_decomposition()), (ref, chain_decomposition(ref)), (ref, spanning_tree_decomposition(ref))]
+    return cases
+
+
+def test_dp_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for inst, dec in _digest_cases():
+        wrep = verify_decomposition(inst, dec)
+        nrep = verify_nice(inst, dec)
+        h.update(repr((wrep.valid, wrep.width, sorted(wrep.per_node.items()))).encode())
+        niceness = (nrep.offending, sorted(nrep.bold_like_children.items()), sorted(nrep.absorbable_children.items()))
+        h.update(repr((nrep.nice, *niceness)).encode())
+        if nrep.nice:
+            res = solve_treecut(inst, dec)
+            tables = [(t, res.tables[t].records) for t in sorted(res.tables)]
+            h.update(repr((res.feasible, res.width, tables)).encode())
+    assert h.hexdigest() == DP_DIGEST
