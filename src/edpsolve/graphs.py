@@ -11,7 +11,8 @@ between threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from bisect import insort
+from typing import Collection, Iterable, Mapping
 
 
 class ParseError(ValueError):
@@ -28,15 +29,40 @@ class StructureError(ValueError):
     """An operation's structural precondition does not hold."""
 
 
-class MultiGraph:
-    """Undirected multigraph with stable integer vertex and edge ids."""
+def _max_below(ids: Collection[int], top: int) -> int:
+    """The largest of `ids`, all of which lie below `top` (0 when empty):
+    walk down from `top` for at most as many steps as there are ids, then
+    fall back to a scan, so one call costs O(len(ids)) and a removal next
+    to the maximum costs O(1)."""
+    for x in range(top - 1, max(top - 1 - len(ids), 0), -1):
+        if x in ids:
+            return x
+    return max(ids, default=0)
 
-    __slots__ = ("_vertices", "_edges", "_incidence")
+
+def _insert_sorted(ids: list[int], x: int) -> None:
+    if not ids or ids[-1] < x:
+        ids.append(x)
+    else:
+        insort(ids, x)
+
+
+class MultiGraph:
+    """Undirected multigraph with stable integer vertex and edge ids.
+
+    A fresh vertex or edge id is the largest current id plus one; the
+    largest ids are cached, and each incidence list is kept in ascending
+    edge-id order, so no primitive sorts or takes a `max()` per call.
+    """
+
+    __slots__ = ("_vertices", "_edges", "_incidence", "_max_vertex", "_max_edge")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Mapping[int, tuple[int, int]] | None = None):
         self._vertices: set[int] = set()
         self._edges: dict[int, tuple[int, int]] = {}
-        self._incidence: dict[int, list[int]] = {}
+        self._incidence: dict[int, list[int]] = {}  # ascending edge ids
+        self._max_vertex = 0
+        self._max_edge = 0
         for v in vertices:
             self.add_vertex(v)
         if edges:
@@ -52,11 +78,12 @@ class MultiGraph:
         if v not in self._vertices:
             self._vertices.add(v)
             self._incidence[v] = []
+            if v > self._max_vertex:
+                self._max_vertex = v
         return v
 
     def fresh_vertex(self) -> int:
-        v = max(self._vertices, default=0) + 1
-        return self.add_vertex(v)
+        return self.add_vertex(self._max_vertex + 1)
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
         if u == v:
@@ -64,30 +91,38 @@ class MultiGraph:
         if u not in self._vertices or v not in self._vertices:
             raise StructureError(f"edge {{{u},{v}}} references unknown vertex")
         if eid is None:
-            eid = max(self._edges, default=0) + 1
+            eid = self._max_edge + 1
         elif eid in self._edges:
             raise StructureError(f"duplicate edge id {eid}")
         self._edges[eid] = (u, v) if u < v else (v, u)
-        self._incidence[u].append(eid)
-        self._incidence[v].append(eid)
+        _insert_sorted(self._incidence[u], eid)
+        _insert_sorted(self._incidence[v], eid)
+        if eid > self._max_edge:
+            self._max_edge = eid
         return eid
 
     def remove_edge(self, eid: int) -> None:
         u, v = self._edges.pop(eid)
         self._incidence[u].remove(eid)
         self._incidence[v].remove(eid)
+        if eid == self._max_edge:
+            self._max_edge = _max_below(self._edges, eid)
 
     def remove_vertex(self, v: int) -> None:
         for eid in list(self._incidence[v]):
             self.remove_edge(eid)
         self._vertices.remove(v)
         del self._incidence[v]
+        if v == self._max_vertex:
+            self._max_vertex = _max_below(self._vertices, v)
 
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
         g._vertices = set(self._vertices)
         g._edges = dict(self._edges)
         g._incidence = {v: list(inc) for v, inc in self._incidence.items()}
+        g._max_vertex = self._max_vertex
+        g._max_edge = self._max_edge
         return g
 
     # -- queries -----------------------------------------------------
@@ -124,7 +159,7 @@ class MultiGraph:
         raise StructureError(f"vertex {v} is not an endpoint of edge {eid}")
 
     def incident(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._incidence[v]))
+        return tuple(self._incidence[v])
 
     def degree(self, v: int) -> int:
         return len(self._incidence[v])
@@ -191,14 +226,18 @@ class EDPInstance:
     """A multigraph plus terminal pairs; the object every solver consumes.
 
     Pairs carry their own ids so that reductions may create two pairs with
-    equal content without collapsing them.
+    equal content without collapsing them.  A fresh pair id is the largest
+    current id plus one (cached), and each vertex keeps the ascending ids of
+    the pairs it belongs to.
     """
 
-    __slots__ = ("graph", "_pairs")
+    __slots__ = ("graph", "_pairs", "_pairs_of", "_max_pair")
 
     def __init__(self, graph: MultiGraph | None = None, pairs: Mapping[int, frozenset[int]] | None = None):
         self.graph = graph if graph is not None else MultiGraph()
         self._pairs: dict[int, frozenset[int]] = {}
+        self._pairs_of: dict[int, list[int]] = {}  # vertex -> ascending pair ids
+        self._max_pair = 0
         if pairs:
             for pid in sorted(pairs):
                 a, b = sorted(pairs[pid])
@@ -214,14 +253,24 @@ class EDPInstance:
         if not (self.graph.has_vertex(a) and self.graph.has_vertex(b)):
             raise StructureError(f"pair {{{a},{b}}} references unknown vertex")
         if pid is None:
-            pid = max(self._pairs, default=0) + 1
+            pid = self._max_pair + 1
         elif pid in self._pairs:
             raise StructureError(f"duplicate pair id {pid}")
         self._pairs[pid] = frozenset((a, b))
+        for v in (a, b):
+            _insert_sorted(self._pairs_of.setdefault(v, []), pid)
+        if pid > self._max_pair:
+            self._max_pair = pid
         return pid
 
     def remove_pair(self, pid: int) -> None:
-        del self._pairs[pid]
+        for v in self._pairs.pop(pid):
+            at = self._pairs_of[v]
+            at.remove(pid)
+            if not at:
+                del self._pairs_of[v]
+        if pid == self._max_pair:
+            self._max_pair = _max_below(self._pairs, pid)
 
     def pair(self, pid: int) -> frozenset[int]:
         return self._pairs[pid]
@@ -230,17 +279,16 @@ class EDPInstance:
         return sorted(self._pairs)
 
     def pairs_at(self, v: int) -> tuple[int, ...]:
-        return tuple(pid for pid in self.sorted_pairs() if v in self._pairs[pid])
+        return tuple(self._pairs_of.get(v, ()))
 
     def terminals(self) -> frozenset[int]:
-        out: set[int] = set()
-        for members in self._pairs.values():
-            out |= members
-        return frozenset(out)
+        return frozenset(self._pairs_of)
 
     def copy(self) -> "EDPInstance":
         inst = EDPInstance(self.graph.copy())
         inst._pairs = dict(self._pairs)
+        inst._pairs_of = {v: list(at) for v, at in self._pairs_of.items()}
+        inst._max_pair = self._max_pair
         return inst
 
     def __eq__(self, other: object) -> bool:

@@ -5,18 +5,26 @@ component is shrunk by four reduction rules until none fires: bare leaves
 are dropped, degree-two vertices without a bypass edge are suppressed (the
 feedback edge set is maintained through the suppression), pendant subtrees
 hanging by a single edge are resolved with the forest solver, and matched
-leaf twins sharing a neighbor are removed.  At the fixpoint a component is
-rejected when some vertex carries more pendant terminals than it has edges
-toward non-leaves; that local capacity argument is the sound core of the
-leaf-counting rejection, which in its blanket form misfires on cycles
-carrying pendant terminal pairs (see ComponentReport.forest_leaves for the
-counted value).
+leaf twins sharing a neighbor are removed.  The leaf and degree-two rules
+draw candidates from a worklist: a min-heap seeded with every vertex, to
+which a firing returns only the vertices whose test it changed.  A rejected
+vertex stays rejected until a firing touches it, so the smallest qualifying
+vertex is always on the heap and the rules fire in the same order, with the
+same new edge ids, as an ascending rescan after every firing would.  The
+pendant and matched-leaf rules scan by component and by pair id.
+
+At the fixpoint a component is rejected when some vertex carries more
+pendant terminals than it has edges toward non-leaves; that local capacity
+argument is the sound core of the leaf-counting rejection, which in its
+blanket form misfires on cycles carrying pendant terminal pairs (see
+ComponentReport.forest_leaves for the counted value).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 
 from .graphs import EDPInstance, MultiGraph, feedback_edge_set, induced_instance, terminal_normalize
 from .oracle import tree_edp_feasible
@@ -37,18 +45,23 @@ class KernelState:
 
 
 def _exhaust(
-    state: KernelState, step: Callable[[EDPInstance, set[int]], bool | str], once: bool
+    state: KernelState, step: Callable[[EDPInstance, set[int], list[int]], bool | str], once: bool
 ) -> KernelState:
     """Fire `step` on one working copy of the instance and its feedback edge
     set until it stops (after one firing when `once`).  A step makes one
     firing in place and returns True, False when nothing matched, or "NO"
     when it settled the component.  The input state itself comes back when
-    nothing fired."""
+    nothing fired.
+
+    The step also gets a min-heap of candidate vertices, seeded with every
+    vertex; a step that tests vertices pops them and pushes back the
+    vertices a firing touched (see `_prune_leaf_step`)."""
     inst = state.inst.copy()
     fes = set(state.fes_edges)
+    heap = inst.graph.sorted_vertices()  # a sorted list is a min-heap
     fired = False
     while not (fired and once):
-        outcome = step(inst, fes)
+        outcome = step(inst, fes, heap)
         if outcome == "NO":
             return replace(state, inst=inst, fes_edges=frozenset(fes), answer="NO")
         if not outcome:
@@ -65,13 +78,23 @@ def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
     return _exhaust(state, _prune_leaf_step, once)
 
 
-def _prune_leaf_step(inst: EDPInstance, fes: set[int]) -> bool:
+def _prune_leaf_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
+    """Fire on the smallest qualifying vertex of the heap.  A tested vertex
+    that fails the test can only start to pass once a neighbour is removed,
+    and those neighbours go back on the heap, so the heap holds every
+    qualifying vertex and the firing order is the ascending rescan's."""
     g = inst.graph
-    for v in g.sorted_vertices():
-        if inst.pairs_at(v) or len(g.neighbors(v)) > 1:
+    while heap:
+        v = heappop(heap)
+        if not g.has_vertex(v) or inst.pairs_at(v):
+            continue
+        around = g.neighbors(v)
+        if len(around) > 1:
             continue
         fes.difference_update(g.incident(v))
         g.remove_vertex(v)
+        for w in around:
+            heappush(heap, w)
         return True
     return False
 
@@ -83,10 +106,15 @@ def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
     return _exhaust(state, _suppress_degree_two_step, once)
 
 
-def _suppress_degree_two_step(inst: EDPInstance, fes: set[int]) -> bool:
+def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
+    """Fire on the smallest qualifying vertex of the heap, as in
+    `_prune_leaf_step`.  A firing changes the incidences of the new edge's
+    endpoints and the bypass test of their common neighbours; all of them go
+    back on the heap."""
     g = inst.graph
-    for v in g.sorted_vertices():
-        if inst.pairs_at(v) or g.degree(v) != 2:
+    while heap:
+        v = heappop(heap)
+        if not g.has_vertex(v) or inst.pairs_at(v) or g.degree(v) != 2:
             continue
         e1, e2 = g.incident(v)
         a, b = g.other_end(e1, v), g.other_end(e2, v)
@@ -99,6 +127,8 @@ def _suppress_degree_two_step(inst: EDPInstance, fes: set[int]) -> bool:
         new_edge = g.add_edge(a, b)
         if was_fes:
             fes.add(new_edge)
+        for w in (a, b, *(g.neighbors(a) & g.neighbors(b))):
+            heappush(heap, w)
         return True
     return False
 
@@ -115,7 +145,7 @@ def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelStat
     return _exhaust(state, _prune_pendant_step, once)
 
 
-def _prune_pendant_step(inst: EDPInstance, fes: set[int]) -> bool | str:
+def _prune_pendant_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool | str:
     g = inst.graph
     anchors = set()
     for eid in fes:
@@ -176,7 +206,7 @@ def remove_matched_leaf_pairs(state: KernelState, once: bool = False) -> KernelS
     return _exhaust(state, _remove_matched_leaf_step, once)
 
 
-def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int]) -> bool:
+def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
     g = inst.graph
     for pid in inst.sorted_pairs():
         a, b = sorted(inst.pair(pid))

@@ -257,3 +257,98 @@ def test_is_forest_sees_parallel_cycle():
     assert g.is_forest()
     g.add_edge(1, 2)
     assert not g.is_forest()
+
+
+def _apply_random_step(rng, inst, vertices, edges, pairs):
+    """One random mutation of `inst`, mirrored in the plain model
+    (`vertices`, `edges`: id -> endpoints, `pairs`: id -> members); fresh
+    ids are checked against "largest current id plus one" as they are
+    handed out.  Returns the instance to continue with."""
+    g = inst.graph
+    op = rng.randrange(10)
+    if op == 0:
+        v = g.fresh_vertex()
+        assert v == max(vertices, default=0) + 1
+        vertices.add(v)
+    elif op == 1:
+        v = rng.randint(1, 30)
+        g.add_vertex(v)
+        vertices.add(v)
+    elif op == 2 and vertices:
+        v = max(vertices) if rng.random() < 0.5 else rng.choice(sorted(vertices))
+        g.remove_vertex(v)
+        vertices.discard(v)
+        for eid in [e for e, ends in edges.items() if v in ends]:
+            del edges[eid]
+        for pid in [p for p, members in pairs.items() if v in members]:
+            inst.remove_pair(pid)
+            del pairs[pid]
+    elif op in (3, 4) and len(vertices) >= 2:
+        u, v = rng.sample(sorted(vertices), 2)
+        if op == 3:
+            eid = g.add_edge(u, v)
+            assert eid == max(edges, default=0) + 1
+        else:
+            eid = rng.choice([x for x in range(1, 41) if x not in edges])
+            g.add_edge(u, v, eid)
+        edges[eid] = (min(u, v), max(u, v))
+    elif op == 5 and edges:
+        eid = max(edges) if rng.random() < 0.5 else rng.choice(sorted(edges))
+        g.remove_edge(eid)
+        del edges[eid]
+    elif op in (6, 7) and len(vertices) >= 2:
+        a, b = rng.sample(sorted(vertices), 2)
+        if op == 6:
+            pid = inst.add_pair(a, b)
+            assert pid == max(pairs, default=0) + 1
+        else:
+            pid = rng.choice([x for x in range(1, 21) if x not in pairs])
+            inst.add_pair(a, b, pid)
+        pairs[pid] = frozenset((a, b))
+    elif op == 8 and pairs:
+        pid = max(pairs) if rng.random() < 0.5 else rng.choice(sorted(pairs))
+        inst.remove_pair(pid)
+        del pairs[pid]
+    elif op == 9:
+        twin = inst.copy()  # the twin's mutations must not reach `inst`
+        twin.graph.fresh_vertex()
+        if pairs:
+            twin.remove_pair(max(pairs))
+        if rng.random() < 0.5:
+            inst = inst.copy()
+    return inst
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_primitives_match_their_definitions_under_random_mutation(seed):
+    rng = random.Random(seed)
+    inst = EDPInstance()
+    vertices: set[int] = set()
+    edges: dict[int, tuple[int, int]] = {}
+    pairs: dict[int, frozenset[int]] = {}
+    for _ in range(300):
+        inst = _apply_random_step(rng, inst, vertices, edges, pairs)
+        g = inst.graph
+        assert g.vertices == vertices and g.edges == edges and inst.pairs == pairs
+        assert inst.terminals() == frozenset().union(*pairs.values())
+        for v in sorted(vertices):
+            assert g.incident(v) == tuple(sorted(e for e, ends in edges.items() if v in ends))
+            assert inst.pairs_at(v) == tuple(pid for pid in sorted(pairs) if v in pairs[pid])
+        probe = inst.copy()
+        assert probe.graph.fresh_vertex() == max(vertices, default=0) + 1
+        if len(vertices) >= 2:
+            a, b = sorted(vertices)[:2]
+            assert probe.graph.add_edge(a, b) == max(edges, default=0) + 1
+            assert probe.add_pair(a, b) == max(pairs, default=0) + 1
+
+
+def test_fresh_edge_id_after_removing_the_largest():
+    g = MultiGraph([1, 2])
+    for _ in range(10):
+        g.add_edge(1, 2)
+    g.remove_edge(10)
+    assert g.add_edge(1, 2) == 10
+    g.remove_edge(10)
+    g.remove_edge(9)
+    g.remove_edge(3)
+    assert g.add_edge(1, 2) == 9

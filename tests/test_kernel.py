@@ -1,7 +1,11 @@
+import hashlib
 import random
+import sys
 
+from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, feedback_edge_set, terminal_normalize
 from edpsolve.kernel import (
+    _RULES,
     KernelState,
     kernelize,
     overloaded_vertex,
@@ -311,3 +315,63 @@ def test_rules_preserve_oracle_individually():
             else:
                 assert brute_force_edp(out.inst, caps=None).feasible == want, f"{name} seed {seed}"
     assert all(n >= 25 for n in fired.values()), fired
+
+
+# sha256 over kernelize's answer, feedback edge set, component reports and
+# kernel instance (every vertex, edge and pair id, pairs in stored order),
+# and over each rule's output with `once` on and off, on the corpus of
+# `_kernel_digest_cases`; any change to a kernel or to a rule's firing order
+# or new ids changes it
+KERNEL_DIGEST = "73e33de5defef5e701b91dfeebc2e964f8184485fa9b33508d3f4c1225c8204c"
+
+
+def _kernel_digest_cases():
+    cases = []
+    for seed in range(40):
+        inst, _ = gen_random_instance(seed, 20 + (seed * 47) % 381, 2 + seed % 7, 1 + seed % 3, "tree-plus")
+        cases += [inst, terminal_normalize(inst)]
+    cases += [terminal_normalize(random_small_instance(seed)) for seed in range(60)]
+    return cases
+
+
+def _instance_key(inst):
+    g = inst.graph
+    return (g.sorted_vertices(), sorted(g.edges.items()), list(inst.pairs.items()))
+
+
+def test_kernel_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for inst in _kernel_digest_cases():
+        res = kernelize(inst)
+        h.update(repr((res.answer, sorted(res.fes_edges), res.components, _instance_key(res.instance))).encode())
+        state = state_of(inst)
+        for rule in _RULES:
+            for once in (True, False):
+                out = rule(state, once=once)
+                key = (out is state, out.answer, sorted(out.fes_edges), _instance_key(out.inst))
+                h.update(repr((rule.__name__, once, key)).encode())
+    assert h.hexdigest() == KERNEL_DIGEST
+
+
+def _python_calls(fn, *args):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_kernelize_python_calls_grow_about_linearly():
+    """Four times the vertices at a fixed feedback edge set cost at most six
+    times the Python calls; a rescan of every vertex per firing costs ~14x."""
+    for seed in (1, 2, 3):
+        small, big = (_python_calls(kernelize, gen_random_instance(seed, n, 6, 2, "tree-plus")[0]) for n in (200, 800))
+        assert big <= 6 * small, (seed, small, big)
