@@ -40,13 +40,6 @@ def _max_below(ids: Collection[int], top: int) -> int:
     return max(ids, default=0)
 
 
-def _insert_sorted(ids: list[int], x: int) -> None:
-    if not ids or ids[-1] < x:
-        ids.append(x)
-    else:
-        insort(ids, x)
-
-
 class MultiGraph:
     """Undirected multigraph with stable integer vertex and edge ids.
 
@@ -95,8 +88,8 @@ class MultiGraph:
         elif eid in self._edges:
             raise StructureError(f"duplicate edge id {eid}")
         self._edges[eid] = (u, v) if u < v else (v, u)
-        _insert_sorted(self._incidence[u], eid)
-        _insert_sorted(self._incidence[v], eid)
+        insort(self._incidence[u], eid)
+        insort(self._incidence[v], eid)
         if eid > self._max_edge:
             self._max_edge = eid
         return eid
@@ -258,7 +251,7 @@ class EDPInstance:
             raise StructureError(f"duplicate pair id {pid}")
         self._pairs[pid] = frozenset((a, b))
         for v in (a, b):
-            _insert_sorted(self._pairs_of.setdefault(v, []), pid)
+            insort(self._pairs_of.setdefault(v, []), pid)
         if pid > self._max_pair:
             self._max_pair = pid
         return pid

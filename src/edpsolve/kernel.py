@@ -79,10 +79,8 @@ def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
 
 
 def _prune_leaf_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
-    """Fire on the smallest qualifying vertex of the heap.  A tested vertex
-    that fails the test can only start to pass once a neighbour is removed,
-    and those neighbours go back on the heap, so the heap holds every
-    qualifying vertex and the firing order is the ascending rescan's."""
+    """Fire on the smallest qualifying vertex popped from the heap; a
+    removal changes only its neighbours' tests, so they go back on it."""
     g = inst.graph
     while heap:
         v = heappop(heap)
@@ -107,10 +105,8 @@ def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
 
 
 def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
-    """Fire on the smallest qualifying vertex of the heap, as in
-    `_prune_leaf_step`.  A firing changes the incidences of the new edge's
-    endpoints and the bypass test of their common neighbours; all of them go
-    back on the heap."""
+    """As `_prune_leaf_step`; a firing changes the tests of the new edge's
+    endpoints and the bypass test of their common neighbours."""
     g = inst.graph
     while heap:
         v = heappop(heap)
