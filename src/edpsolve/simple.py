@@ -45,15 +45,6 @@ class SolutionVector:
     def of(counts: Mapping[HubPair, int]) -> "SolutionVector":
         return SolutionVector(tuple(sorted((k, c) for k, c in counts.items() if c > 0)))
 
-    def __add__(self, other: "SolutionVector") -> "SolutionVector":
-        counts = dict(self.entries)
-        for k, c in other.entries:
-            counts[k] = counts.get(k, 0) + c
-        return SolutionVector.of(counts)
-
-    def within(self, limits: Mapping[HubPair, int]) -> bool:
-        return all(c <= limits.get(k, 0) for k, c in self.entries)
-
 
 # provenance of one routed pair: (pair id, hub vertex sequence, leading
 # satellite edge id or None, trailing satellite edge id or None)
@@ -163,71 +154,54 @@ def preprocess_simple(inst: EDPInstance, hub: Iterable[int]) -> SimpleInstance:
 # -- hub path enumeration --------------------------------------------------
 
 
-def _skeleton(si: SimpleInstance) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {a: [] for a in si.hub}
-    for (u, v), c in sorted(si.multiplicity.items()):
-        if c > 0:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
-
-
-def _hub_paths(si: SimpleInstance, u: int, v: int, _cache: dict | None = None) -> dict[SolutionVector, tuple[int, ...]]:
-    """All simple u-v paths in the hub skeleton as vector -> vertex sequence.
-
-    u == v yields the empty path: routes that enter and leave the hub at the
-    same vertex use no hub-hub edge at all.
-    """
-    if _cache is not None and (u, v) in _cache:
-        return _cache[(u, v)]
-    if u == v:
-        out = {SolutionVector.zero(): (u,)}
-    else:
-        adj = _skeleton(si)
-        out = {}
-        stack = [(u, (u,))]
-        # iterative DFS over simple paths
-        while stack:
-            x, path = stack.pop()
-            if x == v:
-                counts: dict[HubPair, int] = {}
-                for a, b in zip(path, path[1:]):
-                    counts[_key(a, b)] = 1
-                vec = SolutionVector.of(counts)
-                if vec not in out:
-                    out[vec] = path
-                continue
-            for y in sorted(adj[x], reverse=True):
-                if y not in path:
-                    stack.append((y, path + (y,)))
-        out = dict(sorted(out.items(), key=lambda kv: kv[0].entries))
-    if _cache is not None:
-        _cache[(u, v)] = out
-    return out
-
-
 def enumerate_hub_paths(si: SimpleInstance, u: int, v: int) -> frozenset[SolutionVector]:
     """One 0/1 vector per simple u-v path in the hub skeleton."""
     if u == v:
         raise ValueError("endpoints must be distinct")
     if u not in si.hub or v not in si.hub:
         raise ValueError("endpoints must be hub vertices")
-    return frozenset(_hub_paths(si, u, v))
+    dp = _DP(si, prune=True)
+    return frozenset(map(dp.vector, dp.paths(u, v)))
 
 
 # -- the solver -------------------------------------------------------------
 
-Table = dict  # SolutionVector -> tuple[RouteRec, ...]
+Table = dict  # packed vector -> tuple[RouteRec, ...]
 
 
 class _DP:
+    """The vector tables of one solve.
+
+    A vector is packed into one integer with a bit field per hub pair of the
+    skeleton, the smallest pair in the top field, so that adding vectors is
+    adding integers.  A table vector routes each pair at most once over each
+    hub pair, so its counts are at most the number of pairs; a field holds
+    twice that and any multiplicity, and has a guard bit on top.  In
+    `ceiling - s`, where `ceiling` holds the limits with every guard bit set,
+    a field keeps its guard bit exactly when its count in `s` is within its
+    limit.
+    """
+
     def __init__(self, si: SimpleInstance, prune: bool):
-        self.si = si
-        self.limits = dict(si.multiplicity) if prune else None
-        self.cache: dict = {}
+        self.cache: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         self.num_pairs = len(si.inst.pairs)
         self.size_bound = (self.num_pairs + 1) ** math.comb(si.k, 2)
         self.max_seen = 0
+        dims = sorted(k for k, c in si.multiplicity.items() if c > 0)
+        self.bits = max([2 * self.num_pairs, *si.multiplicity.values()]).bit_length()
+        self.shift = {k: (len(dims) - 1 - i) * (self.bits + 1) for i, k in enumerate(dims)}
+        self.units = sum(1 << sh for sh in self.shift.values())
+        self.guards = self.units << self.bits
+        self.limit = self.guards + sum(si.multiplicity[k] << sh for k, sh in self.shift.items())
+        # without pruning every field is at its largest count
+        self.ceiling = self.limit if prune else 2 * self.guards - self.units
+        # the hub skeleton: neighbour and the bit of the pair's field, neighbours ascending
+        self.adj: dict[int, list[tuple[int, int]]] = {a: [] for a in si.hub}
+        for (a, b), sh in self.shift.items():
+            self.adj[a].append((b, 1 << sh))
+            self.adj[b].append((a, 1 << sh))
+        for ns in self.adj.values():
+            ns.sort()
 
     def check(self, table: Table) -> Table:
         self.max_seen = max(self.max_seen, len(table))
@@ -235,18 +209,76 @@ class _DP:
             raise RuntimeError("vector set exceeds its size bound")
         return table
 
-    def paths(self, u: int, v: int) -> dict[SolutionVector, tuple[int, ...]]:
-        return _hub_paths(self.si, u, v, self.cache)
+    def pack(self, vec: SolutionVector) -> int:
+        if any(k not in self.shift or not 0 < c <= self.num_pairs for k, c in vec.entries):
+            raise ValueError(f"vector {vec.entries} does not fit the hub skeleton and pair count")
+        return sum(c << self.shift[k] for k, c in vec.entries)
+
+    def vector(self, s: int) -> SolutionVector:
+        mask = (1 << self.bits) - 1
+        return SolutionVector(tuple((k, c) for k, sh in self.shift.items() if (c := s >> sh & mask)))
+
+    def order(self, s: int) -> int:
+        """A key that sorts packed vectors as their entries sort.
+
+        Entries compare pair by pair, so a missing hub pair sorts after
+        every count unless no pair follows it.  The key sets the guard bit,
+        which outranks every count, of each empty field above the lowest
+        filled one.
+        """
+        filled = (s + self.guards - self.units) & self.guards
+        return s | (self.guards ^ filled) & -((filled & -filled) << 1)
+
+    def within_limits(self, s: int) -> bool:
+        return (self.limit - s) & self.guards == self.guards
+
+    def paths(self, u: int, v: int) -> dict[int, tuple[int, ...]]:
+        """Vector -> vertex sequence of the first simple u-v path in the hub
+        skeleton with that vector, depth first with neighbours ascending.
+        u == v yields the empty path: routes that enter and leave the hub at
+        the same vertex use no hub-hub edge."""
+        if (u, v) in self.cache:
+            return self.cache[u, v]
+        out: dict[int, tuple[int, ...]] = {}
+        if u == v:
+            out[0] = (u,)
+        else:
+            path, vecs, on_path = [u], [0], {u}
+            stack = [iter(self.adj[u])]
+            while stack:
+                for y, bit in stack[-1]:
+                    if y in on_path:
+                        continue
+                    if y == v:
+                        out.setdefault(vecs[-1] + bit, (*path, v))
+                        continue
+                    path.append(y)
+                    vecs.append(vecs[-1] + bit)
+                    on_path.add(y)
+                    stack.append(iter(self.adj[y]))
+                    break
+                else:
+                    stack.pop()
+                    vecs.pop()
+                    on_path.discard(path.pop())
+        self.cache[u, v] = out
+        return out
 
     def merge(self, table: Table, options: Table) -> Table:
+        """Every sum of a `table` vector and an `options` vector within the
+        ceiling, with the provenance of the first pair, in vector order,
+        that gives it."""
+        rows = sorted(table.items(), key=lambda kv: self.order(kv[0]))
+        cols = sorted(options.items(), key=lambda kv: self.order(kv[0]))
+        ceiling, guards = self.ceiling, self.guards
         out: Table = {}
-        for vec, prov in sorted(table.items(), key=lambda kv: kv[0].entries):
-            for vec2, prov2 in sorted(options.items(), key=lambda kv: kv[0].entries):
-                s = vec + vec2
-                if self.limits is not None and not s.within(self.limits):
-                    continue
-                if s not in out:
-                    out[s] = prov + prov2
+        for a, prov in rows:
+            room = ceiling - a
+            for b, prov2 in cols:
+                if (room - b) & guards == guards:
+                    s = a + b
+                    if s not in out:
+                        out[s] = prov + prov2
         return self.check(out)
 
     def route_options(self, pid: int, u: int, v: int, lead: int | None, tail: int | None) -> Table:
@@ -301,7 +333,7 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
             sat, hubv = (b, a) if in_hub[0] else (a, b)
             hub_attach[sat].append((pid, hubv))
 
-    acc: Table = {SolutionVector.zero(): ()}
+    acc: Table = {0: ()}
 
     for pid, a, b in hub_pairs:  # pairs inside the hub, one at a time
         acc = dp.merge(acc, dp.route_options(pid, a, b, None, None))
@@ -320,12 +352,12 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
             return SimpleResult(False, max_set_size=dp.max_seen)
 
     if not prune:
-        acc = {vec: prov for vec, prov in acc.items() if vec.within(si.multiplicity)}
+        acc = {vec: prov for vec, prov in acc.items() if dp.within_limits(vec)}
     if not acc:
         return SimpleResult(False, max_set_size=dp.max_seen)
-    vec = min(acc, key=lambda v: v.entries)
+    vec = min(acc, key=dp.order)
     records = acc[vec]
-    return SimpleResult(True, vec, _expand_witness(si, records), records, dp.max_seen)
+    return SimpleResult(True, dp.vector(vec), _expand_witness(si, records), records, dp.max_seen)
 
 
 def _terminal_components(si, sat_adj):

@@ -121,7 +121,8 @@ def combine(xs, ys, prune=False):
     for a, b in ((1, 2), (1, 3), (2, 3)):
         inst.add_pair(a, b)
     dp = _DP(si_of(inst, [1, 2, 3]), prune)
-    return frozenset(dp.merge({x: () for x in xs}, {y: () for y in ys}))
+    out = dp.merge({dp.pack(x): () for x in xs}, {dp.pack(y): () for y in ys})
+    return frozenset(dp.vector(s) for s in out)
 
 
 def test_combine_identity_and_sum():
@@ -150,6 +151,51 @@ def test_combine_commutes(seed):
 
     xs, ys = rand_set(), rand_set()
     assert combine(xs, ys) == combine(ys, xs)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_packed_vectors_sort_and_merge_as_their_entries(seed):
+    """Packed vectors round-trip, sort as their entries sort, and `merge`
+    keeps every sum within the limits with the provenance of the first pair
+    in entry order, as written out here over count dicts."""
+    rng = random.Random(seed)
+    keys = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+    mult = {k: rng.randint(1, 3) for k in rng.sample(keys, rng.randint(1, len(keys)))}
+    g = MultiGraph([1, 2, 3, 4])
+    for (u, v), c in mult.items():
+        for _ in range(c):
+            g.add_edge(u, v)
+    inst = EDPInstance(g)
+    num_pairs = 4
+    for a, b in keys[:num_pairs]:
+        inst.add_pair(a, b)
+    prune = rng.random() < 0.7
+    dp = _DP(si_of(inst, [1, 2, 3, 4]), prune)
+
+    def rand_table(tag):
+        vecs = {
+            SolutionVector.of({k: rng.randint(1, num_pairs) for k in rng.sample(sorted(mult), rng.randint(0, len(mult)))})
+            for _ in range(rng.randint(1, 8))
+        }
+        return {vec: ((tag, i),) for i, vec in enumerate(sorted(vecs, key=lambda v: rng.random()))}
+
+    xs, ys = rand_table("x"), rand_table("y")
+    vecs = list(xs) + list(ys)
+    assert [dp.vector(dp.pack(v)) for v in vecs] == vecs
+    assert sorted(vecs, key=lambda v: dp.order(dp.pack(v))) == sorted(vecs, key=lambda v: v.entries)
+    want = {}
+    for x, px in sorted(xs.items(), key=lambda kv: kv[0].entries):
+        for y, py in sorted(ys.items(), key=lambda kv: kv[0].entries):
+            counts = dict(x.entries)
+            for k, c in y.entries:
+                counts[k] = counts.get(k, 0) + c
+            if prune and any(c > mult[k] for k, c in counts.items()):
+                continue
+            want.setdefault(SolutionVector.of(counts), px + py)
+    got = dp.merge({dp.pack(x): p for x, p in xs.items()}, {dp.pack(y): p for y, p in ys.items()})
+    assert {dp.vector(s): p for s, p in got.items()} == want
+    assert all(dp.within_limits(s) == all(c <= mult[k] for k, c in dp.vector(s).entries) for s in got)
 
 
 def test_solve_two_route_satellite_pair():
