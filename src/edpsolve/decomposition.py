@@ -7,7 +7,8 @@ graph's vertices into bags (empty bags allowed).  The root bag is kept empty;
 that violates this, which leaves the width unchanged.
 
 Every per-node fact comes from `node_views`, one bottom-up pass over all
-nodes; the width check, the niceness check and the treecut DP read its map.
+nodes; the width report, the niceness report and the treecut DP read its
+map, so a treecut solve builds it once.
 """
 
 from __future__ import annotations
@@ -220,9 +221,9 @@ class WidthReport:
     width: int
 
 
-def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthReport:
-    """Validate the near-partition and the empty root bag, then report
-    per-node (torso size, adhesion) and the overall width."""
+def partition_errors(inst: EDPInstance, dec: TreecutDecomposition) -> tuple[str, ...]:
+    """What keeps the bags from being a near-partition of the vertices with
+    an empty root bag; empty when they are."""
     errors = []
     seen: set[int] = set()
     for t in dec.nodes():
@@ -239,12 +240,24 @@ def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthR
         errors.append(f"vertices {sorted(missing)} appear in no bag")
     if dec.bag(dec.root):
         errors.append(f"root bag must be empty, has {sorted(dec.bag(dec.root))}")
-    if errors:
-        return WidthReport(False, tuple(errors), {}, -1)
-    views = node_views(inst, dec)
+    return tuple(errors)
+
+
+def width_report(inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews]) -> WidthReport:
+    """Per-node (torso size, adhesion) and the width of a decomposition that
+    has no `partition_errors`, read from its `node_views` map."""
     per_node = {t: (torso_size(inst, dec, views, t), views[t].adhesion) for t in dec.nodes()}
     width = max((max(tor, adh) for tor, adh in per_node.values()), default=0)
     return WidthReport(True, (), per_node, width)
+
+
+def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthReport:
+    """Validate the near-partition and the empty root bag, then report
+    per-node (torso size, adhesion) and the overall width."""
+    errors = partition_errors(inst, dec)
+    if errors:
+        return WidthReport(False, errors, {}, -1)
+    return width_report(inst, dec, node_views(inst, dec))
 
 
 @dataclass(frozen=True)
@@ -255,12 +268,10 @@ class NicenessReport:
     absorbable_children: Mapping[int, tuple[int, ...]]  # node -> thin children inside the bag
 
 
-def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
+def niceness_report(dec: TreecutDecomposition, views: Mapping[int, NodeViews]) -> NicenessReport:
     """Check that every thin node's subtree neighborhood avoids all sibling
-    subtrees, and classify each node's children for the dynamic program.
-    The bags must be a near-partition of the vertices (see
-    `verify_decomposition`)."""
-    views = node_views(inst, dec)
+    subtrees, and classify each node's children for the dynamic program,
+    from the decomposition's `node_views` map."""
     offending = []
     for t in dec.nodes():
         p = dec.parent(t)
@@ -275,6 +286,12 @@ def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
         absorbable[t] = tuple(c for c in children if views[c].absorbable)
         bold_like[t] = tuple(c for c in children if not views[c].absorbable)
     return NicenessReport(not offending, tuple(offending), bold_like, absorbable)
+
+
+def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
+    """`niceness_report` on the decomposition's views.  The bags must be a
+    near-partition of the vertices (see `verify_decomposition`)."""
+    return niceness_report(dec, node_views(inst, dec))
 
 
 # -- text format -----------------------------------------------------------

@@ -10,13 +10,24 @@ children's valid records (none at a leaf), replace each child subtree by a
 small degree-<=2 representative, and feed the residue to the hub/satellite
 solver.  Per-node data (subtree, cut, straddling pairs, which children are
 absorbable) is read from the `node_views` map, computed once per solve.
+
+The step works on the node's local instance (`_local_instance`), built once
+per node: the bag, every edge at the bag, the node's and the children's cut
+edges, and the pairs at the bag or straddling the node or a child, with each
+subtree cut down to those vertices.  This is exact: the rest of a child's
+subtree is never read before that child's simplification deletes it, so
+every residue equals the whole-subtree one up to the ids of its stubs, and
+those keep their relative order.  A node then costs time in its bag and its
+cuts, not in the size of its subtree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Mapping
 
 from .decomposition import (
@@ -24,11 +35,12 @@ from .decomposition import (
     NodeViews,
     TreecutDecomposition,
     _straddling,
+    niceness_report,
     node_views,
-    verify_decomposition,
-    verify_nice,
+    partition_errors,
+    width_report,
 )
-from .graphs import EDPInstance, StructureError, induced_instance
+from .graphs import EDPInstance, MultiGraph, StructureError, induced_instance
 from .simple import preprocess_simple, solve_simple_edp
 
 INTERNAL = "internal"
@@ -78,23 +90,41 @@ def _perfect_matchings(items: tuple[int, ...]):
             yield ((first, partner),) + rest_match
 
 
-def enumerate_records(view: NodeViews) -> list[Record]:
-    """All structurally well-formed records for the node, in a fixed order:
-    one leaving edge per straddling pair."""
-    cut, u_pids = view.cut, tuple(view.straddling)
-    out: list[Record] = []
-    for assignment in itertools.product((INTERNAL, LEAVING, FOREIGN, UNUSED), repeat=len(cut)):
-        internal = tuple(e for e, c in zip(cut, assignment) if c == INTERNAL)
-        foreign = tuple(e for e, c in zip(cut, assignment) if c == FOREIGN)
-        leaving = tuple(e for e, c in zip(cut, assignment) if c == LEAVING)
-        if len(internal) % 2 or len(foreign) % 2 or len(leaving) != len(u_pids):
+@functools.cache
+def _record_templates(adhesion: int, straddlers: int) -> tuple[tuple, ...]:
+    """The records of a node with `adhesion` cut edges and `straddlers`
+    straddling pairs in `enumerate_records` order, each as (classes,
+    internal matching, foreign matching, leaving edge per pair) with cut
+    edges given by their position in the cut."""
+    out = []
+    for assignment in itertools.product((INTERNAL, LEAVING, FOREIGN, UNUSED), repeat=adhesion):
+        internal = tuple(i for i, c in enumerate(assignment) if c == INTERNAL)
+        foreign = tuple(i for i, c in enumerate(assignment) if c == FOREIGN)
+        leaving = tuple(i for i, c in enumerate(assignment) if c == LEAVING)
+        if len(internal) % 2 or len(foreign) % 2 or len(leaving) != straddlers:
             continue
-        classes = tuple(zip(cut, assignment))
         for imatch in _perfect_matchings(internal):
             for fmatch in _perfect_matchings(foreign):
                 for perm in itertools.permutations(leaving):
-                    out.append(Record(classes, imatch, fmatch, tuple(zip(u_pids, perm))))
-    return out
+                    out.append((assignment, imatch, fmatch, perm))
+    return tuple(out)
+
+
+def enumerate_records(view: NodeViews) -> list[Record]:
+    """All structurally well-formed records for the node, in a fixed order:
+    one leaving edge per straddling pair.  The order is that of the class
+    assignments in `itertools.product` order, then the internal matchings,
+    the foreign matchings and the leaving-edge permutations."""
+    cut, u_pids = view.cut, tuple(view.straddling)
+    return [
+        Record(
+            tuple(zip(cut, classes)),
+            tuple((cut[a], cut[b]) for a, b in imatch),
+            tuple((cut[a], cut[b]) for a, b in fmatch),
+            tuple(zip(u_pids, (cut[i] for i in perm))),
+        )
+        for classes, imatch, fmatch, perm in _record_templates(len(cut), len(u_pids))
+    ]
 
 
 def build_record_instance(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
@@ -227,38 +257,47 @@ def reduce_degree_two_edges(inst: EDPInstance, once: bool = False) -> tuple[EDPI
     terminals is deleted; anything else rejects.
     """
     out = inst.copy()
+    g = out.graph
+    # Degrees never grow, so an edge turns thin (both ends of degree <= 2)
+    # only when a degree at its ends drops.  The heap holds every edge not
+    # yet popped and found thick, and a firing pushes back the edges at the
+    # vertices whose degree dropped, so each firing takes the smallest thin
+    # edge, as an ascending rescan would.
+    heap = g.sorted_edges()
     rejected = False
-    while True:
-        g = out.graph
-        target = None
-        for eid in g.sorted_edges():
-            u, v = g.endpoints(eid)
-            if g.degree(u) <= 2 and g.degree(v) <= 2:
-                target = eid
-                break
-        if target is None:
-            break
+    while heap:
+        target = heappop(heap)
+        if not g.has_edge(target):
+            continue
         u, v = g.endpoints(target)
+        if g.degree(u) > 2 or g.degree(v) > 2:
+            continue
         pairs_u, pairs_v = out.pairs_at(u), out.pairs_at(v)
-        direct = [pid for pid in out.sorted_pairs() if out.pair(pid) == frozenset((u, v))]
+        direct = [pid for pid in pairs_u if out.pair(pid) == frozenset((u, v))]
         if not pairs_u or not pairs_v:
             drop, keep = (u, v) if not pairs_u else (v, u)
-            for e in list(g.incident(drop)):
+            for e in g.incident(drop):
                 w = g.other_end(e, drop)
                 g.remove_edge(e)
                 if w != keep:
                     g.add_edge(keep, w, e)
             g.remove_vertex(drop)
+            touched: tuple[int, ...] = (keep,)
         elif direct:
             out.remove_pair(direct[0])
             g.remove_edge(target)
+            touched = (u, v)
         elif len(pairs_u) == 1 and len(pairs_v) == 1:
             g.remove_edge(target)
+            touched = (u, v)
         else:
             rejected = True
             break
         if once:
             break
+        for x in touched:
+            for e in g.incident(x):
+                heappush(heap, e)
     return out, rejected
 
 
@@ -365,6 +404,25 @@ def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable)
 # -- the dynamic step and full solve -----------------------------------------
 
 
+def _local_instance(
+    inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], node: int
+) -> tuple[EDPInstance, dict[int, NodeViews]]:
+    """What the node's record tests read of `inst`: the bag, every edge at
+    the bag, the node's and its children's cut edges, and every pair at the
+    bag or straddling the node or a child; ids are preserved.  Returns it
+    with the views of the node and its children, their subtrees cut down to
+    its vertices."""
+    g = inst.graph
+    bag = dec.bag(node)
+    kids = [views[c] for c in dec.children(node)]
+    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(k.cut for k in kids))
+    pids = {p for v in bag for p in inst.pairs_at(v)}.union(views[node].straddling, *(k.straddling for k in kids))
+    vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
+    local = EDPInstance(MultiGraph(vertices, {e: g.endpoints(e) for e in edges}), {p: inst.pair(p) for p in pids})
+    local_views = {k.node: replace(k, subtree=k.subtree & vertices) for k in (views[node], *kids)}
+    return local, local_views
+
+
 def dynamic_step(
     inst: EDPInstance,
     dec: TreecutDecomposition,
@@ -378,6 +436,7 @@ def dynamic_step(
     record-sets, simplify those subtrees, replace the absorbable thin
     children, clean up degree-two chains, and ask the hub/satellite solver
     whether the residue routes.  A leaf has no children to branch over.
+    Every residue is built from the node's local instance.
     """
     children = sorted(dec.children(node))
     absorbable = [c for c in children if views[c].absorbable]
@@ -387,20 +446,21 @@ def dynamic_step(
     candidates = enumerate_records(views[node])
     if any(not tables[c].records for c in record_children):
         return RecordTable(node, ())
+    local, lviews = _local_instance(inst, dec, views, node)
     valid = []
     for rec in candidates:
-        base = build_record_instance(inst, views[node], rec)
+        base = build_record_instance(local, lviews[node], rec)
         found = False
         for combo in itertools.product(*(tables[c].records for c in record_children)):
             cur: EDPInstance | None = base
             for c, crec in zip(record_children, combo):
-                cur = _simplify_in(cur, views[c].subtree, views[c].cut, crec)
+                cur = _simplify_in(cur, lviews[c].subtree, lviews[c].cut, crec)
                 if cur is None:
                     break
             if cur is None:
                 continue
             for b in absorbable:
-                cur = _replace_thin_in(cur, views[b].subtree, views[b].cut, tables[b])
+                cur = _replace_thin_in(cur, lviews[b].subtree, lviews[b].cut, tables[b])
                 if cur is None:
                     break
             if cur is None:
@@ -433,10 +493,12 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
     record.  The decomposition must be valid and nice (this artifact checks
     decompositions, it does not repair them)."""
     dec = dec.ensure_empty_root()
-    wrep = verify_decomposition(inst, dec)
-    if not wrep.valid:
-        raise DecompositionError("invalid decomposition: " + "; ".join(wrep.errors))
-    nrep = verify_nice(inst, dec)
+    errors = partition_errors(inst, dec)
+    if errors:
+        raise DecompositionError("invalid decomposition: " + "; ".join(errors))
+    views = node_views(inst, dec)
+    wrep = width_report(inst, dec, views)
+    nrep = niceness_report(dec, views)
     if not nrep.nice:
         raise DecompositionError(
             f"decomposition is not nice (offending thin nodes {list(nrep.offending)}); "
@@ -446,7 +508,6 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
         if len(children) > 2 * wrep.width + 1:
             raise RuntimeError(f"node {t} keeps too many record children")
     bound = record_count_bound(wrep.width)
-    views = node_views(inst, dec)
     tables: dict[int, RecordTable] = {}
     for t in dec.postorder():
         tables[t] = dynamic_step(inst, dec, views, t, tables)

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from edpsolve.decomposition import (
     DecompositionError,
+    NodeViews,
     TreecutDecomposition,
     chain_decomposition,
     node_views,
@@ -22,6 +24,7 @@ from edpsolve.treecut_dp import (
     INTERNAL,
     LEAVING,
     UNUSED,
+    Record,
     build_record_instance,
     dynamic_step,
     enumerate_records,
@@ -104,6 +107,52 @@ def test_record_count_bound_across_nodes():
         width = verify_decomposition(inst, dec).width
         for view in node_views(inst, dec).values():
             assert len(enumerate_records(view)) <= record_count_bound(width)
+
+
+def _product_records(view):
+    """The record enumeration as one loop over `itertools.product`, the
+    reference for `enumerate_records`' cached templates."""
+    cut, u_pids = view.cut, tuple(view.straddling)
+
+    def matchings(items):
+        if not items:
+            yield ()
+            return
+        for i in range(1, len(items)):
+            rest = items[1:i] + items[i + 1 :]
+            for m in matchings(rest):
+                yield ((items[0], items[i]),) + m
+
+    out = []
+    for assignment in itertools.product((INTERNAL, LEAVING, FOREIGN, UNUSED), repeat=len(cut)):
+        internal = tuple(e for e, c in zip(cut, assignment) if c == INTERNAL)
+        foreign = tuple(e for e, c in zip(cut, assignment) if c == FOREIGN)
+        leaving = tuple(e for e, c in zip(cut, assignment) if c == LEAVING)
+        if len(internal) % 2 or len(foreign) % 2 or len(leaving) != len(u_pids):
+            continue
+        classes = tuple(zip(cut, assignment))
+        for imatch in matchings(internal):
+            for fmatch in matchings(foreign):
+                for perm in itertools.permutations(leaving):
+                    out.append(Record(classes, imatch, fmatch, tuple(zip(u_pids, perm))))
+    return out
+
+
+def test_enumerate_records_matches_product_reference():
+    edge_ids, pair_ids = (3, 7, 8, 12), (2, 5, 9)
+    for adhesion in range(5):
+        for straddlers in range(4):
+            view = NodeViews(
+                node=1,
+                subtree=frozenset({1}),
+                cut=edge_ids[:adhesion],
+                adhesion=adhesion,
+                outside=frozenset(),
+                thin=False,
+                straddling={pid: (1, 2) for pid in pair_ids[:straddlers]},
+                absorbable=False,
+            )
+            assert enumerate_records(view) == _product_records(view), (adhesion, straddlers)
 
 
 def test_build_record_instance_empty_record_at_root():
@@ -352,6 +401,40 @@ def test_degree_two_preserves_oracle_on_random_instances():
         got = False if rejected else brute_force_edp(out, caps=None).feasible
         assert want == got, f"seed {seed}"
     assert fired >= 100
+
+
+# sha256 over `reduce_degree_two_edges` on the inputs of `_degree_two_inputs`,
+# with every id of the output and the rejected flag; a change in the order
+# in which the rule fires changes it
+DEGREE_TWO_DIGEST = "18402affadc9a4c40798ffb9dffb57f3914dd20c043a69153f6c319b77c857ca"
+
+
+def _degree_two_inputs():
+    for seed in range(300):
+        yield random_small_instance(seed, max_n=9, max_extra=4, max_pairs=4)
+    for inst, dec in _digest_cases():
+        dec = dec.ensure_empty_root()
+        if not verify_decomposition(inst, dec).valid or not verify_nice(inst, dec).nice:
+            continue
+        views = node_views(inst, dec)
+        for t in dec.postorder():
+            for rec in enumerate_records(views[t]):
+                yield build_record_instance(inst, views[t], rec)
+
+
+def test_degree_two_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for inst in _degree_two_inputs():
+        for once in (True, False):
+            out, rejected = reduce_degree_two_edges(inst, once)
+            g = out.graph
+            key = (
+                g.sorted_vertices(),
+                [(e, g.endpoints(e)) for e in g.sorted_edges()],
+                [(p, sorted(out.pair(p))) for p in out.sorted_pairs()],
+            )
+            h.update(repr((once, rejected, key)).encode())
+    assert h.hexdigest() == DEGREE_TWO_DIGEST
 
 
 # -- thin-subtree replacement -------------------------------------------------
@@ -605,7 +688,7 @@ def test_solve_treecut_never_calls_the_oracle(monkeypatch):
 
 
 
-def test_solve_treecut_derives_node_views_at_most_three_times(monkeypatch):
+def test_solve_treecut_derives_node_views_once(monkeypatch):
     from edpsolve import decomposition, treecut_dp
 
     calls = []
@@ -623,7 +706,27 @@ def test_solve_treecut_derives_node_views_at_most_three_times(monkeypatch):
         calls.clear()
         solve_treecut(inst, dec)
         per_solve.append(len(calls))
-    assert per_solve[0] == per_solve[1] <= 3, per_solve
+    assert per_solve == [1, 1], per_solve
+
+
+def test_solve_treecut_builds_node_local_instances(monkeypatch):
+    # every residue comes from a node's local instance, so the largest
+    # instance restricted during a solve does not grow with n
+    from edpsolve import treecut_dp
+
+    largest = []
+    real = treecut_dp.induced_instance
+
+    def spying(inst, subset):
+        largest[-1] = max(largest[-1], inst.graph.num_vertices())
+        return real(inst, subset)
+
+    monkeypatch.setattr(treecut_dp, "induced_instance", spying)
+    for n in (50, 200, 800):
+        inst, dec = gen_random_instance(1, n, n // 8, 2, profile="bounded-tcw")
+        largest.append(0)
+        solve_treecut(inst, dec)
+    assert all(0 < size <= 20 for size in largest), largest
 
 
 # sha256 over the outputs below on the corpus of `_digest_cases`; a change to
