@@ -200,11 +200,9 @@ class MultiGraph:
         return comps
 
     def is_forest(self) -> bool:
-        # parallel edges count as cycles, so compare edge and vertex counts
-        return all(
-            sum(1 for e in self._edges.values() if e[0] in comp) == len(comp) - 1
-            for comp in self.connected_components()
-        )
+        # a forest has one edge fewer than vertices per component; a
+        # parallel edge counts as a cycle
+        return len(self._edges) == len(self._vertices) - len(self.connected_components())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):

@@ -383,38 +383,21 @@ def _terminal_components(si, sat_adj):
     return comps
 
 
-def _walk_path(comp_verts, sat_adj):
-    """Order a path component's vertices and the pair ids between them."""
-    if len(comp_verts) == 1:
-        return [next(iter(comp_verts))], []
-    ends = sorted(v for v in comp_verts if len(sat_adj[v]) == 1)
-    start = ends[0]
-    verts = [start]
-    pids = []
-    prev_pid = None
+def _walk(comp_verts, sat_adj):
+    """Order a chain component's vertices and the pair ids between them,
+    from its smallest end or from a cycle's smallest vertex, always along
+    the smallest pair not just taken.  A cycle's walk stops back at its
+    start, so its last pair closes the cycle."""
+    start = min([v for v in comp_verts if len(sat_adj[v]) < 2] or comp_verts)
+    verts, pids = [start], []
     while True:
-        options = [(pid, w) for pid, w in sat_adj[verts[-1]] if pid != prev_pid]
+        options = [(pid, w) for pid, w in sat_adj[verts[-1]] if not pids or pid != pids[-1]]
         if not options:
-            break
-        pid, w = min(options)
-        pids.append(pid)
-        verts.append(w)
-        prev_pid = pid
-    return verts, pids
-
-
-def _walk_cycle(comp_verts, sat_adj):
-    start = min(comp_verts)
-    first_pid, second = min(sat_adj[start])
-    verts = [start, second]
-    pids = [first_pid]
-    while True:
-        options = [(pid, w) for pid, w in sat_adj[verts[-1]] if pid != pids[-1]]
-        pid, w = min(options)
-        if w == start and len(verts) == len(comp_verts):
-            pids.append(pid)
             return verts, pids
+        pid, w = min(options)
         pids.append(pid)
+        if w == start:
+            return verts, pids
         verts.append(w)
 
 
@@ -451,7 +434,7 @@ def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
     for v in comp_verts:
         if g.degree(v) != 2:
             raise StructureError(f"cycle satellite {v} must have degree exactly 2")
-    verts, pids = _walk_cycle(comp_verts, sat_adj)
+    verts, pids = _walk(comp_verts, sat_adj)
     # the last pair closes the cycle through the first vertex's other edge
     out: Table = {}
     for (e1, ecur), table in sorted(_chain_states(si, dp, verts, pids, other_edge, hub_end).items()):
@@ -465,7 +448,7 @@ def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
 
 
 def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
-    verts, pids = _walk_path(comp_verts, sat_adj)
+    verts, pids = _walk(comp_verts, sat_adj)
     if len(verts) == 1:
         return _lone_satellite_table(si, dp, verts[0], hub_attach, hub_end)
     # pairs attaching a path endpoint to the hub use the endpoint's other edge

@@ -11,6 +11,17 @@ small degree-<=2 representative, and feed the residue to the hub/satellite
 solver.  Per-node data (subtree, cut, straddling pairs, which children are
 absorbable) is read from the `node_views` map, computed once per solve.
 
+A thin child (at most two cut edges) whose outside lies in the bag is not
+branched over: its record table picks one gadget.  A straddling pair takes
+a cut edge of its own, and two edges leave no room for a matching next to
+it, so with straddling pairs every record only routes them out, and one
+stub on every cut edge carries them all when several records do.  Else the
+single record asking least of the outside is laid like a record child's:
+foreign (a pass-through the outside may use or not), then unused, then
+internal (the outside must route one extra pair).  A valid foreign record
+implies a valid unused one, so each choice offers the outside every route
+the next one does.
+
 The step works on the node's local instance (`_local_instance`), built once
 per node: the bag, every edge at the bag, the node's and the children's cut
 edges, and the pairs at the bag or straddling the node or a child, with each
@@ -307,91 +318,31 @@ def _replace_thin_in(
     cut_ids: tuple[int, ...],
     table: RecordTable,
 ) -> EDPInstance | None:
-    """Swap a thin subtree for at most two degree-<=2 stub vertices chosen by
-    its record table; None means no record fits, i.e. a NO verdict."""
+    """Swap a thin subtree for the degree-<=2 stubs its record table asks
+    for; None means no record fits, i.e. a NO verdict.
+
+    With straddling pairs every record only routes them out (see the module
+    docstring).  When several records do, one stub on every cut edge
+    carries all the straddling pairs and leaves the exit to the outside.
+    Otherwise one record is laid by `_simplify_in`, in the order foreign,
+    unused, internal: each offers the outside every route the next one
+    does.
+    """
     g = cur.graph
     for e in cut_ids:
         if not g.has_edge(e):
             raise StructureError(f"cut edge {e} vanished before thin replacement")
+    if not table.records:
+        return None
     straddle = _straddling(cur, sub)
-    u_pids = tuple(straddle)
-    keep = g.vertices - sub
-    recs = set(table.records)
-
-    def delta(*classes: str) -> tuple[tuple[int, str], ...]:
-        return tuple(zip(cut_ids, classes))
-
-    outside = {e: (set(g.endpoints(e)) - sub).pop() for e in cut_ids}
-
-    if len(cut_ids) == 0:
-        if not u_pids and EMPTY_RECORD in recs:
-            return _restrict(cur, keep)[0]
-        return None
-
-    if len(cut_ids) == 1:
-        (e,) = cut_ids
-        if len(u_pids) == 1:
-            pid = u_pids[0]
-            if Record(delta(LEAVING), (), (), ((pid, e),)) in recs:
-                out, stub = _restrict(cur, keep)
-                out.add_pair(stub((e, outside[e])), straddle[pid][1], pid)
-                return out
-            return None
-        if not u_pids:
-            if Record(delta(UNUSED), (), (), ()) in recs:
-                return _restrict(cur, keep)[0]
-            return None
-        return None
-
-    if len(cut_ids) == 2:
-        e1, e2 = cut_ids
-        if not u_pids:
-            if Record(delta(FOREIGN, FOREIGN), (), ((e1, e2),), ()) in recs:
-                out, stub = _restrict(cur, keep)
-                stub((e1, outside[e1]), (e2, outside[e2]))
-                return out
-            if Record(delta(UNUSED, UNUSED), (), (), ()) in recs:
-                return _restrict(cur, keep)[0]
-            if Record(delta(INTERNAL, INTERNAL), ((e1, e2),), (), ()) in recs:
-                out, stub = _restrict(cur, keep)
-                next_pid = max(list(cur.pairs) + [0]) + 1
-                out.add_pair(stub((e1, outside[e1])), stub((e2, outside[e2])), next_pid)
-                return out
-            return None
-        if len(u_pids) == 1:
-            pid = u_pids[0]
-            r1 = Record(delta(LEAVING, UNUSED), (), (), ((pid, e1),))
-            r2 = Record(delta(UNUSED, LEAVING), (), (), ((pid, e2),))
-            attach = []
-            if r1 in recs:
-                attach.append((e1, outside[e1]))
-            if r2 in recs:
-                attach.append((e2, outside[e2]))
-            if not attach:
-                return None
-            out, stub = _restrict(cur, keep)
-            out.add_pair(stub(*attach), straddle[pid][1], pid)
-            return out
-        if len(u_pids) == 2:
-            p1, p2 = u_pids
-            ra = Record(delta(LEAVING, LEAVING), (), (), ((p1, e1), (p2, e2)))
-            rb = Record(delta(LEAVING, LEAVING), (), (), ((p1, e2), (p2, e1)))
-            if ra in recs and rb in recs:
-                out, stub = _restrict(cur, keep)
-                s = stub((e1, outside[e1]), (e2, outside[e2]))
-                out.add_pair(s, straddle[p1][1], p1)
-                out.add_pair(s, straddle[p2][1], p2)
-                return out
-            if ra in recs or rb in recs:
-                # ra sends p1 through e1, rb sends it through e2
-                f1, f2 = (e1, e2) if ra in recs else (e2, e1)
-                out, stub = _restrict(cur, keep)
-                out.add_pair(stub((f1, outside[f1])), straddle[p1][1], p1)
-                out.add_pair(stub((f2, outside[f2])), straddle[p2][1], p2)
-                return out
-            return None
-        return None
-    return None
+    if straddle and len(table.records) > 1:
+        out, stub = _restrict(cur, g.vertices - sub)
+        s = stub(*((e, (set(g.endpoints(e)) - sub).pop()) for e in cut_ids))
+        for pid, (_, outer) in straddle.items():
+            out.add_pair(s, outer, pid)
+        return out
+    rec = min(table.records, key=lambda r: (bool(r.internal_pairs), not r.foreign_pairs))
+    return _simplify_in(cur, sub, cut_ids, rec)
 
 
 def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable) -> EDPInstance | None:
@@ -444,7 +395,7 @@ def dynamic_step(
     bag = dec.bag(node)
 
     candidates = enumerate_records(views[node])
-    if any(not tables[c].records for c in record_children):
+    if any(not tables[c].records for c in children):
         return RecordTable(node, ())
     local, lviews = _local_instance(inst, dec, views, node)
     valid = []

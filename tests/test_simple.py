@@ -242,6 +242,58 @@ def test_solve_empty_hub():
     assert solve_simple_edp(si_of(EDPInstance(MultiGraph()), [])).feasible
 
 
+def satellite_cycle(attach, hub_edges):
+    """Hub {1, 2} joined by `hub_edges` parallel edges; satellite 3 + i has
+    one edge to each hub vertex in `attach[i]`; consecutive satellites, and
+    the last and the first, form the pairs, so two satellites carry two
+    parallel pairs."""
+    sats = [3 + i for i in range(len(attach))]
+    g = MultiGraph([1, 2, *sats])
+    for _ in range(hub_edges):
+        g.add_edge(1, 2)
+    for s, ends in zip(sats, attach):
+        for a in ends:
+            g.add_edge(s, a)
+    inst = EDPInstance(g)
+    for i, s in enumerate(sats):
+        inst.add_pair(s, sats[(i + 1) % len(sats)])
+    return inst
+
+
+@pytest.mark.parametrize(
+    "attach,hub_edges,feasible",
+    [
+        ([(1, 2), (1, 2)], 0, True),
+        ([(1, 1), (2, 2)], 1, False),
+        ([(1, 1), (2, 2)], 2, True),
+        ([(1, 1), (1, 1), (1, 1)], 0, True),
+        ([(1, 1), (2, 2), (1, 1)], 0, False),
+        ([(1, 1), (2, 2), (1, 1)], 1, False),
+        ([(1, 1), (2, 2), (1, 1)], 2, True),
+        ([(1, 2), (1, 2), (1, 2), (1, 2)], 0, True),
+        ([(1, 1), (2, 2), (1, 1), (2, 2)], 3, False),
+        ([(1, 1), (2, 2), (1, 1), (2, 2)], 4, True),
+    ],
+)
+def test_solve_satellite_pair_cycles(monkeypatch, attach, hub_edges, feasible):
+    from edpsolve import simple
+
+    tables = []
+    real = simple._cycle_table
+
+    def spying(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(simple, "_cycle_table", spying)
+    inst = satellite_cycle(attach, hub_edges)
+    res = solve_simple_edp(si_of(inst, [1, 2]))
+    assert len(tables) == 1
+    assert res.feasible == brute_force_edp(inst, caps=None).feasible == feasible
+    if res.feasible:
+        check_witness(inst, res.routes)
+
+
 from .support import random_simple_split as random_simple_instance  # noqa: E402
 
 

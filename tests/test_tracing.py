@@ -44,3 +44,27 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_treecut_solve_reaches_every_dp_layer(monkeypatch, tmp_path):
+    # a width-3 chain with an absorbable child: a refactor that routes
+    # around a traced name makes its count read 0 here
+    from edpsolve import cli
+    from edpsolve.decomposition import serialize_decomposition
+    from edpsolve.generators import gen_random_instance
+    from edpsolve.graphs import serialize_instance
+
+    inst, dec = gen_random_instance(2, 12, 1, 2, profile="bounded-tcw")
+    assert any(view.absorbable for view in treecut_dp.node_views(inst, dec).values())
+    path, dec_path = tmp_path / "chain.edp", tmp_path / "chain.dec"
+    path.write_text(serialize_instance(inst))
+    dec_path.write_text(serialize_decomposition(dec))
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["solve", str(path), "--method", "treecut", "--decomposition", str(dec_path), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for name in ("dynamic_step", "build_record_instance", "_simplify_in", "_replace_thin_in", "reduce_degree_two_edges"):
+        assert tracer.calls[f"treecut_dp.{name}"] >= 1, name
