@@ -78,8 +78,8 @@ def cmd_solve(args) -> int:
         # anything reaches stdout
         try:
             routes = brute_force_edp(inst, caps=caps).routes
-        except CapExceeded:
-            return _fail("witness requested but the instance exceeds the brute-force caps", EXIT_NO_METHOD)
+        except CapExceeded as exc:
+            return _fail(f"witness requested but the brute-force search gave up: {exc}", EXIT_NO_METHOD)
     _answer(feasible)
     if args.witness and feasible and routes is not None:
         _print_witness(inst, routes)
@@ -97,10 +97,12 @@ def _decide(
 
     Returns the answer, the routes when the method routed `inst` itself
     (oracle, simple), and which step decided for auto.  The decomposition
-    file is read only once the method needs it.  Raises CapExceeded over the
-    caps (for auto: no method left), StructureError off the hub/satellite
-    shape, DecompositionError for a missing or bad decomposition, and
-    OSError or ParseError while reading one.
+    file is read only once the method needs it.  `caps` bounds the oracle
+    method; auto's kernel search runs under the search step budget alone.
+    Raises CapExceeded over the caps or the budget (for auto: no method
+    left), StructureError off the hub/satellite shape, DecompositionError
+    for a missing or bad decomposition, and OSError or ParseError while
+    reading one.
     """
     if method == "oracle":
         res = brute_force_edp(inst, caps=caps)
@@ -127,13 +129,15 @@ def _decide(
         res = solve_treecut(inst, _load_decomposition(decomposition))
         return res.feasible, None, "solved along the supplied decomposition"
     try:
-        res = brute_force_edp(kernel, caps=caps)
-    except CapExceeded:
+        # the step budget alone bounds this search: a size cap would refuse
+        # kernels that take milliseconds
+        res = brute_force_edp(kernel, caps=OracleCaps(max_edges=None, max_vertices=None))
+    except CapExceeded as exc:
         raise CapExceeded(
             "no applicable method: kernel is neither a forest nor hub-shaped, "
-            "no decomposition was supplied, and the brute-force caps are exceeded"
+            f"no decomposition was supplied, and the brute-force search gave up: {exc}"
         ) from None
-    return res.feasible, None, "kernel settled by brute force"
+    return res.feasible, None, f"kernel settled by brute force ({res.steps} search steps)"
 
 
 def _load_decomposition(path: str | Path) -> TreecutDecomposition:
@@ -290,8 +294,15 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edpsolve", description="Edge-disjoint paths toolkit")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--cap-edges", type=int, default=20, help="brute-force edge cap")
-    caps.add_argument("--cap-vertices", type=int, default=12, help="brute-force vertex cap")
+    caps.add_argument(
+        "--cap-edges", type=int, default=20,
+        help="edge cap of --method oracle, of bench's oracle rows and of the --witness recompute "
+        "(auto's kernel search has a step budget instead)",
+    )
+    caps.add_argument(
+        "--cap-vertices", type=int, default=12,
+        help="vertex cap of vertex-disjoint searches; no method here runs one, so it bounds nothing",
+    )
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)

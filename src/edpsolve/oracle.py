@@ -1,27 +1,47 @@
 """Small-scale ground-truth solvers.
 
 Backtracking searches for edge- and vertex-disjoint paths, the linear-time
-forest check, and the subset-sum oracle.  These are deliberately naive and
-exist to certify the clever solvers on small instances; size caps keep
-accidental blowups from hanging a test run.
+forest check, and the subset-sum oracle.  They certify the clever solvers
+on small instances and settle the kernels that no polynomial method takes.
+
+The backtracking core routes the pairs in a fixed order over simple paths
+and prunes only branches that cannot succeed, so every answer and the first
+witness found are those of the plain search without prunes:
+
+- Before the search, non-terminal vertices with at most one distinct
+  neighbour are dropped, repeatedly.  A simple path enters and leaves each
+  inner vertex through two distinct neighbours, so no terminal-to-terminal
+  path passes a dropped vertex; the paths of every pair, and their order,
+  are unchanged.
+- Before a pair is routed, every pending pair must have both endpoints
+  free and be connected in the graph minus the edges (EDP) or the vertices
+  (VDP) that placed routes block.  Blocking only grows deeper in the
+  search, so a branch that fails this test fails however it continues.
+
+One search step extends a partial path by one edge.  With caps, a search
+gives up after `SEARCH_STEP_BUDGET` steps by raising `CapExceeded`; without
+caps it runs to the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import EDPInstance, MultiGraph, StructureError
 
+SEARCH_STEP_BUDGET = 1_000_000
+
 
 class CapExceeded(RuntimeError):
-    """Instance exceeds the configured brute-force size cap."""
+    """Instance exceeds the configured brute-force size cap or step budget."""
 
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Size limits for the brute-force searches; None disables a limit."""
+    """Size limits for the brute-force searches; None disables a limit.
+    Searching under any caps also bounds the search by `SEARCH_STEP_BUDGET`."""
 
     max_edges: int | None = 20
     max_vertices: int | None = 12
@@ -39,6 +59,7 @@ class RoutedPath:
 class SolveResult:
     feasible: bool
     routes: dict[int, RoutedPath] | None = None  # pair id -> path, when feasible
+    steps: int = 0  # backtracking search steps spent, for the searches that count them
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -53,54 +74,120 @@ def brute_force_edp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
     """Decide EDP by backtracking over simple paths on unused edges."""
     if caps is not None and caps.max_edges is not None and inst.graph.num_edges() > caps.max_edges:
         raise CapExceeded(f"{inst.graph.num_edges()} edges exceeds cap {caps.max_edges}")
-    return _search(inst, vertex_disjoint=False)
+    return _search(inst, vertex_disjoint=False, budgeted=caps is not None)
 
 
 def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -> SolveResult:
     """Decide VDP: paths pairwise vertex-disjoint, endpoints included."""
     if caps is not None and caps.max_vertices is not None and inst.graph.num_vertices() > caps.max_vertices:
         raise CapExceeded(f"{inst.graph.num_vertices()} vertices exceeds cap {caps.max_vertices}")
-    return _search(inst, vertex_disjoint=True)
+    return _search(inst, vertex_disjoint=True, budgeted=caps is not None)
 
 
-def _search(inst: EDPInstance, vertex_disjoint: bool) -> SolveResult:
-    """Route the pairs in order, backtracking over simple paths.  A placed
-    route blocks its edges, or its vertices when `vertex_disjoint`; the
-    other blocked set stays empty."""
-    g = inst.graph
+def _pruned_adjacency(g: MultiGraph, terminals: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
+    """(edge, neighbour) lists in incidence order, without loops and without
+    the non-terminals that no simple path between terminals can pass: those
+    with at most one distinct neighbour, repeatedly."""
+    nbrs = {v: {g.other_end(e, v) for e in g.incident(v)} - {v} for v in g.vertices}
+    todo = [v for v, ns in nbrs.items() if len(ns) <= 1 and v not in terminals]
+    dropped: set[int] = set()
+    while todo:
+        v = todo.pop()
+        if v in dropped:
+            continue
+        dropped.add(v)
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) <= 1 and w not in terminals:
+                todo.append(w)
+    adj = {}
+    for v in g.vertices:
+        if v not in dropped:
+            ends = ((e, g.other_end(e, v)) for e in g.incident(v))
+            adj[v] = [(e, w) for e, w in ends if w != v and w not in dropped]
+    return adj
+
+
+def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveResult:
+    """Route the pairs in order, backtracking over simple paths in the
+    depth-first order of the incidence lists.  A placed route blocks its
+    edges, or its vertices when `vertex_disjoint`; the other blocked set
+    stays empty.
+
+    The leaf prune (`_pruned_adjacency`) removes only vertices and loops
+    that no simple path between terminals uses, so each pair's paths come in
+    the same order.  The placement prune (`routable`) fails a placement only
+    when some pending pair cannot be routed whatever the later routes are,
+    so it cuts only branches that yield no witness; the first witness found
+    is the plain search's first.  A `budgeted` search raises CapExceeded on
+    the step after the `SEARCH_STEP_BUDGET`-th."""
     order = _ordered_pairs(inst)
+    ends = [tuple(sorted(inst.pair(pid))) for pid in order]
+    adj = _pruned_adjacency(inst.graph, inst.terminals())
+    limit = SEARCH_STEP_BUDGET if budgeted else float("inf")
     used: set[int] = set()
     taken: set[int] = set()
     routes: dict[int, RoutedPath] = {}
     blocked = taken if vertex_disjoint else used
+    steps = 0
 
-    def paths_from(v: int, target: int, visited: set[int], verts: list[int], eids: list[int]):
-        if v == target:
-            yield RoutedPath(tuple(verts), tuple(eids))
-            return
-        for eid in g.incident(v):
-            if eid in used:
-                continue
-            w = g.other_end(eid, v)
-            # also rejects an edge already on the path: it joins two visited vertices
-            if w in visited or w in taken:
-                continue
-            visited.add(w)
-            verts.append(w)
-            eids.append(eid)
-            yield from paths_from(w, target, visited, verts, eids)
-            visited.remove(w)
-            verts.pop()
-            eids.pop()
+    def routable(i: int) -> bool:
+        """Every pending pair has free endpoints and is connected around
+        the blocked edges and vertices; one flood fill per component."""
+        comp: dict[int, int] = {}
+        for a, b in ends[i:]:
+            if a in taken or b in taken:
+                return False
+            if a not in comp:
+                comp[a] = a
+                stack = [a]
+                while stack:
+                    x = stack.pop()
+                    for eid, y in adj[x]:
+                        if y not in comp and eid not in used and y not in taken:
+                            comp[y] = a
+                            stack.append(y)
+            if comp.get(b) != comp[a]:
+                return False
+        return True
+
+    def paths(a: int, b: int) -> Iterator[RoutedPath]:
+        """Simple a-b paths around the blocked edges and vertices, in the
+        depth-first order of the incidence lists."""
+        nonlocal steps
+        verts = [a]
+        eids: list[int] = []
+        visited = {a}
+        frontier = [iter(adj[a])]
+        while frontier:
+            for eid, w in frontier[-1]:
+                # also rejects an edge already on the path: it joins two visited vertices
+                if eid in used or w in visited or w in taken:
+                    continue
+                steps += 1
+                if steps > limit:
+                    raise CapExceeded(f"search budget of {SEARCH_STEP_BUDGET} steps exhausted")
+                if w == b:
+                    yield RoutedPath((*verts, b), (*eids, eid))
+                    continue
+                visited.add(w)
+                verts.append(w)
+                eids.append(eid)
+                frontier.append(iter(adj[w]))
+                break
+            else:
+                frontier.pop()
+                visited.discard(verts.pop())
+                if eids:
+                    eids.pop()
 
     def place(i: int) -> bool:
         if i == len(order):
             return True
-        pid = order[i]
-        a, b = sorted(inst.pair(pid))
-        if a in taken or b in taken:
+        if not routable(i):
             return False
-        for route in paths_from(a, b, {a}, [a], []):
+        pid = order[i]
+        for route in paths(*ends[i]):
             items = route.vertices if vertex_disjoint else route.edges
             blocked.update(items)
             routes[pid] = route
@@ -111,8 +198,8 @@ def _search(inst: EDPInstance, vertex_disjoint: bool) -> SolveResult:
         return False
 
     if place(0):
-        return SolveResult(True, dict(routes))
-    return SolveResult(False)
+        return SolveResult(True, dict(routes), steps)
+    return SolveResult(False, steps=steps)
 
 
 def _forest_route(g: MultiGraph, a: int, b: int) -> RoutedPath | None:

@@ -1,5 +1,6 @@
-"""Shared test helpers: witness-to-record correspondence and small random
-instance builders used across suites."""
+"""Shared test helpers: witness-to-record correspondence, small random
+instance builders used across suites, and the unpruned backtracking search
+that the oracle's pruned core is checked against."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 
 from edpsolve.decomposition import TreecutDecomposition, node_views
 from edpsolve.graphs import EDPInstance, MultiGraph
-from edpsolve.oracle import RoutedPath
+from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
 from edpsolve.treecut_dp import FOREIGN, INTERNAL, LEAVING, UNUSED, Record
 
 
@@ -123,3 +124,56 @@ def reference_decomposition() -> TreecutDecomposition:
         parent={1: None, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1},
         bags={1: {4}, 2: {1}, 3: {2, 3}, 4: {5}, 5: {6}, 6: {7}},
     ).ensure_empty_root()
+
+
+def naive_search(inst: EDPInstance, vertex_disjoint: bool) -> SolveResult:
+    """Route the pairs in order, backtracking over simple paths.  A placed
+    route blocks its edges, or its vertices when `vertex_disjoint`; the
+    other blocked set stays empty.  No prune and no budget: the reference
+    for the oracle's answers and first witnesses."""
+    g = inst.graph
+    order = _ordered_pairs(inst)
+    used: set[int] = set()
+    taken: set[int] = set()
+    routes: dict[int, RoutedPath] = {}
+    blocked = taken if vertex_disjoint else used
+
+    def paths_from(v: int, target: int, visited: set[int], verts: list[int], eids: list[int]):
+        if v == target:
+            yield RoutedPath(tuple(verts), tuple(eids))
+            return
+        for eid in g.incident(v):
+            if eid in used:
+                continue
+            w = g.other_end(eid, v)
+            # also rejects an edge already on the path: it joins two visited vertices
+            if w in visited or w in taken:
+                continue
+            visited.add(w)
+            verts.append(w)
+            eids.append(eid)
+            yield from paths_from(w, target, visited, verts, eids)
+            visited.remove(w)
+            verts.pop()
+            eids.pop()
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return True
+        pid = order[i]
+        a, b = sorted(inst.pair(pid))
+        if a in taken or b in taken:
+            return False
+        for route in paths_from(a, b, {a}, [a], []):
+            items = route.vertices if vertex_disjoint else route.edges
+            blocked.update(items)
+            routes[pid] = route
+            if place(i + 1):
+                return True
+            blocked.difference_update(items)
+            del routes[pid]
+        return False
+
+    if place(0):
+        return SolveResult(True, dict(routes))
+    return SolveResult(False)

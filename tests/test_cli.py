@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from edpsolve import oracle
 from edpsolve.cli import main
 from edpsolve.generators import gen_random_instance
-from edpsolve.graphs import parse_instance, serialize_instance
+from edpsolve.graphs import StructureError, parse_instance, serialize_instance
+from edpsolve.kernel import kernelize
 from edpsolve.oracle import RoutedPath, brute_force_edp, check_witness
+from edpsolve.simple import infer_hub, preprocess_simple
 
 
 def run_cli(*argv):
@@ -167,6 +170,44 @@ def test_solve_witness_over_caps_prints_no_answer(tmp_path):
     code, out, err = run_cli("solve", str(path), "--method", "auto", "--witness", "--quiet")
     assert code == 3 and "witness" in err
     assert out == ""
+
+
+@pytest.fixture()
+def over_cap_kernel(tmp_path):
+    """The first tree-plus instance (n=400, 8 chords, 2 pairs) whose kernel
+    is open, has more than the default 20-edge cap and is not hub-shaped,
+    so auto settles it by the kernel search; and that kernel."""
+    for seed in range(50):
+        inst, _ = gen_random_instance(seed, 400, 8, 2, profile="tree-plus")
+        res = kernelize(inst)
+        if res.answer is not None or res.instance.graph.num_edges() <= 20:
+            continue
+        try:
+            preprocess_simple(res.instance, infer_hub(res.instance))
+        except StructureError:
+            path = tmp_path / "treeplus.edp"
+            path.write_text(serialize_instance(inst))
+            return str(path), res.instance
+    pytest.fail("no tree-plus kernel over the old edge cap")
+
+
+def test_auto_decides_kernel_over_old_edge_cap(over_cap_kernel):
+    path, kernel = over_cap_kernel
+    want = brute_force_edp(kernel, caps=None)
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 0
+    assert out.splitlines()[0] == ("YES" if want.feasible else "NO")
+    assert f"auto: kernel settled by brute force ({want.steps} search steps)" in err
+    code, _, err = run_cli("solve", path, "--method", "auto", "--quiet")
+    assert code == 0 and err == ""
+
+
+def test_auto_exit_3_names_the_search_budget(over_cap_kernel, monkeypatch):
+    path, _ = over_cap_kernel
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", 5)
+    code, out, err = run_cli("solve", path, "--method", "auto", "--quiet")
+    assert code == 3 and out == ""
+    assert "search budget of 5 steps exhausted" in err
 
 
 def test_kernelize_summary(triangle, tmp_path):

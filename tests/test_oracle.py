@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from edpsolve import oracle
+from edpsolve.generators import edp_to_vdp
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, parse_instance
 from edpsolve.oracle import (
     CapExceeded,
@@ -13,6 +15,8 @@ from edpsolve.oracle import (
     tree_edp_feasible,
     tree_edp_routes,
 )
+
+from .support import naive_search, random_small_instance
 
 
 def path3():
@@ -52,6 +56,43 @@ def test_edp_cap():
     with pytest.raises(CapExceeded):
         brute_force_edp(inst, caps=OracleCaps(max_edges=4))
     assert brute_force_edp(inst, caps=None).feasible
+
+
+def test_pruned_search_matches_naive_reference():
+    # same answers and the same first witness, route for route; 600 EDP
+    # searches and 237 vertex-disjoint searches on the reductions
+    vdp_checked = 0
+    for seed in range(600):
+        inst = random_small_instance(seed, max_n=9, max_extra=4, max_pairs=4)
+        want = naive_search(inst, vertex_disjoint=False)
+        got = brute_force_edp(inst, caps=None)
+        assert (got.feasible, got.routes) == (want.feasible, want.routes), f"seed {seed}"
+        red = edp_to_vdp(inst)
+        if red.answer_override is None and red.instance.graph.num_vertices() <= 22:
+            vdp_checked += 1
+            want = naive_search(red.instance, vertex_disjoint=True)
+            got = brute_force_vdp(red.instance, caps=None)
+            assert (got.feasible, got.routes) == (want.feasible, want.routes), f"vdp seed {seed}"
+    assert vdp_checked == 237
+
+
+def test_search_budget_is_the_reason(monkeypatch):
+    g = MultiGraph(range(1, 5))
+    for u in range(1, 5):
+        for v in range(u + 1, 5):
+            g.add_edge(u, v)
+    inst = EDPInstance(g)
+    for a, b in ((1, 2), (3, 4), (1, 3), (2, 4)):
+        inst.add_pair(a, b)
+    for search in (brute_force_edp, brute_force_vdp):
+        steps = search(inst, caps=None).steps
+        assert steps > 1
+        monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", steps - 1)
+        with pytest.raises(CapExceeded, match=f"budget of {steps - 1} steps"):
+            search(inst)
+        assert search(inst, caps=None).steps == steps  # uncapped: no budget
+        monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", steps)
+        assert search(inst).steps == steps
 
 
 def test_edp_relabeling_invariance():
