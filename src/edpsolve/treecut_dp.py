@@ -30,6 +30,14 @@ subtree is never read before that child's simplification deletes it, so
 every residue equals the whole-subtree one up to the ids of its stubs, and
 those keep their relative order.  A node then costs time in its bag and its
 cuts, not in the size of its subtree.
+
+Residues have a handful of vertices, so they repeat within a solve.  Each
+solve keeps one memo of residue verdicts, keyed by the residue relabeled by
+rank (`_residue_key`), and each distinct residue goes through the degree-two
+rule and the hub solver once.  Equal keys mean that a bijection keeping the
+order of vertex, edge and pair ids carries one residue onto the other and
+the hub onto the hub; those steps read ids only through their order, so they
+take the same steps on both.  The memo lives for one solve only.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ EMPTY_RECORD = Record((), (), (), ())
 class RecordTable:
     node: int
     records: tuple[Record, ...]
+    residues: int = 0  # residues the node tested
 
     def __len__(self) -> int:
         return len(self.records)
@@ -374,12 +383,52 @@ def _local_instance(
     return local, local_views
 
 
+def _residue_key(cur: EDPInstance, bag: frozenset[int]) -> tuple[int, ...]:
+    """The residue with every id replaced by its rank, as one flat tuple:
+    the vertex, edge and pair counts, each edge's endpoints (edges in id
+    order, endpoints in stored order), each pair's sorted members (pairs in
+    id order), then the bag vertices present."""
+    g = cur.graph
+    rank = {v: i for i, v in enumerate(g.sorted_vertices())}
+    pids = cur.sorted_pairs()
+    key = [len(rank), g.num_edges(), len(pids)]
+    for e in g.sorted_edges():
+        u, v = g.endpoints(e)
+        key += (rank[u], rank[v])
+    for p in pids:
+        a, b = sorted(cur.pair(p))
+        key += (rank[a], rank[b])
+    key += [i for v, i in rank.items() if v in bag]
+    return tuple(key)
+
+
+def _routes(cur: EDPInstance, bag: frozenset[int], memo: dict[tuple[int, ...], bool]) -> bool:
+    """Whether the residue routes with the bag vertices left after the
+    degree-two rule as the hub; a residue whose key is in `memo` is not
+    decided again.
+
+    Equal keys mean that a bijection keeping the order of vertex, edge and
+    pair ids carries one residue onto the other and the bag onto the bag.
+    The degree-two rule, `preprocess_simple` and the hub solver read ids only
+    through their order (fresh ids count up from the largest), so they take
+    the same steps on both residues and reach the same verdict.
+    """
+    key = _residue_key(cur, bag)
+    verdict = memo.get(key)
+    if verdict is None:
+        red, rejected = reduce_degree_two_edges(cur)
+        verdict = not rejected and solve_simple_edp(preprocess_simple(red, bag & red.graph.vertices)).feasible
+        memo[key] = verdict
+    return verdict
+
+
 def dynamic_step(
     inst: EDPInstance,
     dec: TreecutDecomposition,
     views: Mapping[int, NodeViews],
     node: int,
     tables: Mapping[int, RecordTable],
+    memo: dict[tuple[int, ...], bool] | None = None,
 ) -> RecordTable:
     """Compute the node's valid records from its children's tables.
 
@@ -388,7 +437,13 @@ def dynamic_step(
     children, clean up degree-two chains, and ask the hub/satellite solver
     whether the residue routes.  A leaf has no children to branch over.
     Every residue is built from the node's local instance.
+
+    `memo` maps residue keys to verdicts (see `_routes`); `solve_treecut`
+    passes one dict for the whole solve, so a residue met at an earlier node
+    is not decided again.  Without it the step uses a fresh dict.
     """
+    if memo is None:
+        memo = {}
     children = sorted(dec.children(node))
     absorbable = [c for c in children if views[c].absorbable]
     record_children = [c for c in children if not views[c].absorbable]
@@ -399,6 +454,7 @@ def dynamic_step(
         return RecordTable(node, ())
     local, lviews = _local_instance(inst, dec, views, node)
     valid = []
+    residues = 0
     for rec in candidates:
         base = build_record_instance(local, lviews[node], rec)
         found = False
@@ -416,17 +472,13 @@ def dynamic_step(
                     break
             if cur is None:
                 continue
-            cur, rejected = reduce_degree_two_edges(cur)
-            if rejected:
-                continue
-            hub = bag & cur.graph.vertices
-            si = preprocess_simple(cur, hub)
-            if solve_simple_edp(si).feasible:
+            residues += 1
+            if _routes(cur, bag, memo):
                 found = True
                 break
         if found:
             valid.append(rec)
-    return RecordTable(node, tuple(valid))
+    return RecordTable(node, tuple(valid), residues)
 
 
 @dataclass(frozen=True)
@@ -434,6 +486,8 @@ class TreecutResult:
     feasible: bool
     tables: Mapping[int, RecordTable]
     width: int
+    residues: int = 0  # residues tested over all nodes
+    residue_solves: int = 0  # distinct residues, each decided once
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -460,11 +514,13 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
             raise RuntimeError(f"node {t} keeps too many record children")
     bound = record_count_bound(wrep.width)
     tables: dict[int, RecordTable] = {}
+    memo: dict[tuple[int, ...], bool] = {}
     for t in dec.postorder():
-        tables[t] = dynamic_step(inst, dec, views, t, tables)
+        tables[t] = dynamic_step(inst, dec, views, t, tables, memo)
         if len(tables[t]) > bound:
             raise RuntimeError(f"node {t} exceeds the record-count bound")
     root_table = tables[dec.root]
     if any(rec != EMPTY_RECORD for rec in root_table.records):
         raise RuntimeError("the root keeps a non-empty record")
-    return TreecutResult(bool(root_table.records), tables, wrep.width)
+    residues = sum(table.residues for table in tables.values())
+    return TreecutResult(bool(root_table.records), tables, wrep.width, residues, len(memo))

@@ -25,6 +25,7 @@ from edpsolve.treecut_dp import (
     LEAVING,
     UNUSED,
     Record,
+    _residue_key,
     build_record_instance,
     dynamic_step,
     enumerate_records,
@@ -614,10 +615,10 @@ def test_thin_outputs_match_pinned_digest(monkeypatch):
     inner, live = [], [False]
     real_step, real_thin = treecut_dp.dynamic_step, treecut_dp._replace_thin_in
 
-    def stepping(inst, dec, views, node, tables):
+    def stepping(inst, dec, views, node, tables, *rest):
         # a node with an empty child table is a NO before any replacement
         live[0] = all(tables[c].records for c in dec.children(node))
-        return real_step(inst, dec, views, node, tables)
+        return real_step(inst, dec, views, node, tables, *rest)
 
     def thinning(*args):
         out = real_thin(*args)
@@ -869,3 +870,83 @@ def test_dp_outputs_match_pinned_digest():
             tables = [(t, res.tables[t].records) for t in sorted(res.tables)]
             h.update(repr((res.feasible, res.width, tables)).encode())
     assert h.hexdigest() == DP_DIGEST
+
+
+# -- the residue memo ---------------------------------------------------------
+
+
+def _relabeled(inst, hub, vmap, emap, pmap):
+    g = inst.graph
+    out = EDPInstance(MultiGraph(vmap(v) for v in g.vertices))
+    for e in g.sorted_edges():
+        u, v = g.endpoints(e)
+        out.graph.add_edge(vmap(u), vmap(v), emap(e))
+    for p in inst.sorted_pairs():
+        a, b = sorted(inst.pair(p))
+        out.add_pair(vmap(a), vmap(b), pmap(p))
+    return out, frozenset(vmap(v) for v in hub)
+
+
+def _small_residue():
+    g = MultiGraph([2, 3, 5, 8, 9])
+    for u, v in [(2, 3), (3, 5), (3, 5), (5, 8), (2, 9), (8, 9)]:
+        g.add_edge(u, v)
+    inst = EDPInstance(g)
+    inst.add_pair(9, 3)
+    inst.add_pair(2, 8)
+    return inst, frozenset({3, 5, 7})  # 7 is a bag vertex the residue lacks
+
+
+def test_residue_key_ignores_order_preserving_relabeling():
+    inst, bag = _small_residue()
+    moved, moved_bag = _relabeled(inst, bag, lambda v: 3 * v + 5, lambda e: 2 * e + 7, lambda p: p + 10)
+    assert _residue_key(moved, moved_bag) == _residue_key(inst, bag)
+    assert _residue_key(moved, moved_bag | {1000}) == _residue_key(inst, bag)
+
+
+def test_residue_key_tells_residues_apart():
+    inst, bag = _small_residue()
+    key = _residue_key(inst, bag)
+    parallel = inst.copy()
+    parallel.graph.add_edge(8, 9)
+    paired = inst.copy()
+    paired.add_pair(5, 9)
+    repaired = inst.copy()
+    repaired.remove_pair(2)
+    repaired.add_pair(2, 5, 2)
+    assert _residue_key(parallel, bag) != key
+    assert _residue_key(paired, bag) != key
+    assert _residue_key(repaired, bag) != key
+    assert _residue_key(inst, bag | {8}) != key
+    assert _residue_key(inst, bag - {5}) != key
+
+
+def _memo_cases():
+    for inst, dec in _digest_cases():
+        if verify_decomposition(inst, dec).valid and verify_nice(inst, dec).nice:
+            yield inst, dec
+    for s in range(100):
+        n = 12 + (188 * s) // 99
+        yield gen_random_instance(1000 + s, n, n // 8, 2, profile="bounded-tcw")
+
+
+def _solve_outputs(inst, dec):
+    res = solve_treecut(inst, dec)
+    return res.feasible, res.residues, {t: table.records for t, table in res.tables.items()}
+
+
+def test_residue_memo_matches_solving_every_residue(monkeypatch):
+    from edpsolve import treecut_dp
+
+    cases = list(_memo_cases())
+    memoized = [_solve_outputs(inst, dec) for inst, dec in cases]
+    monkeypatch.setattr(treecut_dp, "_residue_key", lambda cur, bag: object())
+    for (inst, dec), want in zip(cases, memoized):
+        assert _solve_outputs(inst, dec) == want
+
+
+def test_residue_memo_counts_on_pinned_chain():
+    inst, dec = gen_random_instance(1, 100, 12, 2, profile="bounded-tcw")
+    first, second = solve_treecut(inst, dec), solve_treecut(inst, dec)
+    assert first.residue_solves * 5 <= first.residues
+    assert (first.residues, first.residue_solves) == (second.residues, second.residue_solves)
