@@ -288,14 +288,15 @@ def kernelize(inst: EDPInstance) -> KernelResult:
     while pending:
         comp_inst = pending.pop(0)
         g = comp_inst.graph
-        if g.is_forest():
+        fes = feedback_edge_set(g)  # minimum, so empty exactly on a forest
+        if not fes:
             feasible = tree_edp_feasible(g, dict(comp_inst.pairs))
             reports.append(ComponentReport(g.num_vertices(), 0, 0, "YES" if feasible else "NO"))
             if not feasible:
                 answer_no = True
                 break
             continue
-        state = KernelState(comp_inst, feedback_edge_set(g))
+        state = KernelState(comp_inst, fes)
         state = _fixpoint(state)
         if state.answer == "NO":
             reports.append(_report(state, "NO"))

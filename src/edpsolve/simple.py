@@ -5,8 +5,19 @@ The instance's vertex set is partitioned into a hub A and a set B of
 independent vertices of degree at most two.  Every solution path has all of
 its inner vertices in the hub, so a solution is summarized by a vector
 counting, per unordered hub pair, how many parallel hub edges it consumes.
-The solver enumerates the achievable vectors per terminal component and
-intersects the combined demand with the available multiplicities.
+
+The pairs form a pair graph: its nodes are the satellites plus one fresh node
+for each hub end of a pair, its edges the pairs.  A satellite has at most two
+edges and so lies in at most two pairs, and a hub end lies in exactly one, so
+every component is a path or a cycle; hub ends are leaves and sit only at path
+ends, and a cycle holds satellites only.  One chain walk per component lists
+the vectors its pairs can use, each pair taking one satellite edge at each
+satellite end, and the solver combines the components' tables within the
+available multiplicities.
+
+The solver reads vertex, edge and pair ids only through their order, so two
+instances related by an order-preserving relabelling take the same steps;
+the treecut DP's residue memo relies on this.
 
 Aside from the final answer the solver keeps one provenance chain per
 surviving vector, which is enough to reconstruct a witness.
@@ -290,6 +301,14 @@ class _DP:
 def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     """Decide the hub/satellite instance; YES comes with a witness.
 
+    The pairs are the edges of a pair graph whose nodes are the satellites
+    plus one fresh node per hub end of a pair.  A satellite lies in at most
+    two pairs (no more than its degree) and a hub end in exactly one, so
+    every component is a path or a cycle, and hub ends are path ends.  One
+    walk orders each component and `_chain_table` turns it into the vectors
+    its pairs can use; the tables are merged component by component.  The
+    solver reads vertex, edge and pair ids only through their order.
+
     `prune` toggles eager multiplicity pruning inside vector combination;
     disabling it only affects intermediate set sizes, never the answer.
     """
@@ -305,49 +324,27 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     for v in si.satellites:
         if not inst.pairs_at(v):
             raise StructureError(f"satellite {v} without a pair; run preprocess_simple first")
+        if g.degree(v) > 2:
+            raise StructureError(f"satellite {v} has degree {g.degree(v)} > 2")
 
     dp = _DP(si, prune)
-    other_edge = {
-        (v, e): next(iter(set(g.incident(v)) - {e}), None)
-        for v in si.satellites
-        for e in g.incident(v)
+    # pair graph nodes: (0, satellite) and (1, pair id, hub vertex); a
+    # choice is the edge a pair takes at the node and its hub end
+    adj: dict[tuple, list[tuple[int, tuple]]] = {}
+    choices: dict[tuple, list[tuple[int | None, int]]] = {
+        (0, v): [(e, g.other_end(e, v)) for e in g.incident(v)] for v in si.satellites
     }
-
-    def hub_end(eid: int) -> int:
-        u, v = g.endpoints(eid)
-        return u if u in hub_set else v
-
-    # split pairs: hub-hub handled first, the rest by satellite component
-    hub_pairs = []
-    sat_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in si.satellites}
-    hub_attach: dict[int, list[tuple[int, int]]] = {v: [] for v in si.satellites}
     for pid in inst.sorted_pairs():
-        a, b = sorted(inst.pair(pid))
-        in_hub = [x in hub_set for x in (a, b)]
-        if all(in_hub):
-            hub_pairs.append((pid, a, b))
-        elif not any(in_hub):
-            sat_adj[a].append((pid, b))
-            sat_adj[b].append((pid, a))
-        else:
-            sat, hubv = (b, a) if in_hub[0] else (a, b)
-            hub_attach[sat].append((pid, hubv))
+        a, b = ends = [(1, pid, x) if x in hub_set else (0, x) for x in sorted(inst.pair(pid))]
+        for node in ends:
+            if node[0]:  # a hub end takes no edge and sits at its hub vertex
+                choices[node] = [(None, node[2])]
+        adj.setdefault(a, []).append((pid, b))
+        adj.setdefault(b, []).append((pid, a))
 
     acc: Table = {0: ()}
-
-    for pid, a, b in hub_pairs:  # pairs inside the hub, one at a time
-        acc = dp.merge(acc, dp.route_options(pid, a, b, None, None))
-        if not acc:
-            return SimpleResult(False, max_set_size=dp.max_seen)
-
-    for comp_verts, comp_pids in _terminal_components(si, sat_adj):
-        if all(len(sat_adj[v]) == 2 for v in comp_verts) and comp_pids:
-            table = _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end)
-        else:
-            table = _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end)
-        if not table:
-            return SimpleResult(False, max_set_size=dp.max_seen)
-        acc = dp.merge(acc, table)
+    for nodes, pids in _walks(adj):
+        acc = dp.merge(acc, _chain_table(dp, [choices[x] for x in nodes], pids))
         if not acc:
             return SimpleResult(False, max_set_size=dp.max_seen)
 
@@ -360,134 +357,57 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     return SimpleResult(True, dp.vector(vec), _expand_witness(si, records), records, dp.max_seen)
 
 
-def _terminal_components(si, sat_adj):
-    """Connected pieces of the pair graph restricted to satellites, vertex
-    set plus pair ids, deterministic order."""
+def _walks(adj):
+    """Order each component of the pair graph: a path from its smallest end,
+    a cycle from its smallest node, always along the smallest pair not just
+    taken.  Yields the nodes and the pair ids between them; a cycle's last
+    pair leads back to its first node."""
     seen = set()
-    comps = []
-    for start in si.satellites:
+    order = sorted(adj)
+    for start in [x for x in order if len(adj[x]) == 1] + order:
         if start in seen:
             continue
-        verts = {start}
-        pids = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for pid, y in sat_adj[x]:
-                pids.add(pid)
-                if y not in verts:
-                    verts.add(y)
-                    stack.append(y)
-        seen |= verts
-        comps.append((verts, pids))
-    return comps
-
-
-def _walk(comp_verts, sat_adj):
-    """Order a chain component's vertices and the pair ids between them,
-    from its smallest end or from a cycle's smallest vertex, always along
-    the smallest pair not just taken.  A cycle's walk stops back at its
-    start, so its last pair closes the cycle."""
-    start = min([v for v in comp_verts if len(sat_adj[v]) < 2] or comp_verts)
-    verts, pids = [start], []
-    while True:
-        options = [(pid, w) for pid, w in sat_adj[verts[-1]] if not pids or pid != pids[-1]]
-        if not options:
-            return verts, pids
-        pid, w = min(options)
-        pids.append(pid)
-        if w == start:
-            return verts, pids
-        verts.append(w)
-
-
-def _chain_states(si, dp, verts, pids, other_edge, hub_end) -> dict[tuple[int, int], Table]:
-    """Route pids[i] between verts[i] and verts[i + 1] along the chain.
-
-    state: (edge used at verts[0], edge used at the last vertex) -> table;
-    each inner vertex takes one pair on each of its two edges.
-    """
-    g = si.inst.graph
-    states: dict[tuple[int, int], Table] = {}
-    for e1 in g.incident(verts[0]):
-        for e2 in g.incident(verts[1]):
-            tab = dp.route_options(pids[0], hub_end(e1), hub_end(e2), e1, e2)
-            if tab:
-                states[(e1, e2)] = tab
-    for i in range(1, len(verts) - 1):
-        nxt: dict[tuple[int, int], Table] = {}
-        for (e1, ecur), table in sorted(states.items()):
-            eoth = other_edge[(verts[i], ecur)]
-            if eoth is None:
-                continue
-            for enext in g.incident(verts[i + 1]):
-                opts = dp.route_options(pids[i], hub_end(eoth), hub_end(enext), eoth, enext)
-                merged = dp.merge(table, opts)
-                if merged:
-                    _union(nxt.setdefault((e1, enext), {}), merged, dp)
-        states = nxt
-    return states
-
-
-def _cycle_table(si, dp, comp_verts, sat_adj, other_edge, hub_end):
-    g = si.inst.graph
-    for v in comp_verts:
-        if g.degree(v) != 2:
-            raise StructureError(f"cycle satellite {v} must have degree exactly 2")
-    verts, pids = _walk(comp_verts, sat_adj)
-    # the last pair closes the cycle through the first vertex's other edge
-    out: Table = {}
-    for (e1, ecur), table in sorted(_chain_states(si, dp, verts, pids, other_edge, hub_end).items()):
-        eoth_n = other_edge[(verts[-1], ecur)]
-        eoth_1 = other_edge[(verts[0], e1)]
-        if eoth_n is None or eoth_1 is None:
-            continue
-        opts = dp.route_options(pids[-1], hub_end(eoth_n), hub_end(eoth_1), eoth_n, eoth_1)
-        _union(out, dp.merge(table, opts), dp)
-    return dp.check(out)
-
-
-def _path_table(si, dp, comp_verts, sat_adj, hub_attach, other_edge, hub_end):
-    verts, pids = _walk(comp_verts, sat_adj)
-    if len(verts) == 1:
-        return _lone_satellite_table(si, dp, verts[0], hub_attach, hub_end)
-    # pairs attaching a path endpoint to the hub use the endpoint's other edge
-    out: Table = {}
-    for (e1, ecur), table in sorted(_chain_states(si, dp, verts, pids, other_edge, hub_end).items()):
-        for endpoint, chain_edge in ((verts[0], e1), (verts[-1], ecur)):
-            for pid, a in sorted(hub_attach[endpoint]):
-                eoth = other_edge[(endpoint, chain_edge)]
-                if eoth is None:
-                    table = {}
-                    break
-                table = dp.merge(table, dp.route_options(pid, hub_end(eoth), a, eoth, None))
-            if not table:
+        nodes, pids = [start], []
+        while True:
+            options = [(pid, w) for pid, w in adj[nodes[-1]] if not pids or pid != pids[-1]]
+            if not options:
                 break
-        if table:
-            _union(out, table, dp)
-    return dp.check(out)
+            pid, w = min(options)
+            pids.append(pid)
+            if w == start:
+                break
+            nodes.append(w)
+        seen.update(nodes)
+        yield nodes, pids
 
 
-def _lone_satellite_table(si, dp, v, hub_attach, hub_end):
-    g = si.inst.graph
-    attach = sorted(hub_attach[v])
+def _chain_table(dp: _DP, choices: list[list[tuple[int | None, int]]], pids: list[int]) -> Table:
+    """The vectors of routing pids[i] between nodes i and i + 1 of a walk,
+    given each node's choices; with as many pairs as nodes, the last pair
+    closes the cycle through the first node's other choice.
+
+    state: (choice at the first node, choice left for the next pair at the
+    current node) -> table.  A node with two choices gives one to each of
+    its pairs.
+    """
+
+    def other(cs, c):
+        return next((d for d in cs if d != c), None)
+
+    states = {(c, c): {0: ()} for c in choices[0]}
+    for i, pid in enumerate(pids):
+        nxt: dict[tuple, Table] = {}
+        cs = choices[(i + 1) % len(choices)]
+        for (first, (e, a)), table in states.items():
+            for c in [other(cs, first)] if i + 1 == len(choices) else cs:
+                merged = dp.merge(table, dp.route_options(pid, a, c[1], e, c[0]))
+                if merged:
+                    _union(nxt.setdefault((first, other(cs, c)), {}), merged, dp)
+        states = nxt
     out: Table = {}
-    if len(attach) == 1:
-        pid, a = attach[0]
-        for e in g.incident(v):
-            _union(out, dp.route_options(pid, hub_end(e), a, e, None), dp)
-    else:
-        (p1, a1), (p2, a2) = attach
-        inc = g.incident(v)
-        if len(inc) != 2:
-            raise StructureError(f"satellite {v} in two pairs must have degree exactly 2")
-        for eA, eB in (inc, inc[::-1]):
-            tab = dp.merge(
-                dp.route_options(p1, hub_end(eA), a1, eA, None),
-                dp.route_options(p2, hub_end(eB), a2, eB, None),
-            )
-            _union(out, tab, dp)
-    return dp.check(out)
+    for table in states.values():
+        _union(out, table, dp)
+    return out
 
 
 def _union(table: Table, extra: Table, dp: _DP) -> None:

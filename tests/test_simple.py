@@ -1,13 +1,17 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError
+from edpsolve.kernel import kernelize
 from edpsolve.oracle import brute_force_edp, check_witness
 from edpsolve.simple import (
     _DP,
+    SimpleInstance,
     SolutionVector,
     enumerate_hub_paths,
     infer_hub,
@@ -221,6 +225,20 @@ def test_solve_rejects_overcommitted_satellite():
     assert not solve_simple_edp(si_of(inst, [1, 2])).feasible
 
 
+def test_solve_rejects_satellite_of_degree_three():
+    # preprocess_simple refuses this split, so build the instance by hand:
+    # satellite 4 ends a path of pairs and has three hub edges
+    g = MultiGraph([1, 2, 3, 4, 5])
+    for a in (1, 2, 3):
+        g.add_edge(4, a)
+    g.add_edge(5, 1)
+    inst = EDPInstance(g)
+    inst.add_pair(4, 5)
+    si = SimpleInstance(inst, inst, (1, 2, 3), (4, 5), {}, {})
+    with pytest.raises(StructureError, match="degree 3 > 2"):
+        solve_simple_edp(si)
+
+
 def test_solve_parallel_satellite_edges_route_two_pairs():
     # satellite with two parallel edges to one hub vertex serves two pairs
     g = MultiGraph([1, 2, 3])
@@ -278,17 +296,17 @@ def satellite_cycle(attach, hub_edges):
 def test_solve_satellite_pair_cycles(monkeypatch, attach, hub_edges, feasible):
     from edpsolve import simple
 
-    tables = []
-    real = simple._cycle_table
+    closing = []  # per chain walk: whether its last pair closes a cycle
+    real = simple._chain_table
 
-    def spying(*args):
-        tables.append(real(*args))
-        return tables[-1]
+    def spying(dp, choices, pids):
+        closing.append(len(pids) == len(choices))
+        return real(dp, choices, pids)
 
-    monkeypatch.setattr(simple, "_cycle_table", spying)
+    monkeypatch.setattr(simple, "_chain_table", spying)
     inst = satellite_cycle(attach, hub_edges)
     res = solve_simple_edp(si_of(inst, [1, 2]))
-    assert len(tables) == 1
+    assert closing == [True]
     assert res.feasible == brute_force_edp(inst, caps=None).feasible == feasible
     if res.feasible:
         check_witness(inst, res.routes)
@@ -328,6 +346,44 @@ def test_vector_sets_stay_within_bound():
     for seed in range(150):
         inst, hub = random_simple_instance(seed)
         solve_simple_edp(si_of(inst, hub))
+
+
+SIMPLE_DIGEST = "fa73863cf7380874946ac2b2762346881d16789cb39dae3afb0fbeb68482ad45"
+
+
+def _simple_digest_cases():
+    """`random_simple_split` seeds 0-599, which hold hub-hub pairs,
+    satellites with two hub pairs and hub-ended chains, plus the tree-plus
+    kernels with an inferred hub of at most 8 vertices that split into a hub
+    and satellites."""
+    cases = [random_simple_instance(seed) for seed in range(600)]
+    for seed in range(800):
+        inst, _ = gen_random_instance(seed, 20 + (seed * 37) % 61, 2 + seed % 5, 2 + seed % 4, "tree-plus")
+        kernel = kernelize(inst)
+        if kernel.answer is not None:
+            continue
+        hub = infer_hub(kernel.instance)
+        try:
+            si = preprocess_simple(kernel.instance, hub)
+        except StructureError:
+            continue
+        if si.k <= 8:
+            cases.append((kernel.instance, hub))
+    return cases
+
+
+def test_simple_outputs_match_pinned_digest():
+    """Answers and chosen vectors, with and without pruning, are pinned;
+    routes and table sizes are left out, as provenance may shift."""
+    h = hashlib.sha256()
+    for inst, hub in _simple_digest_cases():
+        si = si_of(inst, hub)
+        for prune in (True, False):
+            res = solve_simple_edp(si, prune=prune)
+            h.update(repr((res.feasible, res.vector.entries if res.feasible else None)).encode())
+            if res.feasible:
+                check_witness(inst, res.routes)
+    assert h.hexdigest() == SIMPLE_DIGEST
 
 
 def test_infer_hub_picks_high_degree_and_parallel_endpoints():

@@ -68,3 +68,25 @@ def test_traced_treecut_solve_reaches_every_dp_layer(monkeypatch, tmp_path):
     assert code == 0
     for name in ("dynamic_step", "build_record_instance", "_simplify_in", "_replace_thin_in", "reduce_degree_two_edges"):
         assert tracer.calls[f"treecut_dp.{name}"] >= 1, name
+
+
+def test_traced_hub_solve_reports_calls_and_peak_table(monkeypatch, tmp_path):
+    # a small subset-sum gadget solved with its hub given: a renamed result
+    # field that the tracer reads makes the peak table read 0 or fail here
+    from edpsolve import cli
+    from edpsolve.generators import gen_mss_layout
+    from edpsolve.graphs import serialize_instance
+
+    layout = gen_mss_layout(2, [(2, 0), (0, 2), (2, 2)], (2, 2), 1).layout
+    path = tmp_path / "mss.edp"
+    path.write_text(serialize_instance(layout.instance))
+    hub = ",".join(str(v) for v in layout.hub)
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["solve", str(path), "--method", "simple", "--hub", hub, "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["simple.solve_simple_edp"] >= 1
+    assert tracer.counters["simple.peak_table"] > 0
