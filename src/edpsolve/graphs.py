@@ -128,6 +128,11 @@ class MultiGraph:
     def edges(self) -> Mapping[int, tuple[int, int]]:
         return dict(self._edges)
 
+    @property
+    def max_vertex(self) -> int:
+        """The largest vertex id, 0 when there is none."""
+        return self._max_vertex
+
     def num_vertices(self) -> int:
         return len(self._vertices)
 
@@ -237,6 +242,11 @@ class EDPInstance:
     @property
     def pairs(self) -> Mapping[int, frozenset[int]]:
         return dict(self._pairs)
+
+    @property
+    def max_pair(self) -> int:
+        """The largest pair id, 0 when there is none."""
+        return self._max_pair
 
     def add_pair(self, a: int, b: int, pid: int | None = None) -> int:
         if a == b:

@@ -1,23 +1,32 @@
 """Kernelization for EDP parameterized by the feedback edge set size.
 
-The input is terminal-normalized, split into connected components, and each
-component is shrunk by four reduction rules until none fires: bare leaves
-are dropped, degree-two vertices without a bypass edge are suppressed (the
-feedback edge set is maintained through the suppression), pendant subtrees
-hanging by a single edge are resolved with the forest solver, and matched
-leaf twins sharing a neighbor are removed.  The leaf and degree-two rules
-draw candidates from a worklist: a min-heap seeded with every vertex, to
-which a firing returns only the vertices whose test it changed.  A rejected
-vertex stays rejected until a firing touches it, so the smallest qualifying
-vertex is always on the heap and the rules fire in the same order, with the
-same new edge ids, as an ascending rescan after every firing would.  The
-pendant and matched-leaf rules scan by component and by pair id.
+The input is terminal-normalized and reduced as one instance, so every new
+edge and pair id comes from one id space.  A pair whose ends lie in
+different connected components answers NO, and a component holding no edge
+of the minimum feedback edge set is a forest, answered by the forest solver.
+The other components are shrunk together by four reduction rules until none
+fires: bare leaves are dropped, degree-two vertices without a bypass edge
+are suppressed (the feedback edge set is maintained through the
+suppression), pendant subtrees hanging by a single edge are resolved with
+the forest solver, and matched leaf twins sharing a neighbor are removed.
+The leaf and degree-two rules draw candidates from a worklist: a min-heap
+seeded with every vertex, to which a firing returns only the vertices whose
+test it changed.  A rejected vertex stays rejected until a firing touches
+it, so the smallest qualifying vertex is always on the heap and the rules
+fire in the same order, with the same new edge ids, as an ascending rescan
+after every firing would.  The pendant and matched-leaf rules scan by
+component and by pair id.
 
-At the fixpoint a component is rejected when some vertex carries more
-pendant terminals than it has edges toward non-leaves; that local capacity
-argument is the sound core of the leaf-counting rejection, which in its
-blanket form misfires on cycles carrying pendant terminal pairs (see
-ComponentReport.forest_leaves for the counted value).
+No rule disconnects a component, and the maintained feedback edge set stays
+a minimum one, so at the fixpoint each input component is read back as its
+vertices that are left: none (YES), no feedback edge (a forest, answered by
+the forest solver), or an open part of the kernel.  Reading back by input
+vertex set stays sound even if either invariant failed.  A component is
+rejected when some vertex carries more pendant terminals than it has edges
+toward non-leaves; that local capacity argument is the sound core of the
+leaf-counting rejection, which in its blanket form misfires on cycles
+carrying pendant terminal pairs (see ComponentReport.forest_leaves for the
+counted value).
 """
 
 from __future__ import annotations
@@ -32,16 +41,12 @@ from .oracle import tree_edp_feasible
 
 @dataclass(frozen=True)
 class KernelState:
-    """One component mid-reduction: the instance, its maintained feedback
-    edge set, and an answer once a rule settles the component."""
+    """The instance mid-reduction: the graph and pairs, the maintained
+    feedback edge set, and an answer once a rule settles the instance."""
 
     inst: EDPInstance
     fes_edges: frozenset[int]
     answer: str | None = None  # "YES" | "NO" | None while open
-
-    def forest_part(self) -> MultiGraph:
-        g = self.inst.graph
-        return MultiGraph(g.vertices, {e: g.endpoints(e) for e in g.edges if e not in self.fes_edges})
 
 
 def _exhaust(
@@ -50,7 +55,7 @@ def _exhaust(
     """Fire `step` on one working copy of the instance and its feedback edge
     set until it stops (after one firing when `once`).  A step makes one
     firing in place and returns True, False when nothing matched, or "NO"
-    when it settled the component.  The input state itself comes back when
+    when it settled the instance.  The input state itself comes back when
     nothing fired.
 
     The step also gets a min-heap of candidate vertices, seeded with every
@@ -147,11 +152,7 @@ def _prune_pendant_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bo
     for eid in fes:
         anchors.update(g.endpoints(eid))
     for comp in g.induced(g.vertices - frozenset(anchors)).connected_components():
-        boundary = [
-            eid
-            for eid in g.sorted_edges()
-            if len(set(g.endpoints(eid)) & comp) == 1
-        ]
+        boundary = [eid for v in comp for eid in g.incident(v) if g.other_end(eid, v) not in comp]
         if len(boundary) != 1:
             continue
         ends = g.endpoints(boundary[0])
@@ -176,7 +177,7 @@ def _prune_pendant_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bo
             pid, s = unmatched[0]
             trial = dict(inner_pairs)
             if s != local:
-                trial[max(list(inst.pairs) + [0]) + 1] = frozenset((s, local))
+                trial[inst.max_pair + 1] = frozenset((s, local))
             if not tree_edp_feasible(sub, trial):
                 return "NO"
             if comp == {s}:
@@ -274,77 +275,63 @@ class KernelResult:
 
 
 def kernelize(inst: EDPInstance) -> KernelResult:
-    """Terminal-normalize, then reduce each connected component to its
-    kernel.  Components that are forests (or become ones) are answered by
-    the forest solver; a pair split across components answers NO outright."""
+    """Terminal-normalize, then reduce the whole instance to its kernel, as
+    the module docstring describes; one `connected_components` pass serves
+    the pair check, the forest test and the read-back.  Reports list the
+    forest components, then the others, each in input order, up to the
+    first NO; the rules see the others together, so a NO from them is one
+    report on all of them."""
     normalized = terminal_normalize(inst)
-    pending = _split_components(normalized)
-    if pending is None:
-        return KernelResult(EDPInstance(), frozenset(), "NO", ())
-
+    g = normalized.graph
+    comps = g.connected_components()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    if any(len({comp_of[v] for v in members}) > 1 for members in normalized.pairs.values()):
+        return _settled("NO", [])
+    fes = feedback_edge_set(g)  # minimum, so a component is a forest exactly when it holds none of it
+    cyclic = {comp_of[g.endpoints(e)[0]] for e in fes}
     reports: list[ComponentReport] = []
-    kept: list[KernelState] = []
-    answer_no = False
-    while pending:
-        comp_inst = pending.pop(0)
-        g = comp_inst.graph
-        fes = feedback_edge_set(g)  # minimum, so empty exactly on a forest
-        if not fes:
-            feasible = tree_edp_feasible(g, dict(comp_inst.pairs))
-            reports.append(ComponentReport(g.num_vertices(), 0, 0, "YES" if feasible else "NO"))
-            if not feasible:
-                answer_no = True
-                break
+    for i, comp in enumerate(comps):
+        if i in cyclic:
             continue
-        state = KernelState(comp_inst, fes)
-        state = _fixpoint(state)
-        if state.answer == "NO":
-            reports.append(_report(state, "NO"))
-            answer_no = True
-            break
-        parts = _split_components(state.inst)
-        if parts is None:
-            reports.append(_report(state, "NO"))
-            answer_no = True
-            break
-        if len(parts) > 1:
-            pending = parts + pending
-            continue
-        if not parts:
-            reports.append(_report(state, "YES"))
-            continue
-        final = KernelState(parts[0], frozenset(e for e in state.fes_edges if parts[0].graph.has_edge(e)))
-        if final.inst.graph.is_forest():
-            feasible = tree_edp_feasible(final.inst.graph, dict(final.inst.pairs))
-            reports.append(_report(final, "YES" if feasible else "NO"))
-            if not feasible:
-                answer_no = True
-                break
-            continue
-        if overloaded_vertex(final.inst) is not None:
-            reports.append(_report(final, "NO"))
-            answer_no = True
-            break
-        reports.append(_report(final, None))
-        kept.append(final)
+        answer = _forest_answer(normalized, comp)
+        reports.append(ComponentReport(len(comp), 0, 0, answer))
+        if answer == "NO":
+            return _settled("NO", reports)
+        for v in comp:
+            for pid in normalized.pairs_at(v):
+                normalized.remove_pair(pid)
+            g.remove_vertex(v)
+    if not cyclic:
+        return _settled("YES", reports)
 
-    if answer_no:
-        return KernelResult(EDPInstance(), frozenset(), "NO", tuple(reports))
+    state = _fixpoint(KernelState(normalized, fes))
+    left = state.inst
+    if state.answer == "NO":
+        reports.append(_report(left.graph, left.graph.vertices, state.fes_edges, "NO"))
+        return _settled("NO", reports)
+    vertices_left = left.graph.vertices
+    bad = overloaded_vertex(left)
+    kept: set[int] = set()
+    for i in sorted(cyclic):
+        piece = comps[i] & vertices_left
+        piece_fes = state.fes_edges.intersection(e for v in piece for e in left.graph.incident(v))
+        if not piece:
+            resolved = "YES"
+        elif not piece_fes:
+            resolved = _forest_answer(left, piece)
+        elif bad in piece:
+            resolved = "NO"
+        else:
+            resolved = None
+            kept |= piece
+        reports.append(_report(left.graph, piece, piece_fes, resolved))
+        if resolved == "NO":
+            return _settled("NO", reports)
     if not kept:
-        return KernelResult(EDPInstance(), frozenset(), "YES", tuple(reports))
-    merged = EDPInstance()
-    fes: set[int] = set()
-    for state in kept:
-        for v in state.inst.graph.sorted_vertices():
-            merged.graph.add_vertex(v)
-        for eid in state.inst.graph.sorted_edges():
-            u, v = state.inst.graph.endpoints(eid)
-            merged.graph.add_edge(u, v, eid)
-        for pid in state.inst.sorted_pairs():
-            a, b = sorted(state.inst.pair(pid))
-            merged.add_pair(a, b, pid)
-        fes |= state.fes_edges
-    return KernelResult(merged, frozenset(fes), None, tuple(reports))
+        return _settled("YES", reports)
+    kernel = induced_instance(left, kept)
+    fes_kept = frozenset(e for e in state.fes_edges if kernel.graph.has_edge(e))
+    return KernelResult(kernel, fes_kept, None, tuple(reports))
 
 
 def _fixpoint(state: KernelState) -> KernelState:
@@ -358,23 +345,18 @@ def _fixpoint(state: KernelState) -> KernelState:
             return state
 
 
-def _split_components(inst: EDPInstance) -> list[EDPInstance] | None:
-    """Per-component instances; None when a pair straddles two components."""
-    pieces = [induced_instance(inst, comp) for comp in inst.graph.connected_components()]
-    if sum(len(piece.pairs) for piece in pieces) < len(inst.pairs):
-        return None
-    return pieces
+def _settled(answer: str, reports: list[ComponentReport]) -> KernelResult:
+    return KernelResult(EDPInstance(), frozenset(), answer, tuple(reports))
 
 
-def _forest_leaves(state: KernelState) -> int:
-    q = state.forest_part()
-    return sum(1 for v in q.vertices if q.degree(v) == 1)
+def _forest_answer(inst: EDPInstance, part: frozenset[int]) -> str:
+    """The forest solver's answer on `part`, a forest holding its pairs."""
+    pairs = {pid: inst.pair(pid) for v in part for pid in inst.pairs_at(v)}
+    return "YES" if tree_edp_feasible(inst.graph.induced(part), pairs) else "NO"
 
 
-def _report(state: KernelState, resolved: str | None) -> ComponentReport:
-    return ComponentReport(
-        state.inst.graph.num_vertices(),
-        len(state.fes_edges),
-        _forest_leaves(state),
-        resolved,
-    )
+def _report(g: MultiGraph, part: frozenset[int], fes: frozenset[int], resolved: str | None) -> ComponentReport:
+    """The report on the vertices `part` of `g`, whose feedback edges are
+    `fes`; a leaf of the forest part G - X has one edge outside X."""
+    leaves = sum(1 for v in part if g.degree(v) - len(fes.intersection(g.incident(v))) == 1)
+    return ComponentReport(len(part), len(fes), leaves, resolved)

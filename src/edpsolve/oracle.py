@@ -85,10 +85,10 @@ def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
 
 
 def _pruned_adjacency(g: MultiGraph, terminals: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
-    """(edge, neighbour) lists in incidence order, without loops and without
-    the non-terminals that no simple path between terminals can pass: those
-    with at most one distinct neighbour, repeatedly."""
-    nbrs = {v: {g.other_end(e, v) for e in g.incident(v)} - {v} for v in g.vertices}
+    """(edge, neighbour) lists in incidence order, without the non-terminals
+    that no simple path between terminals can pass: those with at most one
+    distinct neighbour, repeatedly."""
+    nbrs = {v: {g.other_end(e, v) for e in g.incident(v)} for v in g.vertices}
     todo = [v for v, ns in nbrs.items() if len(ns) <= 1 and v not in terminals]
     dropped: set[int] = set()
     while todo:
@@ -104,7 +104,7 @@ def _pruned_adjacency(g: MultiGraph, terminals: frozenset[int]) -> dict[int, lis
     for v in g.vertices:
         if v not in dropped:
             ends = ((e, g.other_end(e, v)) for e in g.incident(v))
-            adj[v] = [(e, w) for e, w in ends if w != v and w not in dropped]
+            adj[v] = [(e, w) for e, w in ends if w not in dropped]
     return adj
 
 
@@ -114,8 +114,8 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
     edges, or its vertices when `vertex_disjoint`; the other blocked set
     stays empty.
 
-    The leaf prune (`_pruned_adjacency`) removes only vertices and loops
-    that no simple path between terminals uses, so each pair's paths come in
+    The leaf prune (`_pruned_adjacency`) removes only vertices that no
+    simple path between terminals uses, so each pair's paths come in
     the same order.  The placement prune (`routable`) fails a placement only
     when some pending pair cannot be routed whatever the later routes are,
     so it cuts only branches that yield no witness; the first witness found

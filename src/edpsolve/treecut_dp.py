@@ -158,7 +158,7 @@ def build_record_instance(inst: EDPInstance, view: NodeViews, rec: Record) -> ED
     """
     sub = view.subtree
     out, stub = _restrict(inst, sub)
-    next_pid = max(list(inst.pairs) + [0]) + 1
+    next_pid = inst.max_pair + 1
 
     def inside_end(eid: int) -> int:
         u, v = inst.graph.endpoints(eid)
@@ -203,7 +203,7 @@ def _restrict(cur: EDPInstance, keep: Iterable[int]) -> tuple[EDPInstance, Calla
     count up from one past `cur`'s largest vertex.
     """
     out = induced_instance(cur, keep)
-    next_vertex = max(cur.graph.vertices | {0}) + 1
+    next_vertex = cur.graph.max_vertex + 1
 
     def stub(*attach: tuple[int, int]) -> int:
         nonlocal next_vertex
@@ -242,7 +242,7 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
         return None
 
     out, stub = _restrict(cur, g.vertices - sub)
-    next_pid = max(list(cur.pairs) + [0]) + 1
+    next_pid = cur.max_pair + 1
     for pid, eid in sorted(rec.leaving):
         s = stub((eid, outside_end[eid]))
         out.add_pair(s, straddle[pid][1], pid)

@@ -1,5 +1,5 @@
 """Shared test helpers: witness-to-record correspondence, small random
-instance builders used across suites, and the unpruned backtracking search
+instance builders and disjoint unions used across suites, and the unpruned backtracking search
 that the oracle's pruned core is checked against."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 from edpsolve.decomposition import TreecutDecomposition, node_views
+from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph
 from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
 from edpsolve.treecut_dp import FOREIGN, INTERNAL, LEAVING, UNUSED, Record
@@ -78,6 +79,38 @@ def random_small_instance(seed: int, max_n: int = 8, max_extra: int = 3, max_pai
             seen.add(frozenset((a, b)))
             inst.add_pair(a, b)
     return inst
+
+
+def disjoint_union(parts: list[EDPInstance], seed: int) -> EDPInstance:
+    """The disjoint union of `parts` on vertices 1..n (each part shifted past
+    the previous ones), with edge and pair ids shuffled across the parts."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
+    shift = 0
+    for part in parts:
+        edges += [(u + shift, v + shift) for u, v in part.graph.edges.values()]
+        pairs += [(a + shift, b + shift) for a, b in map(sorted, part.pairs.values())]
+        shift += max(part.graph.vertices, default=0)
+    rng.shuffle(edges)
+    rng.shuffle(pairs)
+    out = EDPInstance(MultiGraph(range(1, shift + 1)))
+    for u, v in edges:
+        out.graph.add_edge(u, v)
+    for a, b in pairs:
+        out.add_pair(a, b)
+    return out
+
+
+def tree_plus_union(seed: int) -> EDPInstance:
+    """A disjoint union of two or three small tree-plus instances with
+    interleaved edge and pair ids."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        part_seed, n, extra, q = rng.randrange(2**31), rng.randint(4, 12), rng.randint(1, 3), rng.randint(1, 2)
+        parts.append(gen_random_instance(part_seed, n, extra, q, "tree-plus")[0])
+    return disjoint_union(parts, seed)
 
 
 def random_simple_split(seed: int, max_hub: int = 4, max_sat: int = 6, max_pairs: int = 6, max_mult: int = 3):

@@ -12,6 +12,8 @@ from edpsolve.kernel import kernelize
 from edpsolve.oracle import RoutedPath, brute_force_edp, check_witness
 from edpsolve.simple import infer_hub, preprocess_simple
 
+from .support import tree_plus_union
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -208,6 +210,21 @@ def test_auto_exit_3_names_the_search_budget(over_cap_kernel, monkeypatch):
     code, out, err = run_cli("solve", path, "--method", "auto", "--quiet")
     assert code == 3 and out == ""
     assert "search budget of 5 steps exhausted" in err
+
+
+def test_auto_and_kernelize_on_disjoint_union(tmp_path):
+    # three tree-plus components with interleaved edge ids, a YES instance
+    # whose kernel is open and not hub-shaped
+    inst = tree_plus_union(5)
+    assert len(inst.graph.connected_components()) == 3
+    want = "YES" if brute_force_edp(inst, caps=None).feasible else "NO"
+    path = tmp_path / "union.edp"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run_cli("solve", str(path), "--method", "auto", "--quiet")
+    assert code == 0 and out.splitlines() == [want]
+    code, out, err = run_cli("kernelize", str(path))
+    assert code == 0 and err.rstrip().endswith("answer=OPEN")
+    assert ("YES" if brute_force_edp(parse_instance(out), caps=None).feasible else "NO") == want
 
 
 def test_kernelize_summary(triangle, tmp_path):

@@ -16,7 +16,7 @@ from edpsolve.kernel import (
 )
 from edpsolve.oracle import brute_force_edp
 
-from .support import random_small_instance
+from .support import random_small_instance, tree_plus_union
 
 
 def state_of(inst):
@@ -274,6 +274,29 @@ def test_kernelize_deterministic():
         b = kernelize(inst.copy())
         assert a.answer == b.answer
         assert serialize_instance(a.instance) == serialize_instance(b.instance)
+
+
+def test_kernelize_multi_component_unions():
+    """Components are reduced as one instance: fresh ids never collide, the
+    answer matches the oracle, the kernel keeps its own feedback edges, and
+    there is one report per input component up to the first NO."""
+    answers = set()
+    for seed in range(320):
+        inst = tree_plus_union(seed)
+        comps = len(inst.graph.connected_components())
+        res = kernelize(inst)
+        want = brute_force_edp(inst, caps=None).feasible
+        got = res.answer == "YES" if res.answer else brute_force_edp(res.instance, caps=None).feasible
+        assert got == want, f"seed {seed}"
+        assert res.fes_edges <= res.instance.graph.edges.keys(), f"seed {seed}"
+        resolved = [rep.resolved for rep in res.components]
+        if res.answer == "NO":
+            assert len(resolved) <= comps and resolved.count("NO") <= 1, f"seed {seed}"
+            assert not resolved or resolved[-1] == "NO", f"seed {seed}"
+        else:
+            assert len(resolved) == comps and "NO" not in resolved, f"seed {seed}"
+        answers.add(res.answer)
+    assert answers == {"YES", "NO", None}
 
 
 def with_twin_leaf_pair(seed):
