@@ -28,6 +28,8 @@ EXIT_DISAGREE = 1
 EXIT_INVALID = 2
 EXIT_NO_METHOD = 3
 
+METHODS = ("oracle", "simple", "treecut", "auto")
+
 
 def _caps(args) -> OracleCaps:
     return OracleCaps(max_edges=args.cap_edges, max_vertices=args.cap_vertices)
@@ -74,10 +76,10 @@ def cmd_solve(args) -> int:
         _info(args, f"auto: {how}")
     if args.witness and feasible and routes is None:
         # witness reconstruction through kernels/decompositions is not wired
-        # up; recompute one with the oracle when the caps allow it, before
-        # anything reaches stdout
+        # up; search for one under the step budget alone, as auto's kernel
+        # search does, before anything reaches stdout
         try:
-            routes = brute_force_edp(inst, caps=caps).routes
+            routes = brute_force_edp(inst, caps=OracleCaps(max_edges=None, max_vertices=None)).routes
         except CapExceeded as exc:
             return _fail(f"witness requested but the brute-force search gave up: {exc}", EXIT_NO_METHOD)
     _answer(feasible)
@@ -261,6 +263,8 @@ def cmd_bench(args) -> int:
     if not root.is_dir():
         return _fail(f"{args.directory} is not a directory", EXIT_INVALID)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if unknown := [m for m in methods if m not in METHODS]:
+        return _fail(f"unknown method {unknown[0]!r} in --methods; choose from {', '.join(METHODS)}", EXIT_INVALID)
     caps = _caps(args)
     out = csv.writer(sys.stdout)
     out.writerow(["instance", "method", "n", "m", "pairs", "fes", "answer", "seconds"])
@@ -279,7 +283,9 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             try:
                 answer = "YES" if _decide(inst, method, caps, decomposition)[0] else "NO"
-            except (OSError, ValueError, RuntimeError):  # CapExceeded is a RuntimeError
+            except ParseError as exc:  # the instance parsed, so the decomposition did not
+                return _fail(f"{dec_path}: {exc}", EXIT_INVALID)
+            except (CapExceeded, StructureError, DecompositionError):
                 answer = "NA"
             elapsed = time.perf_counter() - start
             out.writerow([path.name, method, n, m, q, fes, answer, f"{elapsed:.4f}"])
@@ -296,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     caps = argparse.ArgumentParser(add_help=False)
     caps.add_argument(
         "--cap-edges", type=int, default=20,
-        help="edge cap of --method oracle, of bench's oracle rows and of the --witness recompute "
-        "(auto's kernel search has a step budget instead)",
+        help="edge cap of --method oracle and of bench's oracle rows "
+        "(auto's kernel search and the --witness search have a step budget instead)",
     )
     caps.add_argument(
         "--cap-vertices", type=int, default=12,
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[caps, quiet], help="decide an instance")
     p.add_argument("instance")
-    p.add_argument("--method", choices=("oracle", "simple", "treecut", "auto"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--decomposition", help="treecut decomposition file")
     p.add_argument("--witness", action="store_true", help="print one path per pair")
     p.add_argument("--hub", help="explicit hub vertices for --method simple, e.g. '1,2,3'")

@@ -14,7 +14,8 @@ map, so a treecut solve builds it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from heapq import heappop, heappush
+from typing import Callable, Iterable, Mapping
 
 from .graphs import EDPInstance, ParseError, StructureError, parse_ints
 
@@ -103,9 +104,11 @@ class TreecutDecomposition:
 class NodeViews:
     """Derived per-node data: subtree vertex set, cut edges in id order,
     adhesion, the cut edges' outside endpoints (the subtree's neighborhood),
-    thinness, straddling pairs (see `_straddling`) and absorbability (thin
-    and seeing only the parent's bag, so the dynamic step replaces the
-    subtree from its record table instead of branching over it)."""
+    thinness, straddling pairs (pair id -> (inside member, outside member)
+    for each pair with exactly one member in the subtree, in pair-id order)
+    and absorbability (thin and seeing only the parent's bag, so the dynamic
+    step replaces the subtree from its record table instead of branching
+    over it)."""
 
     node: int
     subtree: frozenset[int]
@@ -117,23 +120,13 @@ class NodeViews:
     absorbable: bool
 
 
-def _straddling(cur: EDPInstance, sub: frozenset[int]) -> dict[int, tuple[int, int]]:
-    """Pair id -> (inside member, outside member), for each pair with exactly
-    one member in `sub`, in pair-id order."""
-    out: dict[int, tuple[int, int]] = {}
-    for pid in cur.sorted_pairs():
-        inside = cur.pair(pid) & sub
-        if len(inside) == 1:
-            out[pid] = (next(iter(inside)), next(iter(cur.pair(pid) - sub)))
-    return out
-
-
 def node_views(inst: EDPInstance, dec: TreecutDecomposition) -> dict[int, NodeViews]:
     """Every node's views, from one postorder pass over a decomposition whose
     bags are a near-partition of the vertices.  A subtree is its bag plus its
     children's subtrees; a cut edge's inside end is in the bag or in a child's
     subtree, so the cut is found among the edges at the bag and the children's
-    cut edges."""
+    cut edges, and a straddling pair among the pairs at the bag and the
+    children's straddling pairs."""
     g = inst.graph
     views: dict[int, NodeViews] = {}
     for t in dec.postorder():
@@ -143,6 +136,8 @@ def node_views(inst: EDPInstance, dec: TreecutDecomposition) -> dict[int, NodeVi
         edges = {e for v in bag for e in g.incident(v)}.union(*(k.cut for k in kids))
         cut = tuple(e for e in sorted(edges) if len(sub.intersection(g.endpoints(e))) == 1)
         outside = frozenset(x for e in cut for x in g.endpoints(e) if x not in sub)
+        pids = sorted({p for v in bag for p in inst.pairs_at(v)}.union(*(k.straddling for k in kids)))
+        straddling = {p: (min(inst.pair(p) & sub), min(inst.pair(p) - sub)) for p in pids if len(inst.pair(p) & sub) == 1}
         parent = dec.parent(t)
         thin = parent is not None and len(cut) <= 2
         views[t] = NodeViews(
@@ -152,7 +147,7 @@ def node_views(inst: EDPInstance, dec: TreecutDecomposition) -> dict[int, NodeVi
             adhesion=len(cut),
             outside=outside,
             thin=thin,
-            straddling=_straddling(inst, sub),
+            straddling=straddling,
             absorbable=thin and outside <= dec.bag(parent),
         )
     return views
@@ -264,28 +259,22 @@ def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthR
 class NicenessReport:
     nice: bool
     offending: tuple[int, ...]  # thin nodes whose subtree touches a sibling subtree
-    bold_like_children: Mapping[int, tuple[int, ...]]  # node -> children needing records
-    absorbable_children: Mapping[int, tuple[int, ...]]  # node -> thin children inside the bag
+
+
+def _offends(views: Mapping[int, NodeViews], t: int, parent: Callable, bag: Callable) -> bool:
+    """Whether `t` is thin and its subtree's neighborhood reaches a sibling
+    subtree: the parent's subtree minus its bag and `t`'s own subtree, which
+    `outside` already avoids.  `parent` and `bag` look the tree up by node."""
+    p = parent(t)
+    return views[t].thin and bool((views[t].outside - bag(p)) & views[p].subtree)
 
 
 def niceness_report(dec: TreecutDecomposition, views: Mapping[int, NodeViews]) -> NicenessReport:
     """Check that every thin node's subtree neighborhood avoids all sibling
-    subtrees, and classify each node's children for the dynamic program,
-    from the decomposition's `node_views` map."""
-    offending = []
-    for t in dec.nodes():
-        p = dec.parent(t)
-        # the sibling subtrees are the parent's subtree minus its bag and
-        # `t`'s own subtree, which `outside` already avoids
-        if views[t].thin and (views[t].outside - dec.bag(p)) & views[p].subtree:
-            offending.append(t)
-    absorbable: dict[int, tuple[int, ...]] = {}
-    bold_like: dict[int, tuple[int, ...]] = {}
-    for t in dec.nodes():
-        children = sorted(dec.children(t))
-        absorbable[t] = tuple(c for c in children if views[c].absorbable)
-        bold_like[t] = tuple(c for c in children if not views[c].absorbable)
-    return NicenessReport(not offending, tuple(offending), bold_like, absorbable)
+    subtrees, from the decomposition's `node_views` map.  Which children the
+    dynamic program branches over is `NodeViews.absorbable`."""
+    offending = tuple(t for t in dec.nodes() if _offends(views, t, dec.parent, dec.bag))
+    return NicenessReport(not offending, offending)
 
 
 def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
@@ -424,16 +413,23 @@ def spanning_tree_decomposition(inst: EDPInstance) -> TreecutDecomposition:
         pv = parent_v[v]
         parent[nv] = 1 if pv is None else node_of[pv]
         bags[nv] = {v}
-    dec = TreecutDecomposition(parent, {t: frozenset(b) for t, b in bags.items()})
-    while True:
-        report = verify_nice(inst, dec)
-        if report.nice:
-            return dec
-        t = report.offending[0]  # merge the offender's bag into its parent
-        p = dec.parent(t)
-        new_parent = {x: dec.parent(x) for x in dec.nodes() if x != t}
-        new_bags = {x: dec.bag(x) for x in dec.nodes() if x != t}
-        new_bags[p] = dec.bag(p) | dec.bag(t)
-        for c in dec.children(t):
-            new_parent[c] = p
-        dec = TreecutDecomposition(new_parent, new_bags)
+    dec = TreecutDecomposition(parent, bags)
+    # Merging an offender t into its parent p changes no other node's views,
+    # only the offending test of p's children: p's own can only stop
+    # offending, as its bag grew, and t's are pushed to be tested anew.  So
+    # the smallest offender is merged first, as a rescan would.
+    views = node_views(inst, dec)
+    children = {t: set(dec.children(t)) for t in parent}
+    heap = sorted(parent)
+    while heap:
+        t = heappop(heap)
+        if t not in parent or not _offends(views, t, parent.__getitem__, bags.__getitem__):
+            continue
+        p = parent.pop(t)
+        bags[p] |= bags.pop(t)
+        children[p].remove(t)
+        for c in children.pop(t):
+            parent[c] = p
+            children[p].add(c)
+            heappush(heap, c)
+    return TreecutDecomposition(parent, bags)

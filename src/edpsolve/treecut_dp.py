@@ -53,7 +53,6 @@ from .decomposition import (
     DecompositionError,
     NodeViews,
     TreecutDecomposition,
-    _straddling,
     niceness_report,
     node_views,
     partition_errors,
@@ -217,17 +216,18 @@ def _restrict(cur: EDPInstance, keep: Iterable[int]) -> tuple[EDPInstance, Calla
     return out, stub
 
 
-def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], rec: Record) -> EDPInstance | None:
-    """Replace the subtree by the record's degree-<=2 fringe inside `cur`.
+def _simplify_in(cur: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance | None:
+    """Replace the view's subtree by the record's degree-<=2 fringe inside
+    `cur`, reading each straddling pair's outside member (maybe a stub) there.
 
     Returns None when the record references a cut edge a sibling's
     simplification already consumed differently; such a branch cannot carry
     a solution and is skipped.
     """
     g = cur.graph
-    cut_set = set(cut_ids)
+    sub = view.subtree
     used = rec.used_edges()
-    if not set(used) <= cut_set:
+    if not set(used) <= set(view.cut):
         raise StructureError("record references edges outside the node's cut")
     outside_end: dict[int, int] = {}
     for e in used:
@@ -237,15 +237,14 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
         if (u in sub) == (v in sub):
             return None
         outside_end[e] = v if u in sub else u
-    straddle = _straddling(cur, sub)
-    if set(straddle) != {pid for pid, _ in rec.leaving}:
+    if set(view.straddling) != {pid for pid, _ in rec.leaving}:
         return None
 
     out, stub = _restrict(cur, g.vertices - sub)
     next_pid = cur.max_pair + 1
     for pid, eid in sorted(rec.leaving):
         s = stub((eid, outside_end[eid]))
-        out.add_pair(s, straddle[pid][1], pid)
+        out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
     for e1, e2 in sorted(rec.internal_pairs):
         s1 = stub((e1, outside_end[e1]))
         s2 = stub((e2, outside_end[e2]))
@@ -258,7 +257,7 @@ def _simplify_in(cur: EDPInstance, sub: frozenset[int], cut_ids: Iterable[int], 
 
 def simplify(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
     """Public form of simplification on the original instance."""
-    out = _simplify_in(inst, view.subtree, view.cut, rec)
+    out = _simplify_in(inst, view, rec)
     if out is None:
         raise StructureError("record does not fit the node's cut")
     return out
@@ -321,14 +320,9 @@ def reduce_degree_two_edges(inst: EDPInstance, once: bool = False) -> tuple[EDPI
     return out, rejected
 
 
-def _replace_thin_in(
-    cur: EDPInstance,
-    sub: frozenset[int],
-    cut_ids: tuple[int, ...],
-    table: RecordTable,
-) -> EDPInstance | None:
-    """Swap a thin subtree for the degree-<=2 stubs its record table asks
-    for; None means no record fits, i.e. a NO verdict.
+def _replace_thin_in(cur: EDPInstance, view: NodeViews, table: RecordTable) -> EDPInstance | None:
+    """Swap the view's thin subtree for the degree-<=2 stubs its record
+    table asks for; None means no record fits, i.e. a NO verdict.
 
     With straddling pairs every record only routes them out (see the module
     docstring).  When several records do, one stub on every cut edge
@@ -338,27 +332,27 @@ def _replace_thin_in(
     does.
     """
     g = cur.graph
-    for e in cut_ids:
+    sub = view.subtree
+    for e in view.cut:
         if not g.has_edge(e):
             raise StructureError(f"cut edge {e} vanished before thin replacement")
     if not table.records:
         return None
-    straddle = _straddling(cur, sub)
-    if straddle and len(table.records) > 1:
+    if view.straddling and len(table.records) > 1:
         out, stub = _restrict(cur, g.vertices - sub)
-        s = stub(*((e, (set(g.endpoints(e)) - sub).pop()) for e in cut_ids))
-        for pid, (_, outer) in straddle.items():
-            out.add_pair(s, outer, pid)
+        s = stub(*((e, (set(g.endpoints(e)) - sub).pop()) for e in view.cut))
+        for pid in view.straddling:
+            out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
         return out
     rec = min(table.records, key=lambda r: (bool(r.internal_pairs), not r.foreign_pairs))
-    return _simplify_in(cur, sub, cut_ids, rec)
+    return _simplify_in(cur, view, rec)
 
 
 def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable) -> EDPInstance | None:
     """Public form of the thin-node replacement; None signals a NO-instance."""
     if view.adhesion > 2:
         raise StructureError(f"node {view.node} is not thin (adhesion {view.adhesion})")
-    return _replace_thin_in(inst, view.subtree, view.cut, table)
+    return _replace_thin_in(inst, view, table)
 
 
 # -- the dynamic step and full solve -----------------------------------------
@@ -461,13 +455,13 @@ def dynamic_step(
         for combo in itertools.product(*(tables[c].records for c in record_children)):
             cur: EDPInstance | None = base
             for c, crec in zip(record_children, combo):
-                cur = _simplify_in(cur, lviews[c].subtree, lviews[c].cut, crec)
+                cur = _simplify_in(cur, lviews[c], crec)
                 if cur is None:
                     break
             if cur is None:
                 continue
             for b in absorbable:
-                cur = _replace_thin_in(cur, lviews[b].subtree, lviews[b].cut, tables[b])
+                cur = _replace_thin_in(cur, lviews[b], tables[b])
                 if cur is None:
                     break
             if cur is None:
@@ -509,8 +503,8 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
             f"decomposition is not nice (offending thin nodes {list(nrep.offending)}); "
             "run verify_nice for details"
         )
-    for t, children in nrep.bold_like_children.items():
-        if len(children) > 2 * wrep.width + 1:
+    for t in dec.nodes():
+        if sum(not views[c].absorbable for c in dec.children(t)) > 2 * wrep.width + 1:
             raise RuntimeError(f"node {t} keeps too many record children")
     bound = record_count_bound(wrep.width)
     tables: dict[int, RecordTable] = {}

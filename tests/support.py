@@ -1,12 +1,13 @@
 """Shared test helpers: witness-to-record correspondence, small random
-instance builders and disjoint unions used across suites, and the unpruned backtracking search
-that the oracle's pruned core is checked against."""
+instance builders and disjoint unions used across suites, the unpruned backtracking search
+that the oracle's pruned core is checked against, and the rescanning spanning-tree
+decomposition builder that the one-pass builder is checked against."""
 
 from __future__ import annotations
 
 import random
 
-from edpsolve.decomposition import TreecutDecomposition, node_views
+from edpsolve.decomposition import TreecutDecomposition, node_views, verify_nice
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph
 from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
@@ -210,3 +211,43 @@ def naive_search(inst: EDPInstance, vertex_disjoint: bool) -> SolveResult:
     if place(0):
         return SolveResult(True, dict(routes))
     return SolveResult(False)
+
+
+def rescanning_spanning_tree_decomposition(inst: EDPInstance) -> TreecutDecomposition:
+    """The spanning-forest decomposition made nice by re-running
+    `verify_nice` after every merge and merging its first offender into the
+    offender's parent: the reference for `spanning_tree_decomposition`."""
+    g = inst.graph
+    parent_v: dict[int, int | None] = {}
+    for comp in g.connected_components():
+        rootv = min(comp)
+        parent_v[rootv] = None
+        stack = [rootv]
+        seen = {rootv}
+        while stack:
+            x = stack.pop()
+            for y in sorted(g.neighbors(x)):
+                if y not in seen:
+                    seen.add(y)
+                    parent_v[y] = x
+                    stack.append(y)
+    node_of = {v: i for i, v in enumerate(sorted(parent_v), start=2)}
+    parent: dict[int, int | None] = {1: None}
+    bags: dict[int, frozenset[int]] = {1: frozenset()}
+    for v, nv in node_of.items():
+        pv = parent_v[v]
+        parent[nv] = 1 if pv is None else node_of[pv]
+        bags[nv] = frozenset({v})
+    dec = TreecutDecomposition(parent, bags)
+    while True:
+        report = verify_nice(inst, dec)
+        if report.nice:
+            return dec
+        t = report.offending[0]
+        p = dec.parent(t)
+        new_parent = {x: dec.parent(x) for x in dec.nodes() if x != t}
+        new_bags = {x: dec.bag(x) for x in dec.nodes() if x != t}
+        new_bags[p] = dec.bag(p) | dec.bag(t)
+        for c in dec.children(t):
+            new_parent[c] = p
+        dec = TreecutDecomposition(new_parent, new_bags)

@@ -6,6 +6,7 @@ import pytest
 
 from edpsolve import oracle
 from edpsolve.cli import main
+from edpsolve.decomposition import serialize_decomposition
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import StructureError, parse_instance, serialize_instance
 from edpsolve.kernel import kernelize
@@ -81,8 +82,6 @@ def test_solve_methods_agree_and_witnesses_replay(tmp_path):
         ipath = tmp_path / f"i{seed}.edp"
         ipath.write_text(serialize_instance(inst))
         dpath = tmp_path / f"i{seed}.dec"
-        from edpsolve.decomposition import serialize_decomposition
-
         dpath.write_text(serialize_decomposition(dec))
         answers = set()
         for args in (
@@ -161,17 +160,47 @@ def test_solve_cap_exceeded_exit_3(tmp_path):
     assert code == 3
 
 
-def test_solve_witness_over_caps_prints_no_answer(tmp_path):
-    # auto answers YES through the kernel, but the witness needs the capped
-    # oracle on the whole input; exit 3 must leave stdout empty
+@pytest.fixture()
+def auto_yes_over_cap(tmp_path):
+    """A tree-plus instance of 305 edges that auto answers YES through its
+    hub-shaped kernel, with no routes for the whole input."""
     inst, _ = gen_random_instance(0, 300, 6, 2, profile="tree-plus")
     path = tmp_path / "big.edp"
     path.write_text(serialize_instance(inst))
-    code, out, err = run_cli("solve", str(path), "--method", "auto", "--quiet")
+    return str(path), inst
+
+
+def test_solve_witness_over_caps_prints_no_answer(auto_yes_over_cap, monkeypatch):
+    # the witness search on the whole input runs out of its step budget;
+    # exit 3 must leave stdout empty
+    path, _ = auto_yes_over_cap
+    code, out, err = run_cli("solve", path, "--method", "auto", "--quiet")
     assert code == 0 and out.splitlines() == ["YES"]
-    code, out, err = run_cli("solve", str(path), "--method", "auto", "--witness", "--quiet")
-    assert code == 3 and "witness" in err
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", 5)
+    code, out, err = run_cli("solve", path, "--method", "auto", "--witness", "--quiet")
+    assert code == 3 and "witness" in err and "search budget of 5 steps exhausted" in err
     assert out == ""
+
+
+def test_solve_witness_search_ignores_edge_cap(auto_yes_over_cap):
+    # the witness search has the step budget alone, so an input far over
+    # the default 20-edge cap still gets its paths
+    path, inst = auto_yes_over_cap
+    assert inst.graph.num_edges() > 20
+    code, out, _ = run_cli("solve", path, "--method", "auto", "--witness", "--quiet")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "YES"
+    replay_witness(inst, lines[1:])
+
+
+def test_solve_simple_off_hub_shape_exit_2(tmp_path):
+    inst, _ = gen_random_instance(0, 12, 3, 2, profile="tree-plus")
+    path = tmp_path / "tree.edp"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run_cli("solve", str(path), "--method", "simple")
+    assert code == 2 and out == ""
+    assert "does not fit the hub/satellite shape" in err
 
 
 @pytest.fixture()
@@ -362,8 +391,6 @@ def test_bench_disagreement_exit_1(tmp_path, monkeypatch):
 
 
 def test_bench_auto_uses_decomposition(tmp_path):
-    from edpsolve.decomposition import serialize_decomposition
-
     bench_dir = tmp_path / "corpus"
     bench_dir.mkdir()
     for name, args in (("no", (24, 40, 5, 2)), ("yes", (11, 60, 7, 2))):
@@ -391,3 +418,59 @@ def test_bench_empty_directory_header_only(tmp_path):
 def test_bench_missing_directory_exit_2(tmp_path):
     code, _, _ = run_cli("bench", str(tmp_path / "missing"))
     assert code == 2
+
+
+def test_bench_na_rows_for_caps_and_shape(tmp_path):
+    # a method that cannot answer writes NA and takes no part in the
+    # agreement check: oracle over its edge cap, simple off the hub shape
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    inst, _ = gen_random_instance(0, 12, 3, 2, profile="tree-plus")
+    (bench_dir / "tree.edp").write_text(serialize_instance(inst))
+    code, out, _ = run_cli("bench", str(bench_dir), "--methods", "auto,oracle,simple", "--cap-edges", "4")
+    assert code == 0
+    answers = {row.split(",")[1]: row.split(",")[6] for row in out.strip().splitlines()[1:]}
+    assert answers["oracle"] == answers["simple"] == "NA"
+    assert answers["auto"] == ("YES" if brute_force_edp(inst, caps=None).feasible else "NO")
+
+
+def test_bench_unknown_method_exit_2(tmp_path):
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    inst, _ = gen_random_instance(0, 6, 1, 2, profile="tree-plus")
+    (bench_dir / "i0.edp").write_text(serialize_instance(inst))
+    code, out, err = run_cli("bench", str(bench_dir), "--methods", "auto,orcale")
+    assert code == 2 and out == ""
+    assert "'orcale'" in err
+
+
+def test_bench_malformed_decomposition_exit_2(tmp_path):
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    inst, _ = gen_random_instance(0, 8, 2, 2, profile="bounded-tcw")
+    path = bench_dir / "i0.edp"
+    path.write_text(serialize_instance(inst))
+    (bench_dir / "i0.edp.dec").write_text("d tcw 2\nn 1 0\nn 2\n")
+    code, _, err = run_cli("bench", str(bench_dir), "--methods", "treecut")
+    assert code == 2
+    assert f"{path}.dec: line 3: malformed node line" in err
+    code, _, err = run_cli("solve", str(path), "--method", "treecut", "--decomposition", f"{path}.dec")
+    assert code == 2 and "line 3: malformed node line" in err
+
+
+def test_bench_does_not_hide_a_soundness_error(tmp_path, monkeypatch):
+    # a broken DP invariant is a fault, not a method that cannot answer
+    import edpsolve.cli as cli
+
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    inst, dec = gen_random_instance(0, 8, 2, 2, profile="bounded-tcw")
+    (bench_dir / "i0.edp").write_text(serialize_instance(inst))
+    (bench_dir / "i0.edp.dec").write_text(serialize_decomposition(dec))
+
+    def unsound(*args):
+        raise RuntimeError("the root keeps a non-empty record")
+
+    monkeypatch.setattr(cli, "solve_treecut", unsound)
+    with pytest.raises(RuntimeError, match="non-empty record"):
+        run_cli("bench", str(bench_dir), "--methods", "treecut")

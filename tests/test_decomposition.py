@@ -2,6 +2,7 @@ import pytest
 
 from edpsolve.decomposition import (
     DecompositionError,
+    NicenessReport,
     NodeViews,
     TreecutDecomposition,
     chain_decomposition,
@@ -18,7 +19,7 @@ from edpsolve.decomposition import (
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, ParseError
 
-from .support import reference_decomposition, reference_graph
+from .support import reference_decomposition, reference_graph, rescanning_spanning_tree_decomposition
 
 
 def test_reference_values_match_annotations():
@@ -154,6 +155,20 @@ def test_spanning_tree_decomposition_always_nice():
         assert verify_nice(inst, dec).nice
 
 
+def test_spanning_tree_decomposition_matches_rescanning_builder():
+    # the one-pass merge order against a rescan of the niceness report after
+    # every merge, on tree-plus inputs and on two larger bounded-tcw graphs
+    # whose spanning trees need many merges
+    cases = [gen_random_instance(seed, 5 + seed % 56, seed % 6, 0, profile="tree-plus")[0] for seed in range(120)]
+    cases += [gen_random_instance(seed, 120, 15, 0, profile="bounded-tcw")[0] for seed in (1, 2)]
+    merged = 0
+    for i, inst in enumerate(cases):
+        dec = spanning_tree_decomposition(inst)
+        assert dec == rescanning_spanning_tree_decomposition(inst), f"case {i}"
+        merged += len(dec.nodes()) < inst.graph.num_vertices() + 1
+    assert merged >= 20
+
+
 def _views_by_definition(inst, dec, t):
     """One node's views from the definitions: the subtree is the union of
     the bags below `t`, the cut holds the edges with one endpoint inside, the
@@ -197,12 +212,16 @@ def test_node_views_match_per_node_definitions():
 
 
 def test_nice_classification_splits_children():
+    # the niceness report holds the verdict only, and the views split each
+    # node's children: under bag {4, 5}, {6} and {7} are thin and see only
+    # the bag, while {3} also sees vertex 2
     inst = reference_graph()
-    dec = chain_decomposition(inst)
-    rep = verify_nice(inst, dec)
-    assert rep.nice
-    for node, kids in rep.bold_like_children.items():
-        assert set(kids) | set(rep.absorbable_children[node]) == set(dec.children(node))
+    dec = spanning_tree_decomposition(inst)
+    assert verify_nice(inst, dec) == NicenessReport(True, ())
+    views = node_views(inst, dec)
+    (node,) = [t for t in dec.nodes() if dec.bag(t) == {4, 5}]
+    split = {dec.bag(c): views[c].absorbable for c in dec.children(node)}
+    assert split == {frozenset({3}): False, frozenset({6}): True, frozenset({7}): True}
 
 
 def test_star_decomposition_shape():

@@ -838,6 +838,40 @@ def test_solve_treecut_builds_node_local_instances(monkeypatch):
     assert all(0 < size <= 20 for size in largest), largest
 
 
+def test_residue_builders_scan_no_pair_list(monkeypatch):
+    # a child's straddling pairs come from its view, so laying its stubs
+    # reads single pairs and never walks the residue's pair list
+    from edpsolve import treecut_dp
+
+    depth, calls, scans = [0], {}, []
+    real_sorted_pairs = EDPInstance.sorted_pairs
+
+    def spying(self):
+        if depth[0]:
+            scans.append(len(self.pairs))
+        return real_sorted_pairs(self)
+
+    def entered(name, real):
+        def builder(*args):
+            calls[name] = calls.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        return builder
+
+    for name in ("_simplify_in", "_replace_thin_in"):
+        monkeypatch.setattr(treecut_dp, name, entered(name, getattr(treecut_dp, name)))
+    monkeypatch.setattr(EDPInstance, "sorted_pairs", spying)
+    for seed, n in ((2, 12), (1, 60)):
+        inst, dec = gen_random_instance(seed, n, n // 8, 2, profile="bounded-tcw")
+        solve_treecut(inst, dec)
+    assert calls["_simplify_in"] > 0 and calls["_replace_thin_in"] > 0, calls
+    assert scans == []
+
+
 # sha256 over the outputs below on the corpus of `_digest_cases`; a change to
 # any record table, width report or niceness report changes it
 DP_DIGEST = "41bc44654e01076b9c2102d60139d063affa857fa6e1aea0bbcb78924cbf1f0c"
@@ -863,7 +897,13 @@ def test_dp_outputs_match_pinned_digest():
         wrep = verify_decomposition(inst, dec)
         nrep = verify_nice(inst, dec)
         h.update(repr((wrep.valid, wrep.width, sorted(wrep.per_node.items()))).encode())
-        niceness = (nrep.offending, sorted(nrep.bold_like_children.items()), sorted(nrep.absorbable_children.items()))
+        # the child split the dynamic step reads from the views, as two
+        # node -> sorted children maps
+        views = node_views(inst, dec)
+        kids = {t: sorted(dec.children(t)) for t in dec.nodes()}
+        record_children = {t: tuple(c for c in cs if not views[c].absorbable) for t, cs in kids.items()}
+        absorbable = {t: tuple(c for c in cs if views[c].absorbable) for t, cs in kids.items()}
+        niceness = (nrep.offending, sorted(record_children.items()), sorted(absorbable.items()))
         h.update(repr((nrep.nice, *niceness)).encode())
         if nrep.nice:
             res = solve_treecut(inst, dec)
