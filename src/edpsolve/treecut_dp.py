@@ -22,22 +22,25 @@ internal (the outside must route one extra pair).  A valid foreign record
 implies a valid unused one, so each choice offers the outside every route
 the next one does.
 
-The step works on the node's local instance (`_local_instance`), built once
-per node: the bag, every edge at the bag, the node's and the children's cut
-edges, and the pairs at the bag or straddling the node or a child, with each
-subtree cut down to those vertices.  This is exact: the rest of a child's
-subtree is never read before that child's simplification deletes it, so
-every residue equals the whole-subtree one up to the ids of its stubs, and
-those keep their relative order.  A node then costs time in its bag and its
-cuts, not in the size of its subtree.
+Residues are plain id maps (`Residue`): a vertex set, edge id -> endpoints
+and pair id -> members.  The step starts from the node's local residue
+(`_local_instance`), built once per node: the bag, every edge at the bag,
+the node's and the children's cut edges, and the pairs at the bag or
+straddling the node or a child, with each subtree cut down to those
+vertices.  This is exact: the rest of a child's subtree is never read
+before that child's simplification deletes it, so every residue equals the
+whole-subtree one up to the ids of its stubs, and those keep their relative
+order.  A node then costs time in its bag and its cuts, not in the size of
+its subtree.
 
 Residues have a handful of vertices, so they repeat within a solve.  Each
 solve keeps one memo of residue verdicts, keyed by the residue relabeled by
-rank (`_residue_key`), and each distinct residue goes through the degree-two
-rule and the hub solver once.  Equal keys mean that a bijection keeping the
-order of vertex, edge and pair ids carries one residue onto the other and
-the hub onto the hub; those steps read ids only through their order, so they
-take the same steps on both.  The memo lives for one solve only.
+rank (`_residue_key`), and only a residue missing from it becomes an
+`EDPInstance` and goes through the degree-two rule and the hub solver.
+Equal keys mean that a bijection keeping the order of vertex, edge and pair
+ids carries one residue onto the other and the hub onto the hub; those steps
+read ids only through their order, so they take the same steps on both.  The
+memo lives for one solve only.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from .decomposition import (
     DecompositionError,
@@ -58,7 +61,7 @@ from .decomposition import (
     partition_errors,
     width_report,
 )
-from .graphs import EDPInstance, MultiGraph, StructureError, induced_instance
+from .graphs import EDPInstance, MultiGraph, StructureError
 from .simple import preprocess_simple, solve_simple_edp
 
 INTERNAL = "internal"
@@ -146,21 +149,93 @@ def enumerate_records(view: NodeViews) -> list[Record]:
     ]
 
 
-def build_record_instance(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
+class Residue(NamedTuple):
+    """An instance as plain data, the form the dynamic step builds: a vertex
+    set, edge id -> endpoints and pair id -> members, each stored sorted.
+    Only a residue missing from the memo becomes an `EDPInstance`."""
+
+    vertices: AbstractSet[int]
+    edges: dict[int, tuple[int, int]]
+    pairs: dict[int, tuple[int, int]]
+
+    @classmethod
+    def of(cls, inst: EDPInstance) -> "Residue":
+        return cls(set(inst.graph.vertices), inst.graph.edges, {p: _sorted(ab) for p, ab in inst.pairs.items()})
+
+    def to_instance(self) -> EDPInstance:
+        pairs = {p: frozenset(ab) for p, ab in self.pairs.items()}
+        return EDPInstance(MultiGraph(sorted(self.vertices), self.edges), pairs)
+
+
+def _sorted(ends: Iterable[int]) -> tuple[int, int]:
+    a, b = ends
+    return (a, b) if a < b else (b, a)
+
+
+def _outside(ends: tuple[int, int], sub: AbstractSet[int]) -> int:
+    """The member of an edge's or a pair's two ends that is not in `sub`."""
+    a, b = ends
+    return b if a in sub else a
+
+
+def _induced(cur: Residue, keep: AbstractSet[int]) -> tuple[Residue, Callable[..., int], Callable[..., None]]:
+    """The residue induced on `keep`: every other vertex, its edges and every
+    pair touching it are gone; ids are preserved.
+
+    Also returns `stub(*attach)`, which adds a fresh vertex joined to the
+    kept vertex `y` by edge `eid` for each `(eid, y)` in `attach`, and
+    `pair(a, b, pid=None)`.  Stub ids count up from one past `cur`'s largest
+    vertex, fresh pair ids from one past its largest pair id.  Both raise the
+    `StructureError`s of `MultiGraph.add_edge` and `EDPInstance.add_pair`.
+    """
+    vertices = set(keep)
+    edges = {e: uv for e, uv in cur.edges.items() if uv[0] in keep and uv[1] in keep}
+    pairs = {p: ab for p, ab in cur.pairs.items() if ab[0] in keep and ab[1] in keep}
+    fresh_vertex = itertools.count(max(cur.vertices, default=0) + 1)
+    fresh_pair = itertools.count(max(cur.pairs, default=0) + 1)
+
+    def stub(*attach: tuple[int, int]) -> int:
+        s = next(fresh_vertex)
+        vertices.add(s)
+        for eid, y in attach:
+            if y not in vertices:
+                raise StructureError(f"edge {{{s},{y}}} references unknown vertex")
+            if eid in edges:
+                raise StructureError(f"duplicate edge id {eid}")
+            edges[eid] = (y, s)  # s is larger than every vertex before it
+        return s
+
+    def pair(a: int, b: int, pid: int | None = None) -> None:
+        if a == b:
+            raise StructureError(f"self-pair {{{a},{a}}}")
+        if a not in vertices or b not in vertices:
+            raise StructureError(f"pair {{{a},{b}}} references unknown vertex")
+        if pid is None:
+            pid = next(fresh_pair)
+        elif pid in pairs:
+            raise StructureError(f"duplicate pair id {pid}")
+        pairs[pid] = _sorted((a, b))
+
+    return Residue(vertices, edges, pairs), stub, pair
+
+
+def build_record_instance(inst: EDPInstance | Residue, view: NodeViews, rec: Record) -> EDPInstance | Residue:
     """The subtree instance extended with the record's stub structure; the
-    record is valid exactly when this instance is solvable.
+    record is valid exactly when this instance is solvable.  The dynamic
+    step passes and gets residues; an `EDPInstance` in gives one out.
 
     Cut edges keep their ids: each used cut edge reappears attached to a
     fresh stub vertex in place of its outside endpoint.  An internal pair
     whose two inside endpoints coincide is dropped entirely (no simple path
     can leave and re-enter through the same vertex).
     """
+    if isinstance(inst, EDPInstance):
+        return build_record_instance(Residue.of(inst), view, rec).to_instance()
     sub = view.subtree
-    out, stub = _restrict(inst, sub)
-    next_pid = inst.max_pair + 1
+    out, stub, pair = _induced(inst, sub & inst.vertices)
 
     def inside_end(eid: int) -> int:
-        u, v = inst.graph.endpoints(eid)
+        u, v = inst.edges[eid]
         return u if u in sub else v
 
     for e1, e2 in sorted(rec.internal_pairs):
@@ -170,12 +245,9 @@ def build_record_instance(inst: EDPInstance, view: NodeViews, rec: Record) -> ED
     for pid, eid in sorted(rec.leaving):
         if pid not in view.straddling:
             raise StructureError(f"pair {pid} is not a straddling pair of node {view.node}")
-        out.add_pair(view.straddling[pid][0], stub((eid, inside_end(eid))), pid)
+        pair(view.straddling[pid][0], stub((eid, inside_end(eid))), pid)
     for e1, e2 in sorted(rec.foreign_pairs):
-        b = stub((e1, inside_end(e1)))
-        d = stub((e2, inside_end(e2)))
-        out.add_pair(b, d, next_pid)
-        next_pid += 1
+        pair(stub((e1, inside_end(e1))), stub((e2, inside_end(e2))))
     return out
 
 
@@ -193,30 +265,7 @@ def leaf_valid_records(
 # -- simplification ----------------------------------------------------------
 
 
-def _restrict(cur: EDPInstance, keep: Iterable[int]) -> tuple[EDPInstance, Callable[..., int]]:
-    """The instance induced on `keep`: every other vertex, its edges and every
-    pair touching it are gone; ids are preserved.
-
-    Also returns `stub(*attach)`, which adds a fresh vertex joined to the
-    kept vertex `y` by edge `eid` for each `(eid, y)` in `attach`.  Stub ids
-    count up from one past `cur`'s largest vertex.
-    """
-    out = induced_instance(cur, keep)
-    next_vertex = cur.graph.max_vertex + 1
-
-    def stub(*attach: tuple[int, int]) -> int:
-        nonlocal next_vertex
-        s = next_vertex
-        next_vertex += 1
-        out.graph.add_vertex(s)
-        for eid, y in attach:
-            out.graph.add_edge(s, y, eid)
-        return s
-
-    return out, stub
-
-
-def _simplify_in(cur: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance | None:
+def _simplify_in(cur: Residue, view: NodeViews, rec: Record) -> Residue | None:
     """Replace the view's subtree by the record's degree-<=2 fringe inside
     `cur`, reading each straddling pair's outside member (maybe a stub) there.
 
@@ -224,32 +273,24 @@ def _simplify_in(cur: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance 
     simplification already consumed differently; such a branch cannot carry
     a solution and is skipped.
     """
-    g = cur.graph
     sub = view.subtree
     used = rec.used_edges()
     if not set(used) <= set(view.cut):
         raise StructureError("record references edges outside the node's cut")
     outside_end: dict[int, int] = {}
     for e in used:
-        if not g.has_edge(e):
+        ends = cur.edges.get(e)
+        if ends is None or (ends[0] in sub) == (ends[1] in sub):
             return None
-        u, v = g.endpoints(e)
-        if (u in sub) == (v in sub):
-            return None
-        outside_end[e] = v if u in sub else u
+        outside_end[e] = _outside(ends, sub)
     if set(view.straddling) != {pid for pid, _ in rec.leaving}:
         return None
 
-    out, stub = _restrict(cur, g.vertices - sub)
-    next_pid = cur.max_pair + 1
+    out, stub, pair = _induced(cur, cur.vertices - sub)
     for pid, eid in sorted(rec.leaving):
-        s = stub((eid, outside_end[eid]))
-        out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
+        pair(stub((eid, outside_end[eid])), _outside(cur.pairs[pid], sub), pid)
     for e1, e2 in sorted(rec.internal_pairs):
-        s1 = stub((e1, outside_end[e1]))
-        s2 = stub((e2, outside_end[e2]))
-        out.add_pair(s1, s2, next_pid)
-        next_pid += 1
+        pair(stub((e1, outside_end[e1])), stub((e2, outside_end[e2])))
     for e1, e2 in sorted(rec.foreign_pairs):
         stub((e1, outside_end[e1]), (e2, outside_end[e2]))
     return out
@@ -257,10 +298,10 @@ def _simplify_in(cur: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance 
 
 def simplify(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
     """Public form of simplification on the original instance."""
-    out = _simplify_in(inst, view, rec)
+    out = _simplify_in(Residue.of(inst), view, rec)
     if out is None:
         raise StructureError("record does not fit the node's cut")
-    return out
+    return out.to_instance()
 
 
 # -- reduction rules used by the dynamic step --------------------------------
@@ -320,7 +361,7 @@ def reduce_degree_two_edges(inst: EDPInstance, once: bool = False) -> tuple[EDPI
     return out, rejected
 
 
-def _replace_thin_in(cur: EDPInstance, view: NodeViews, table: RecordTable) -> EDPInstance | None:
+def _replace_thin_in(cur: Residue, view: NodeViews, table: RecordTable) -> Residue | None:
     """Swap the view's thin subtree for the degree-<=2 stubs its record
     table asks for; None means no record fits, i.e. a NO verdict.
 
@@ -331,18 +372,17 @@ def _replace_thin_in(cur: EDPInstance, view: NodeViews, table: RecordTable) -> E
     unused, internal: each offers the outside every route the next one
     does.
     """
-    g = cur.graph
     sub = view.subtree
     for e in view.cut:
-        if not g.has_edge(e):
+        if e not in cur.edges:
             raise StructureError(f"cut edge {e} vanished before thin replacement")
     if not table.records:
         return None
     if view.straddling and len(table.records) > 1:
-        out, stub = _restrict(cur, g.vertices - sub)
-        s = stub(*((e, (set(g.endpoints(e)) - sub).pop()) for e in view.cut))
+        out, stub, pair = _induced(cur, cur.vertices - sub)
+        s = stub(*((e, _outside(cur.edges[e], sub)) for e in view.cut))
         for pid in view.straddling:
-            out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
+            pair(s, _outside(cur.pairs[pid], sub), pid)
         return out
     rec = min(table.records, key=lambda r: (bool(r.internal_pairs), not r.foreign_pairs))
     return _simplify_in(cur, view, rec)
@@ -352,7 +392,8 @@ def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable)
     """Public form of the thin-node replacement; None signals a NO-instance."""
     if view.adhesion > 2:
         raise StructureError(f"node {view.node} is not thin (adhesion {view.adhesion})")
-    return _replace_thin_in(inst, view, table)
+    out = _replace_thin_in(Residue.of(inst), view, table)
+    return None if out is None else out.to_instance()
 
 
 # -- the dynamic step and full solve -----------------------------------------
@@ -360,46 +401,45 @@ def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable)
 
 def _local_instance(
     inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], node: int
-) -> tuple[EDPInstance, dict[int, NodeViews]]:
-    """What the node's record tests read of `inst`: the bag, every edge at
-    the bag, the node's and its children's cut edges, and every pair at the
-    bag or straddling the node or a child; ids are preserved.  Returns it
-    with the views of the node and its children, their subtrees cut down to
-    its vertices."""
+) -> tuple[Residue, dict[int, NodeViews]]:
+    """What the node's record tests read of `inst`, as a residue: the bag,
+    every edge at the bag, the node's and its children's cut edges, and
+    every pair at the bag or straddling the node or a child; ids are
+    preserved.  Returns it with the views of the node and its children,
+    their subtrees cut down to its vertices."""
     g = inst.graph
     bag = dec.bag(node)
     kids = [views[c] for c in dec.children(node)]
     edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(k.cut for k in kids))
     pids = {p for v in bag for p in inst.pairs_at(v)}.union(views[node].straddling, *(k.straddling for k in kids))
     vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
-    local = EDPInstance(MultiGraph(vertices, {e: g.endpoints(e) for e in edges}), {p: inst.pair(p) for p in pids})
+    local = Residue(vertices, {e: g.endpoints(e) for e in edges}, {p: _sorted(inst.pair(p)) for p in pids})
     local_views = {k.node: replace(k, subtree=k.subtree & vertices) for k in (views[node], *kids)}
     return local, local_views
 
 
-def _residue_key(cur: EDPInstance, bag: frozenset[int]) -> tuple[int, ...]:
+def _residue_key(cur: Residue, bag: frozenset[int]) -> tuple[int, ...]:
     """The residue with every id replaced by its rank, as one flat tuple:
     the vertex, edge and pair counts, each edge's endpoints (edges in id
-    order, endpoints in stored order), each pair's sorted members (pairs in
-    id order), then the bag vertices present."""
-    g = cur.graph
-    rank = {v: i for i, v in enumerate(g.sorted_vertices())}
-    pids = cur.sorted_pairs()
-    key = [len(rank), g.num_edges(), len(pids)]
-    for e in g.sorted_edges():
-        u, v = g.endpoints(e)
+    order), each pair's members (pairs in id order), then the bag vertices
+    present."""
+    rank = {v: i for i, v in enumerate(sorted(cur.vertices))}
+    edges, pairs = cur.edges, cur.pairs
+    key = [len(rank), len(edges), len(pairs)]
+    for e in sorted(edges):
+        u, v = edges[e]
         key += (rank[u], rank[v])
-    for p in pids:
-        a, b = sorted(cur.pair(p))
+    for p in sorted(pairs):
+        a, b = pairs[p]
         key += (rank[a], rank[b])
     key += [i for v, i in rank.items() if v in bag]
     return tuple(key)
 
 
-def _routes(cur: EDPInstance, bag: frozenset[int], memo: dict[tuple[int, ...], bool]) -> bool:
+def _routes(cur: Residue, bag: frozenset[int], memo: dict[tuple[int, ...], bool]) -> bool:
     """Whether the residue routes with the bag vertices left after the
     degree-two rule as the hub; a residue whose key is in `memo` is not
-    decided again.
+    decided again.  Only a miss turns the residue into an `EDPInstance`.
 
     Equal keys mean that a bijection keeping the order of vertex, edge and
     pair ids carries one residue onto the other and the bag onto the bag.
@@ -410,7 +450,7 @@ def _routes(cur: EDPInstance, bag: frozenset[int], memo: dict[tuple[int, ...], b
     key = _residue_key(cur, bag)
     verdict = memo.get(key)
     if verdict is None:
-        red, rejected = reduce_degree_two_edges(cur)
+        red, rejected = reduce_degree_two_edges(cur.to_instance())
         verdict = not rejected and solve_simple_edp(preprocess_simple(red, bag & red.graph.vertices)).feasible
         memo[key] = verdict
     return verdict
@@ -429,8 +469,10 @@ def dynamic_step(
     For each candidate record, branch over one record per child needing full
     record-sets, simplify those subtrees, replace the absorbable thin
     children, clean up degree-two chains, and ask the hub/satellite solver
-    whether the residue routes.  A leaf has no children to branch over.
-    Every residue is built from the node's local instance.
+    whether the residue routes.  A leaf has no children to branch over, and
+    a child with no valid record makes the node's table empty before any
+    record is enumerated.  Every residue is built as id maps from the node's
+    local residue; only a memo miss builds an `EDPInstance` (see `_routes`).
 
     `memo` maps residue keys to verdicts (see `_routes`); `solve_treecut`
     passes one dict for the whole solve, so a residue met at an earlier node
@@ -443,17 +485,16 @@ def dynamic_step(
     record_children = [c for c in children if not views[c].absorbable]
     bag = dec.bag(node)
 
-    candidates = enumerate_records(views[node])
     if any(not tables[c].records for c in children):
         return RecordTable(node, ())
     local, lviews = _local_instance(inst, dec, views, node)
     valid = []
     residues = 0
-    for rec in candidates:
+    for rec in enumerate_records(views[node]):
         base = build_record_instance(local, lviews[node], rec)
         found = False
         for combo in itertools.product(*(tables[c].records for c in record_children)):
-            cur: EDPInstance | None = base
+            cur: Residue | None = base
             for c, crec in zip(record_children, combo):
                 cur = _simplify_in(cur, lviews[c], crec)
                 if cur is None:

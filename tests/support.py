@@ -1,17 +1,30 @@
 """Shared test helpers: witness-to-record correspondence, small random
 instance builders and disjoint unions used across suites, the unpruned backtracking search
-that the oracle's pruned core is checked against, and the rescanning spanning-tree
-decomposition builder that the one-pass builder is checked against."""
+that the oracle's pruned core is checked against, the rescanning spanning-tree
+decomposition builder that the one-pass builder is checked against, and the
+`EDPInstance`-based dynamic step that the residue-based one is checked against."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import replace
 
 from edpsolve.decomposition import TreecutDecomposition, node_views, verify_nice
 from edpsolve.generators import gen_random_instance
-from edpsolve.graphs import EDPInstance, MultiGraph
+from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, induced_instance
 from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
-from edpsolve.treecut_dp import FOREIGN, INTERNAL, LEAVING, UNUSED, Record
+from edpsolve.simple import preprocess_simple, solve_simple_edp
+from edpsolve.treecut_dp import (
+    FOREIGN,
+    INTERNAL,
+    LEAVING,
+    UNUSED,
+    Record,
+    RecordTable,
+    enumerate_records,
+    reduce_degree_two_edges,
+)
 
 
 def correspondence(
@@ -251,3 +264,159 @@ def rescanning_spanning_tree_decomposition(inst: EDPInstance) -> TreecutDecompos
         for c in dec.children(t):
             new_parent[c] = p
         dec = TreecutDecomposition(new_parent, new_bags)
+
+
+# -- the instance-based dynamic step -------------------------------------------
+#
+# Every residue is an `EDPInstance`, re-induced through `_restrict` once per
+# builder call: the reference for the residue maps of `treecut_dp`, which
+# must give the same tables, residue counts and memo keys.
+
+
+def _restrict(cur: EDPInstance, keep):
+    """The instance induced on `keep`, ids preserved, and `stub(*attach)`,
+    which adds a fresh vertex joined to the kept vertex `y` by edge `eid` for
+    each `(eid, y)`; stub ids count up from one past `cur`'s largest vertex."""
+    out = induced_instance(cur, keep)
+    next_vertex = cur.graph.max_vertex + 1
+
+    def stub(*attach):
+        nonlocal next_vertex
+        s = next_vertex
+        next_vertex += 1
+        out.graph.add_vertex(s)
+        for eid, y in attach:
+            out.graph.add_edge(s, y, eid)
+        return s
+
+    return out, stub
+
+
+def reference_build_record_instance(inst: EDPInstance, view, rec: Record) -> EDPInstance:
+    sub = view.subtree
+    out, stub = _restrict(inst, sub)
+    next_pid = inst.max_pair + 1
+
+    def inside_end(eid):
+        u, v = inst.graph.endpoints(eid)
+        return u if u in sub else v
+
+    for e1, e2 in sorted(rec.internal_pairs):
+        a, c = inside_end(e1), inside_end(e2)
+        if a != c:
+            stub((e1, a), (e2, c))
+    for pid, eid in sorted(rec.leaving):
+        if pid not in view.straddling:
+            raise StructureError(f"pair {pid} is not a straddling pair of node {view.node}")
+        out.add_pair(view.straddling[pid][0], stub((eid, inside_end(eid))), pid)
+    for e1, e2 in sorted(rec.foreign_pairs):
+        b = stub((e1, inside_end(e1)))
+        d = stub((e2, inside_end(e2)))
+        out.add_pair(b, d, next_pid)
+        next_pid += 1
+    return out
+
+
+def reference_simplify_in(cur: EDPInstance, view, rec: Record) -> EDPInstance | None:
+    g = cur.graph
+    sub = view.subtree
+    used = rec.used_edges()
+    if not set(used) <= set(view.cut):
+        raise StructureError("record references edges outside the node's cut")
+    outside_end = {}
+    for e in used:
+        if not g.has_edge(e):
+            return None
+        u, v = g.endpoints(e)
+        if (u in sub) == (v in sub):
+            return None
+        outside_end[e] = v if u in sub else u
+    if set(view.straddling) != {pid for pid, _ in rec.leaving}:
+        return None
+    out, stub = _restrict(cur, g.vertices - sub)
+    next_pid = cur.max_pair + 1
+    for pid, eid in sorted(rec.leaving):
+        s = stub((eid, outside_end[eid]))
+        out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
+    for e1, e2 in sorted(rec.internal_pairs):
+        s1 = stub((e1, outside_end[e1]))
+        s2 = stub((e2, outside_end[e2]))
+        out.add_pair(s1, s2, next_pid)
+        next_pid += 1
+    for e1, e2 in sorted(rec.foreign_pairs):
+        stub((e1, outside_end[e1]), (e2, outside_end[e2]))
+    return out
+
+
+def reference_replace_thin_in(cur: EDPInstance, view, table: RecordTable) -> EDPInstance | None:
+    g = cur.graph
+    sub = view.subtree
+    for e in view.cut:
+        if not g.has_edge(e):
+            raise StructureError(f"cut edge {e} vanished before thin replacement")
+    if not table.records:
+        return None
+    if view.straddling and len(table.records) > 1:
+        out, stub = _restrict(cur, g.vertices - sub)
+        s = stub(*((e, (set(g.endpoints(e)) - sub).pop()) for e in view.cut))
+        for pid in view.straddling:
+            out.add_pair(s, next(iter(cur.pair(pid) - sub)), pid)
+        return out
+    rec = min(table.records, key=lambda r: (bool(r.internal_pairs), not r.foreign_pairs))
+    return reference_simplify_in(cur, view, rec)
+
+
+def reference_residue_key(cur: EDPInstance, bag) -> tuple[int, ...]:
+    g = cur.graph
+    rank = {v: i for i, v in enumerate(g.sorted_vertices())}
+    pids = cur.sorted_pairs()
+    key = [len(rank), g.num_edges(), len(pids)]
+    for e in g.sorted_edges():
+        u, v = g.endpoints(e)
+        key += (rank[u], rank[v])
+    for p in pids:
+        a, b = sorted(cur.pair(p))
+        key += (rank[a], rank[b])
+    key += [i for v, i in rank.items() if v in bag]
+    return tuple(key)
+
+
+def reference_step(inst: EDPInstance, dec: TreecutDecomposition, views, node: int, tables, memo) -> RecordTable:
+    """`treecut_dp.dynamic_step` with every residue an `EDPInstance`."""
+    children = sorted(dec.children(node))
+    absorbable = [c for c in children if views[c].absorbable]
+    record_children = [c for c in children if not views[c].absorbable]
+    bag = dec.bag(node)
+    if any(not tables[c].records for c in children):
+        return RecordTable(node, ())
+    g = inst.graph
+    kids = [views[c] for c in children]
+    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(k.cut for k in kids))
+    pids = {p for v in bag for p in inst.pairs_at(v)}.union(views[node].straddling, *(k.straddling for k in kids))
+    vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
+    local = EDPInstance(MultiGraph(vertices, {e: g.endpoints(e) for e in edges}), {p: inst.pair(p) for p in pids})
+    lviews = {k.node: replace(k, subtree=k.subtree & vertices) for k in (views[node], *kids)}
+    valid, residues = [], 0
+    for rec in enumerate_records(views[node]):
+        base = reference_build_record_instance(local, lviews[node], rec)
+        for combo in itertools.product(*(tables[c].records for c in record_children)):
+            cur = base
+            for c, crec in zip(record_children, combo):
+                cur = reference_simplify_in(cur, lviews[c], crec)
+                if cur is None:
+                    break
+            for b in absorbable:
+                if cur is None:
+                    break
+                cur = reference_replace_thin_in(cur, lviews[b], tables[b])
+            if cur is None:
+                continue
+            residues += 1
+            key = reference_residue_key(cur, bag)
+            if key not in memo:
+                red, rejected = reduce_degree_two_edges(cur)
+                memo[key] = not rejected and solve_simple_edp(preprocess_simple(red, bag & red.graph.vertices)).feasible
+            if memo[key]:
+                valid.append(rec)
+                break
+    return RecordTable(node, tuple(valid), residues)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections.abc import Mapping, MappingView
 
 import pytest
 
@@ -25,6 +26,7 @@ from edpsolve.treecut_dp import (
     LEAVING,
     UNUSED,
     Record,
+    Residue,
     _residue_key,
     build_record_instance,
     dynamic_step,
@@ -37,7 +39,7 @@ from edpsolve.treecut_dp import (
     solve_treecut,
 )
 
-from .support import correspondence, random_small_instance, reference_decomposition, reference_graph
+from .support import correspondence, random_small_instance, reference_decomposition, reference_graph, reference_step
 
 
 def two_bag_setup(cut_edges):
@@ -623,7 +625,16 @@ def test_thin_outputs_match_pinned_digest(monkeypatch):
     def thinning(*args):
         out = real_thin(*args)
         if live[0]:
-            inner.append(_instance_key(out))
+            # the residue in `_instance_key`'s form
+            inner.append(
+                None
+                if out is None
+                else (
+                    sorted(out.vertices),
+                    [(e, out.edges[e]) for e in sorted(out.edges)],
+                    [(p, list(out.pairs[p])) for p in sorted(out.pairs)],
+                )
+            )
         return out
 
     monkeypatch.setattr(treecut_dp, "dynamic_step", stepping)
@@ -658,6 +669,25 @@ def test_dynamic_step_empty_child_table_gives_empty():
     assert tables[3].records == ()  # two straddlers, one cut edge
     out = dynamic_step(inst, dec, views, 2, tables)
     assert out.records == ()
+
+
+def test_dynamic_step_enumerates_no_records_over_an_empty_child_table(monkeypatch):
+    from edpsolve import treecut_dp
+
+    inst, dec = two_bag_setup(1)
+    inst.add_pair(1, 4)
+    inst.add_pair(2, 3)
+    views = node_views(inst, dec)
+    tables = {3: leaf_valid_records(inst, dec, views, 3)}
+    enumerated, real = [], treecut_dp.enumerate_records
+
+    def spying(view):
+        enumerated.append(view.node)
+        return real(view)
+
+    monkeypatch.setattr(treecut_dp, "enumerate_records", spying)
+    assert dynamic_step(inst, dec, views, 2, tables).records == ()
+    assert enumerated == []
 
 
 def test_dynamic_step_agrees_with_simple_solver_on_star():
@@ -819,18 +849,19 @@ def test_solve_treecut_derives_node_views_once(monkeypatch):
 
 
 def test_solve_treecut_builds_node_local_instances(monkeypatch):
-    # every residue comes from a node's local instance, so the largest
-    # instance restricted during a solve does not grow with n
+    # every residue comes from a node's local residue, so the largest local
+    # residue built during a solve does not grow with n
     from edpsolve import treecut_dp
 
     largest = []
-    real = treecut_dp.induced_instance
+    real = treecut_dp._local_instance
 
-    def spying(inst, subset):
-        largest[-1] = max(largest[-1], inst.graph.num_vertices())
-        return real(inst, subset)
+    def spying(inst, dec, views, node):
+        local, local_views = real(inst, dec, views, node)
+        largest[-1] = max(largest[-1], len(local.vertices))
+        return local, local_views
 
-    monkeypatch.setattr(treecut_dp, "induced_instance", spying)
+    monkeypatch.setattr(treecut_dp, "_local_instance", spying)
     for n in (50, 200, 800):
         inst, dec = gen_random_instance(1, n, n // 8, 2, profile="bounded-tcw")
         largest.append(0)
@@ -840,16 +871,15 @@ def test_solve_treecut_builds_node_local_instances(monkeypatch):
 
 def test_residue_builders_scan_no_pair_list(monkeypatch):
     # a child's straddling pairs come from its view, so laying its stubs
-    # reads single pairs and never walks the residue's pair list
+    # reads single pairs and never sorts the residue's pair list
     from edpsolve import treecut_dp
 
     depth, calls, scans = [0], {}, []
-    real_sorted_pairs = EDPInstance.sorted_pairs
 
-    def spying(self):
-        if depth[0]:
-            scans.append(len(self.pairs))
-        return real_sorted_pairs(self)
+    def spying(items, **kwargs):
+        if depth[0] and isinstance(items, (Mapping, MappingView)):
+            scans.append(len(items))
+        return sorted(items, **kwargs)
 
     def entered(name, real):
         def builder(*args):
@@ -864,7 +894,7 @@ def test_residue_builders_scan_no_pair_list(monkeypatch):
 
     for name in ("_simplify_in", "_replace_thin_in"):
         monkeypatch.setattr(treecut_dp, name, entered(name, getattr(treecut_dp, name)))
-    monkeypatch.setattr(EDPInstance, "sorted_pairs", spying)
+    monkeypatch.setattr(treecut_dp, "sorted", spying, raising=False)
     for seed, n in ((2, 12), (1, 60)):
         inst, dec = gen_random_instance(seed, n, n // 8, 2, profile="bounded-tcw")
         solve_treecut(inst, dec)
@@ -940,13 +970,14 @@ def _small_residue():
 def test_residue_key_ignores_order_preserving_relabeling():
     inst, bag = _small_residue()
     moved, moved_bag = _relabeled(inst, bag, lambda v: 3 * v + 5, lambda e: 2 * e + 7, lambda p: p + 10)
-    assert _residue_key(moved, moved_bag) == _residue_key(inst, bag)
-    assert _residue_key(moved, moved_bag | {1000}) == _residue_key(inst, bag)
+    key = _residue_key(Residue.of(inst), bag)
+    assert _residue_key(Residue.of(moved), moved_bag) == key
+    assert _residue_key(Residue.of(moved), moved_bag | {1000}) == key
 
 
 def test_residue_key_tells_residues_apart():
     inst, bag = _small_residue()
-    key = _residue_key(inst, bag)
+    key = _residue_key(Residue.of(inst), bag)
     parallel = inst.copy()
     parallel.graph.add_edge(8, 9)
     paired = inst.copy()
@@ -954,11 +985,11 @@ def test_residue_key_tells_residues_apart():
     repaired = inst.copy()
     repaired.remove_pair(2)
     repaired.add_pair(2, 5, 2)
-    assert _residue_key(parallel, bag) != key
-    assert _residue_key(paired, bag) != key
-    assert _residue_key(repaired, bag) != key
-    assert _residue_key(inst, bag | {8}) != key
-    assert _residue_key(inst, bag - {5}) != key
+    assert _residue_key(Residue.of(parallel), bag) != key
+    assert _residue_key(Residue.of(paired), bag) != key
+    assert _residue_key(Residue.of(repaired), bag) != key
+    assert _residue_key(Residue.of(inst), bag | {8}) != key
+    assert _residue_key(Residue.of(inst), bag - {5}) != key
 
 
 def _memo_cases():
@@ -990,3 +1021,51 @@ def test_residue_memo_counts_on_pinned_chain():
     first, second = solve_treecut(inst, dec), solve_treecut(inst, dec)
     assert first.residue_solves * 5 <= first.residues
     assert (first.residues, first.residue_solves) == (second.residues, second.residue_solves)
+
+
+def _reference_cases():
+    for inst, dec in _digest_cases():
+        if verify_decomposition(inst, dec).valid and verify_nice(inst, dec).nice:
+            yield inst, dec
+    for s in range(12):
+        n = 12 + 17 * s
+        yield gen_random_instance(2000 + s, n, n // 8, 2, profile="bounded-tcw")
+    for s in range(100):
+        inst, _ = gen_random_instance(500 + s, 8 + s % 13, 2 + s % 3, 2 + s % 2, profile="tree-plus")
+        yield inst, spanning_tree_decomposition(inst)
+
+
+def test_residue_step_matches_instance_reference():
+    # the residue maps give the tables, residue counts and memo (key ->
+    # verdict) of the step that re-induced an EDPInstance per builder call
+    shared = 0
+    for inst, dec in _reference_cases():
+        dec = dec.ensure_empty_root()
+        views = node_views(inst, dec)
+        tables, ref_tables, memo, ref_memo = {}, {}, {}, {}
+        for t in dec.postorder():
+            tables[t] = dynamic_step(inst, dec, views, t, tables, memo)
+            ref_tables[t] = reference_step(inst, dec, views, t, ref_tables, ref_memo)
+            assert tables[t] == ref_tables[t], t
+            # siblings sharing a cut edge: the second one's stubs join the first one's
+            cuts = [set(views[c].cut) for c in dec.children(t) if not views[c].absorbable]
+            if tables[t].residues and any(a & b for a, b in itertools.combinations(cuts, 2)):
+                shared += 1
+        assert memo == ref_memo
+    assert shared >= 10, shared
+
+
+def test_solve_treecut_builds_an_instance_per_memo_miss(monkeypatch):
+    from edpsolve import treecut_dp
+
+    calls = []
+    real = Residue.to_instance
+
+    def spying(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(treecut_dp.Residue, "to_instance", spying)
+    inst, dec = gen_random_instance(1, 100, 12, 2, profile="bounded-tcw")
+    res = solve_treecut(inst, dec)
+    assert len(calls) == res.residue_solves < res.residues, (len(calls), res.residue_solves, res.residues)
