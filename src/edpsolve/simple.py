@@ -20,7 +20,13 @@ instances related by an order-preserving relabelling take the same steps;
 the treecut DP's residue memo relies on this.
 
 Aside from the final answer the solver keeps one provenance chain per
-surviving vector, which is enough to reconstruct a witness.
+surviving vector, which is enough to reconstruct a witness.  A chain is
+linked: each step adds one cell, (earlier provenance, record) inside a chain
+walk and (accumulator provenance, chain provenance) across components, so
+it costs O(1), and only the chosen vector's chain is flattened into its
+records.  A chain walk is stepped in place, so within a chain a vector
+keeps the provenance of its first insertion; across components it keeps
+that of the first pair in vector order.
 """
 
 from __future__ import annotations
@@ -177,7 +183,7 @@ def enumerate_hub_paths(si: SimpleInstance, u: int, v: int) -> frozenset[Solutio
 
 # -- the solver -------------------------------------------------------------
 
-Table = dict  # packed vector -> tuple[RouteRec, ...]
+Table = dict  # packed vector -> provenance chain (see _flatten)
 
 
 class _DP:
@@ -278,7 +284,8 @@ class _DP:
     def merge(self, table: Table, options: Table) -> Table:
         """Every sum of a `table` vector and an `options` vector within the
         ceiling, with the provenance of the first pair, in vector order,
-        that gives it."""
+        that gives it.  The provenance is one cell (table provenance,
+        options provenance), so a sum costs O(1) however long the chains."""
         rows = sorted(table.items(), key=lambda kv: self.order(kv[0]))
         cols = sorted(options.items(), key=lambda kv: self.order(kv[0]))
         ceiling, guards = self.ceiling, self.guards
@@ -289,13 +296,8 @@ class _DP:
                 if (room - b) & guards == guards:
                     s = a + b
                     if s not in out:
-                        out[s] = prov + prov2
+                        out[s] = (prov, prov2)
         return self.check(out)
-
-    def route_options(self, pid: int, u: int, v: int, lead: int | None, tail: int | None) -> Table:
-        return self.check(
-            {vec: ((pid, path, lead, tail),) for vec, path in self.paths(u, v).items()}
-        )
 
 
 def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
@@ -306,7 +308,8 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     two pairs (no more than its degree) and a hub end in exactly one, so
     every component is a path or a cycle, and hub ends are path ends.  One
     walk orders each component and `_chain_table` turns it into the vectors
-    its pairs can use; the tables are merged component by component.  The
+    its pairs can use; the tables are merged component by component, and
+    the chosen vector's provenance is flattened into its records.  The
     solver reads vertex, edge and pair ids only through their order.
 
     `prune` toggles eager multiplicity pruning inside vector combination;
@@ -353,7 +356,7 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     if not acc:
         return SimpleResult(False, max_set_size=dp.max_seen)
     vec = min(acc, key=dp.order)
-    records = acc[vec]
+    records = _flatten(acc[vec])
     return SimpleResult(True, dp.vector(vec), _expand_witness(si, records), records, dp.max_seen)
 
 
@@ -386,35 +389,55 @@ def _chain_table(dp: _DP, choices: list[list[tuple[int | None, int]]], pids: lis
     given each node's choices; with as many pairs as nodes, the last pair
     closes the cycle through the first node's other choice.
 
-    state: (choice at the first node, choice left for the next pair at the
-    current node) -> table.  A node with two choices gives one to each of
-    its pairs.
+    The walk is stepped in place.  A state is (the first node's choice on a
+    cycle, None on a path; the choice left for the next pair at the current
+    node) and holds a table; a node with two choices gives one to each of
+    its pairs.  Each pair adds every sum of a state's vector and a hub path
+    vector that fits the ceiling straight into the next state's table, and
+    after the last pair every state meets in one table.  A vector keeps the
+    provenance of its first insertion, not of the first in vector order: a
+    linked cell (earlier provenance, record).
     """
 
     def other(cs, c):
         return next((d for d in cs if d != c), None)
 
-    states = {(c, c): {0: ()} for c in choices[0]}
+    cycle = len(pids) == len(choices)
+    ceiling, guards = dp.ceiling, dp.guards
+    states = {(c if cycle else None, c): {0: ()} for c in choices[0]}
     for i, pid in enumerate(pids):
-        nxt: dict[tuple, Table] = {}
+        last = i + 1 == len(pids)
         cs = choices[(i + 1) % len(choices)]
+        nxt: dict[tuple | None, Table] = {}
         for (first, (e, a)), table in states.items():
-            for c in [other(cs, first)] if i + 1 == len(choices) else cs:
-                merged = dp.merge(table, dp.route_options(pid, a, c[1], e, c[0]))
-                if merged:
-                    _union(nxt.setdefault((first, other(cs, c)), {}), merged, dp)
+            for c in [other(cs, first)] if cycle and last else cs:
+                options = dp.paths(a, c[1]).items()
+                if not options:
+                    continue
+                out = nxt.setdefault(None if last else (first, other(cs, c)), {})
+                for vec, prov in table.items():
+                    room = ceiling - vec
+                    for ovec, path in options:
+                        if (room - ovec) & guards == guards and vec + ovec not in out:
+                            out[vec + ovec] = (prov, (pid, path, e, c[0]))
+        for table in nxt.values():
+            dp.check(table)
         states = nxt
-    out: Table = {}
-    for table in states.values():
-        _union(out, table, dp)
-    return out
+    return states.get(None, {})
 
 
-def _union(table: Table, extra: Table, dp: _DP) -> None:
-    """Add the vectors of `extra` that `table` lacks, in place."""
-    for vec, prov in extra.items():
-        table.setdefault(vec, prov)
-    dp.check(table)
+def _flatten(prov) -> tuple[RouteRec, ...]:
+    """The records of a provenance chain in order.  A chain is (), a record
+    (four fields) or a cell (earlier chain, later chain) of two."""
+    out: list[RouteRec] = []
+    stack = [prov]
+    while stack:
+        x = stack.pop()
+        if len(x) == 2:
+            stack += (x[1], x[0])
+        elif x:
+            out.append(x)
+    return tuple(out)
 
 
 # -- witness expansion ------------------------------------------------------

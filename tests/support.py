@@ -1,8 +1,10 @@
 """Shared test helpers: witness-to-record correspondence, small random
 instance builders and disjoint unions used across suites, the unpruned backtracking search
 that the oracle's pruned core is checked against, the rescanning spanning-tree
-decomposition builder that the one-pass builder is checked against, and the
-`EDPInstance`-based dynamic step that the residue-based one is checked against."""
+decomposition builder that the one-pass builder is checked against, the
+merge-based chain walk that the hub solver's in-place one is checked against,
+and the `EDPInstance`-based dynamic step that the residue-based one is checked
+against."""
 
 from __future__ import annotations
 
@@ -153,6 +155,52 @@ def random_simple_split(seed: int, max_hub: int = 4, max_sat: int = 6, max_pairs
             seen.add(frozenset((a, b)))
             inst.add_pair(a, b)
     return inst, hub
+
+
+def reference_merge(dp, table, options):
+    """`_DP.merge` with flat provenance: every sum of a `table` vector and
+    an `options` vector within the ceiling, with the concatenated provenance
+    of the first pair, in vector order, that gives it."""
+    rows = sorted(table.items(), key=lambda kv: dp.order(kv[0]))
+    cols = sorted(options.items(), key=lambda kv: dp.order(kv[0]))
+    out = {}
+    for a, prov in rows:
+        for b, prov2 in cols:
+            if (dp.ceiling - a - b) & dp.guards == dp.guards:
+                out.setdefault(a + b, prov + prov2)
+    return out
+
+
+def reference_route_options(dp, pid, u, v, lead, tail):
+    return {vec: ((pid, path, lead, tail),) for vec, path in dp.paths(u, v).items()}
+
+
+def reference_chain_table(dp, choices, pids):
+    """The chain walk that `simple._chain_table` steps in place, written with
+    merges: every state, on paths too, is keyed by (choice at the first node,
+    choice left at the current node), each pair is merged in as the table of
+    its route options, and the last states are unioned."""
+
+    def other(cs, c):
+        return next((d for d in cs if d != c), None)
+
+    states = {(c, c): {0: ()} for c in choices[0]}
+    for i, pid in enumerate(pids):
+        nxt = {}
+        cs = choices[(i + 1) % len(choices)]
+        for (first, (e, a)), table in states.items():
+            for c in [other(cs, first)] if i + 1 == len(choices) else cs:
+                merged = reference_merge(dp, table, reference_route_options(dp, pid, a, c[1], e, c[0]))
+                if merged:
+                    into = nxt.setdefault((first, other(cs, c)), {})
+                    for vec, prov in merged.items():
+                        into.setdefault(vec, prov)
+        states = nxt
+    out = {}
+    for table in states.values():
+        for vec, prov in table.items():
+            out.setdefault(vec, prov)
+    return out
 
 
 def reference_graph() -> EDPInstance:

@@ -1,11 +1,14 @@
+import collections
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edpsolve.generators import gen_random_instance
+from edpsolve import simple
+from edpsolve.generators import gen_mss_instance, gen_mss_layout, gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError
 from edpsolve.kernel import kernelize
 from edpsolve.oracle import brute_force_edp, check_witness
@@ -162,7 +165,8 @@ def test_combine_commutes(seed):
 def test_packed_vectors_sort_and_merge_as_their_entries(seed):
     """Packed vectors round-trip, sort as their entries sort, and `merge`
     keeps every sum within the limits with the provenance of the first pair
-    in entry order, as written out here over count dicts."""
+    in entry order, as written out here over count dicts; the provenance
+    cell, flattened, is the concatenation of the pair's."""
     rng = random.Random(seed)
     keys = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
     mult = {k: rng.randint(1, 3) for k in rng.sample(keys, rng.randint(1, len(keys)))}
@@ -198,7 +202,8 @@ def test_packed_vectors_sort_and_merge_as_their_entries(seed):
                 continue
             want.setdefault(SolutionVector.of(counts), px + py)
     got = dp.merge({dp.pack(x): p for x, p in xs.items()}, {dp.pack(y): p for y, p in ys.items()})
-    assert {dp.vector(s): p for s, p in got.items()} == want
+    # merge keeps provenance as one cell (table side, options side)
+    assert {dp.vector(s): px + py for s, (px, py) in got.items()} == want
     assert all(dp.within_limits(s) == all(c <= mult[k] for k, c in dp.vector(s).entries) for s in got)
 
 
@@ -294,8 +299,6 @@ def satellite_cycle(attach, hub_edges):
     ],
 )
 def test_solve_satellite_pair_cycles(monkeypatch, attach, hub_edges, feasible):
-    from edpsolve import simple
-
     closing = []  # per chain walk: whether its last pair closes a cycle
     real = simple._chain_table
 
@@ -312,6 +315,7 @@ def test_solve_satellite_pair_cycles(monkeypatch, attach, hub_edges, feasible):
         check_witness(inst, res.routes)
 
 
+from .support import reference_chain_table  # noqa: E402
 from .support import random_simple_split as random_simple_instance  # noqa: E402
 
 
@@ -384,6 +388,101 @@ def test_simple_outputs_match_pinned_digest():
             if res.feasible:
                 check_witness(inst, res.routes)
     assert h.hexdigest() == SIMPLE_DIGEST
+
+
+def _mss_grid_cases():
+    """The criterion-4 gadget grid cut to k <= 2 and |S| <= 3."""
+    cases = []
+    for k in (0, 1, 2):
+        vecs = list(itertools.product((0, 2, 4), repeat=k))
+        for size in range(0, 4):
+            for items in itertools.combinations_with_replacement(vecs, size):
+                for target in itertools.product((0, 2, 4), repeat=k):
+                    for quota in range(0, size + 1):
+                        cases.append(gen_mss_instance(k, list(items), target, quota))
+    return cases
+
+
+def _random_satellite_cycles():
+    """Satellite cycles of 2-6 satellites over the hub {1, 2}, the only cycles
+    the cases here reach: the gadgets' chains are paths, and no cycle of the
+    random splits is walked."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        attach = [rng.choice([(1, 1), (1, 2), (2, 2)]) for _ in range(rng.randint(2, 6))]
+        cases.append(si_of(satellite_cycle(attach, rng.randint(0, 4)), [1, 2]))
+    return cases
+
+
+def _mss_hub_cases():
+    """20 subset-sum gadgets shaped like the benchmark's mss-hub instances:
+    k=4, |S| = 6-14 items with entries from (0, 2, 4, 6, 8), quota |S|//2
+    and each target entry about 0.8 of the quota's mean sum."""
+    cases = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = 6 + seed % 9
+        items = [tuple(rng.choice((0, 2, 4, 6, 8)) for _ in range(4)) for _ in range(m)]
+        quota = m // 2
+        target = tuple(2 * round(sum(it[i] for it in items) * quota * 0.8 / (2 * m)) for i in range(4))
+        cases.append(gen_mss_layout(4, items, target, quota).simple())
+    return cases
+
+
+def test_chain_tables_match_merge_reference(monkeypatch):
+    """Every chain table the solver builds has the vector set of the
+    merge-based reference walk, pruned and unpruned, and the cases reach
+    cycles and satellite-ended paths as well as hub-ended paths."""
+    shapes = collections.Counter()
+    real = simple._chain_table
+
+    def checking(dp, choices, pids):
+        got = real(dp, choices, pids)
+        assert set(got) == set(reference_chain_table(dp, choices, pids))
+        if len(pids) == len(choices):
+            shapes["cycle"] += 1
+        elif choices[0][0][0] is None and choices[-1][0][0] is None:
+            shapes["hub-ended path"] += 1
+        else:
+            shapes["satellite-ended path"] += 1
+        return got
+
+    monkeypatch.setattr(simple, "_chain_table", checking)
+    sis = [si_of(inst, hub) for inst, hub in _simple_digest_cases()] + _mss_grid_cases() + _mss_hub_cases()
+    sis += _random_satellite_cycles()
+    for si in sis:
+        for prune in (True, False):
+            solve_simple_edp(si, prune=prune)
+    assert min(shapes["cycle"], shapes["hub-ended path"], shapes["satellite-ended path"]) > 0, shapes
+
+
+def test_yes_records_list_each_pair_once_in_walk_order(monkeypatch):
+    """A YES result's records hold every pair once, component by component
+    in `_walks` order and pair by pair along each walk, and its routes pass
+    `check_witness`."""
+    walked = []
+    real = simple._walks
+
+    def recording(adj):
+        for nodes, pids in real(adj):
+            walked.extend(pids)
+            yield nodes, pids
+
+    monkeypatch.setattr(simple, "_walks", recording)
+    yes = 0
+    for si in [si_of(inst, hub) for inst, hub in _simple_digest_cases()] + _mss_hub_cases():
+        for prune in (True, False):
+            walked.clear()
+            res = solve_simple_edp(si, prune=prune)
+            if not res.feasible:
+                continue
+            yes += 1
+            pids = [pid for pid, _path, _lead, _tail in res.records]
+            assert sorted(pids) == si.original.sorted_pairs()
+            assert pids == walked
+            check_witness(si.original, res.routes)
+    assert yes > 0
 
 
 def test_infer_hub_picks_high_degree_and_parallel_endpoints():
