@@ -4,6 +4,14 @@ Vertices are positive integers.  Parallel edges are first-class: every edge
 carries an integer edge id, and two edges between the same endpoints stay
 distinguishable.  Self-loops are rejected everywhere.
 
+A whole graph or instance is built by its constructor in one pass:
+`MultiGraph(vertices, edges)` and `EDPInstance(graph, pairs)` check every
+element once, with the checks and messages of `add_vertex`, `add_edge` and
+`add_pair`, and take edges and pairs in ascending id order, so incidence and
+pair-index lists are appended to and the cached maxima are set once.  The
+parser, induced subgraphs and relabelling build this way; the `add_*` calls
+serve incremental edits.
+
 Public operations never mutate their arguments; anything that rewrites a
 graph or an instance works on a copy, so values can be shared freely
 between threads.
@@ -51,17 +59,27 @@ class MultiGraph:
     __slots__ = ("_vertices", "_edges", "_incidence", "_max_vertex", "_max_edge")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Mapping[int, tuple[int, int]] | None = None):
-        self._vertices: set[int] = set()
-        self._edges: dict[int, tuple[int, int]] = {}
-        self._incidence: dict[int, list[int]] = {}  # ascending edge ids
-        self._max_vertex = 0
-        self._max_edge = 0
-        for v in vertices:
-            self.add_vertex(v)
-        if edges:
-            for eid in sorted(edges):
-                u, v = edges[eid]
-                self.add_edge(u, v, eid)
+        # one pass with the checks and messages of add_vertex and add_edge;
+        # edges go in by ascending id, so each incidence list is appended to
+        incidence: dict[int, list[int]] = {v: [] for v in vertices}  # ascending edge ids
+        if incidence and min(incidence) <= 0:
+            bad = next(v for v in incidence if v <= 0)
+            raise StructureError(f"vertex ids must be positive, got {bad}")
+        own: dict[int, tuple[int, int]] = {}
+        for eid in sorted(edges or ()):
+            u, v = edges[eid]
+            if u == v:
+                raise StructureError(f"self-loop on vertex {u}")
+            if u not in incidence or v not in incidence:
+                raise StructureError(f"edge {{{u},{v}}} references unknown vertex")
+            own[eid] = (u, v) if u < v else (v, u)
+            incidence[u].append(eid)
+            incidence[v].append(eid)
+        self._vertices: set[int] = set(incidence)
+        self._edges = own
+        self._incidence = incidence
+        self._max_vertex = max(incidence, default=0)
+        self._max_edge = max(0, next(reversed(own), 0))  # ids ascend, the last is the largest
 
     # -- construction ------------------------------------------------
 
@@ -178,12 +196,8 @@ class MultiGraph:
     def induced(self, keep: Iterable[int]) -> "MultiGraph":
         """Subgraph induced on `keep`, preserving vertex and edge ids."""
         keep = set(keep)
-        g = MultiGraph(sorted(keep & self._vertices))
-        for eid in self.sorted_edges():
-            u, v = self._edges[eid]
-            if u in keep and v in keep:
-                g.add_edge(u, v, eid)
-        return g
+        edges = {eid: uv for eid, uv in self._edges.items() if uv[0] in keep and uv[1] in keep}
+        return MultiGraph(sorted(keep & self._vertices), edges)
 
     def connected_components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
@@ -231,13 +245,25 @@ class EDPInstance:
 
     def __init__(self, graph: MultiGraph | None = None, pairs: Mapping[int, frozenset[int]] | None = None):
         self.graph = graph if graph is not None else MultiGraph()
-        self._pairs: dict[int, frozenset[int]] = {}
-        self._pairs_of: dict[int, list[int]] = {}  # vertex -> ascending pair ids
-        self._max_pair = 0
-        if pairs:
-            for pid in sorted(pairs):
-                a, b = sorted(pairs[pid])
-                self.add_pair(a, b, pid)
+        # one pass with the checks and messages of add_pair; pairs go in by
+        # ascending id, so each vertex's list is appended to
+        vertices = self.graph._vertices
+        own: dict[int, frozenset[int]] = {}
+        pairs_of: dict[int, list[int]] = {}  # vertex -> ascending pair ids
+        for pid in sorted(pairs or ()):
+            a, b = pairs[pid]
+            if b < a:
+                a, b = b, a
+            if a == b:
+                raise StructureError(f"self-pair {{{a},{a}}}")
+            if a not in vertices or b not in vertices:
+                raise StructureError(f"pair {{{a},{b}}} references unknown vertex")
+            own[pid] = frozenset((a, b))
+            pairs_of.setdefault(a, []).append(pid)
+            pairs_of.setdefault(b, []).append(pid)
+        self._pairs = own
+        self._pairs_of = pairs_of
+        self._max_pair = max(0, next(reversed(own), 0))
 
     @property
     def pairs(self) -> Mapping[int, frozenset[int]]:
@@ -319,20 +345,58 @@ def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> lis
 
 
 def parse_instance(text: str | bytes) -> EDPInstance:
-    """Parse the line format; every line is checked before the graph is
-    built, so a bad line costs no work proportional to the header's n."""
+    """Parse the line format; every line is checked before the instance is
+    built in one constructor call, so a bad line costs no work proportional
+    to the header's n."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = q = None
-    edges: list[tuple[int, int]] = []
-    pairs: list[tuple[int, int]] = []
+    edges: dict[int, tuple[int, int]] = {}
+    pairs: dict[int, frozenset[int]] = {}
     seen_pair_contents: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        kind = fields[0]
+        if kind == "e":
+            if n is None:
+                raise ParseError("edge before header", lineno)
+            if len(fields) != 3:
+                raise ParseError(f"malformed edge line {_echo(raw)!r}", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"malformed edge line {_echo(raw)!r}", lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range in {_echo(raw)!r}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop edge {{{u},{v}}}", lineno)
+            if len(edges) == m:
+                raise ParseError("more edge lines than declared", lineno)
+            edges[len(edges) + 1] = (u, v)
+        elif kind == "t":
+            if n is None:
+                raise ParseError("pair before header", lineno)
+            if len(fields) != 3:
+                raise ParseError(f"malformed pair line {_echo(raw)!r}", lineno)
+            try:
+                a, b = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"malformed pair line {_echo(raw)!r}", lineno) from None
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ParseError(f"vertex id out of range in {_echo(raw)!r}", lineno)
+            if a == b:
+                raise ParseError(f"self-pair {{{a},{a}}}", lineno)
+            content = frozenset((a, b))
+            if content in seen_pair_contents:
+                raise ParseError(f"duplicated pair {{{min(content)},{max(content)}}}", lineno)
+            seen_pair_contents.add(content)
+            if len(pairs) == q:
+                raise ParseError("more pair lines than declared", lineno)
+            pairs[len(pairs) + 1] = content
+        elif kind == "p":
+            line = _echo(raw)
             if n is not None:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 5 or fields[1] != "edp":
@@ -340,50 +404,20 @@ def parse_instance(text: str | bytes) -> EDPInstance:
             n, m, q = parse_ints(fields[2:5], f"header {line!r}", lineno)
             if n < 0 or m < 0 or q < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
-        elif fields[0] == "e":
-            if n is None:
-                raise ParseError("edge before header", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            u, v = parse_ints(fields[1:], f"edge line {line!r}", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in {line!r}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop edge {{{u},{v}}}", lineno)
-            edges.append((u, v))
-            if len(edges) > m:
-                raise ParseError("more edge lines than declared", lineno)
-        elif fields[0] == "t":
-            if n is None:
-                raise ParseError("pair before header", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed pair line {line!r}", lineno)
-            a, b = parse_ints(fields[1:], f"pair line {line!r}", lineno)
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ParseError(f"vertex id out of range in {line!r}", lineno)
-            if a == b:
-                raise ParseError(f"self-pair {{{a},{a}}}", lineno)
-            content = frozenset((a, b))
-            if content in seen_pair_contents:
-                raise ParseError(f"duplicated pair {{{min(content)},{max(content)}}}", lineno)
-            seen_pair_contents.add(content)
-            pairs.append((a, b))
-            if len(pairs) > q:
-                raise ParseError("more pair lines than declared", lineno)
         else:
-            raise ParseError(f"unknown line {line!r}", lineno)
+            raise ParseError(f"unknown line {_echo(raw)!r}", lineno)
     if n is None:
         raise ParseError("missing header")
     if len(edges) != m:
         raise ParseError(f"declared {m} edges, found {len(edges)}")
     if len(pairs) != q:
         raise ParseError(f"declared {q} pairs, found {len(pairs)}")
-    inst = EDPInstance(MultiGraph(range(1, n + 1)))
-    for eid, (u, v) in enumerate(edges, start=1):
-        inst.graph.add_edge(u, v, eid)
-    for pid, (a, b) in enumerate(pairs, start=1):
-        inst.add_pair(a, b, pid)
-    return inst
+    return EDPInstance(MultiGraph(range(1, n + 1), edges), pairs)
+
+
+def _echo(raw: str) -> str:
+    """A line as error messages quote it: cut at '#' and stripped."""
+    return raw.split("#", 1)[0].strip()
 
 
 def serialize_instance(inst: EDPInstance) -> str:
@@ -392,7 +426,7 @@ def serialize_instance(inst: EDPInstance) -> str:
     Instances with id gaps serialize with n = max id; the gap ids reappear
     as isolated vertices on reparse (see relabel_compact for exact output).
     """
-    n = max(inst.graph.vertices, default=0)
+    n = inst.graph.max_vertex
     lines = [f"p edp {n} {inst.graph.num_edges()} {len(inst.pairs)}"]
     for eid in inst.graph.sorted_edges():
         u, v = inst.graph.endpoints(eid)
@@ -406,16 +440,11 @@ def serialize_instance(inst: EDPInstance) -> str:
 def relabel_compact(inst: EDPInstance) -> tuple[EDPInstance, dict[int, int]]:
     """Relabel vertices to 1..n (and edges/pairs to file order); returns the
     old->new vertex mapping."""
-    mapping = {v: i for i, v in enumerate(inst.graph.sorted_vertices(), start=1)}
-    g = MultiGraph(range(1, len(mapping) + 1))
-    for i, eid in enumerate(inst.graph.sorted_edges(), start=1):
-        u, v = inst.graph.endpoints(eid)
-        g.add_edge(mapping[u], mapping[v], i)
-    out = EDPInstance(g)
-    for i, pid in enumerate(inst.sorted_pairs(), start=1):
-        a, b = sorted(inst.pair(pid))
-        out.add_pair(mapping[a], mapping[b], i)
-    return out, mapping
+    g = inst.graph
+    mapping = {v: i for i, v in enumerate(g.sorted_vertices(), start=1)}
+    edges = {i: tuple(mapping[x] for x in g.endpoints(e)) for i, e in enumerate(g.sorted_edges(), start=1)}
+    pairs = {i: frozenset(mapping[x] for x in inst.pair(p)) for i, p in enumerate(inst.sorted_pairs(), start=1)}
+    return EDPInstance(MultiGraph(range(1, len(mapping) + 1), edges), pairs), mapping
 
 
 # -- derived structures ----------------------------------------------------
@@ -470,18 +499,14 @@ def terminal_normalize(inst: EDPInstance) -> EDPInstance:
 def restrict_pairs(inst: EDPInstance, subset: Iterable[int]) -> dict[int, frozenset[int]]:
     """Pairs of the instance whose both members lie in `subset`."""
     keep = set(subset)
-    unknown = keep - inst.graph.vertices
+    unknown = keep - inst.graph._vertices
     if unknown:
         raise StructureError(f"subset contains non-vertices {sorted(unknown)}")
-    return {pid: members for pid, members in inst.pairs.items() if members <= keep}
+    return {pid: members for pid, members in inst._pairs.items() if members <= keep}
 
 
 def induced_instance(inst: EDPInstance, subset: Iterable[int]) -> EDPInstance:
     """Instance induced on a vertex subset: induced subgraph plus the pairs
     fully inside, all ids preserved."""
     keep = set(subset)
-    out = EDPInstance(inst.graph.induced(keep))
-    for pid, members in sorted(restrict_pairs(inst, keep).items()):
-        a, b = sorted(members)
-        out.add_pair(a, b, pid)
-    return out
+    return EDPInstance(inst.graph.induced(keep), restrict_pairs(inst, keep))

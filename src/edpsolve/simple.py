@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import EDPInstance, StructureError
+from .graphs import EDPInstance, MultiGraph, StructureError
 from .oracle import RoutedPath
 
 HubPair = tuple[int, int]  # (u, v) with u < v
@@ -113,58 +113,52 @@ def preprocess_simple(inst: EDPInstance, hub: Iterable[int]) -> SimpleInstance:
     A pairless degree-2 satellite with two distinct hub neighbors turns into
     one extra unit of hub-hub multiplicity; with at most one distinct
     neighbor it can never lie on a simple path and is dropped outright.
+    The reduced vertex set, edges and pairs are collected as plain maps and
+    validated once, by the instance constructors.
     """
     hub_set = frozenset(hub)
     g = inst.graph
-    sat_set = g.vertices - hub_set
-    if not hub_set <= g.vertices:
+    vertices = g.vertices
+    if not hub_set <= vertices:
         raise StructureError("hub and satellites must partition the vertex set")
-    for v in sorted(sat_set):
-        if g.degree(v) > 2:
-            raise StructureError(f"satellite {v} has degree {g.degree(v)} > 2")
-        for w in g.neighbors(v):
-            if w in sat_set:
-                raise StructureError(f"satellite edge {{{v},{w}}}; satellites must be independent")
-
-    counts: dict[HubPair, int] = {}
-    units: dict[HubPair, list[Unit]] = {}
-
-    def add_unit(u: int, v: int, unit: Unit) -> None:
-        key = _key(u, v)
-        counts[key] = counts.get(key, 0) + 1
-        units.setdefault(key, []).append(unit)
-
-    reduced = EDPInstance()
-    for v in sorted(hub_set):
-        reduced.graph.add_vertex(v)
-    keep_sats = []
-    for v in sorted(sat_set):
-        if inst.pairs_at(v):
+    edges = g.edges
+    terminals = inst.terminals()
+    keep_sats: list[int] = []
+    via: list[tuple[HubPair, Unit]] = []
+    for v in sorted(vertices - hub_set):
+        inc = g.incident(v)
+        if len(inc) > 2:
+            raise StructureError(f"satellite {v} has degree {len(inc)} > 2")
+        ends = [x for e in inc for x in edges[e] if x != v]
+        if not hub_set.issuperset(ends):
+            w = next(w for w in g.neighbors(v) if w not in hub_set)
+            raise StructureError(f"satellite edge {{{v},{w}}}; satellites must be independent")
+        if v in terminals:
             keep_sats.append(v)
-            reduced.graph.add_vertex(v)
-    for eid in g.sorted_edges():
-        u, v = g.endpoints(eid)
+        elif len(ends) == 2 and ends[0] != ends[1]:
+            via.append((_key(*ends), ("via", v, *inc)))
+
+    units: dict[HubPair, list[Unit]] = {}
+    kept = hub_set.union(keep_sats)
+    reduced_edges = {}
+    for eid in sorted(edges):
+        u, v = ends = edges[eid]
         if u in hub_set and v in hub_set:
-            add_unit(u, v, ("edge", eid))
-        elif reduced.graph.has_vertex(u) and reduced.graph.has_vertex(v):
-            reduced.graph.add_edge(u, v, eid)
-    for v in sorted(sat_set):
-        if inst.pairs_at(v) or g.degree(v) != 2:
-            continue
-        e1, e2 = g.incident(v)
-        x, y = g.other_end(e1, v), g.other_end(e2, v)
-        if x != y:
-            add_unit(x, y, ("via", v, e1, e2))
-    for pid in inst.sorted_pairs():
-        a, b = sorted(inst.pair(pid))
-        reduced.add_pair(a, b, pid)
+            units.setdefault(ends, []).append(("edge", eid))
+        elif u in kept and v in kept:
+            reduced_edges[eid] = ends
+    # each hub pair lists its real edges first, then its pass-through satellites
+    for key, unit in via:
+        units.setdefault(key, []).append(unit)
+    hub_sorted = tuple(sorted(hub_set))
+    reduced = EDPInstance(MultiGraph(hub_sorted + tuple(keep_sats), reduced_edges), inst.pairs)
     return SimpleInstance(
         original=inst,
         inst=reduced,
-        hub=tuple(sorted(hub_set)),
+        hub=hub_sorted,
         satellites=tuple(keep_sats),
-        multiplicity=dict(counts),
-        units={k: tuple(v) for k, v in units.items()},
+        multiplicity={k: len(us) for k, us in units.items()},
+        units={k: tuple(us) for k, us in units.items()},
     )
 
 

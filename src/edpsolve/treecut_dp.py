@@ -164,7 +164,7 @@ class Residue(NamedTuple):
 
     def to_instance(self) -> EDPInstance:
         pairs = {p: frozenset(ab) for p, ab in self.pairs.items()}
-        return EDPInstance(MultiGraph(sorted(self.vertices), self.edges), pairs)
+        return EDPInstance(MultiGraph(self.vertices, self.edges), pairs)
 
 
 def _sorted(ends: Iterable[int]) -> tuple[int, int]:
@@ -307,16 +307,19 @@ def simplify(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
 # -- reduction rules used by the dynamic step --------------------------------
 
 
-def reduce_degree_two_edges(inst: EDPInstance, once: bool = False) -> tuple[EDPInstance, bool]:
+def reduce_degree_two_edges(inst: EDPInstance | Residue, once: bool = False) -> tuple[EDPInstance, bool]:
     """Eliminate edges joining two degree-<=2 vertices; returns the reduced
-    instance and whether it was recognized as a NO-instance.
+    instance and whether it was recognized as a NO-instance.  The rule works
+    on a copy of an `EDPInstance`; a residue (a memo miss of the dynamic
+    step) is built into a fresh instance once and reduced in place, so the
+    argument is never mutated.
 
     Cases, in order: an edge with a non-terminal endpoint is contracted into
     the other endpoint; an edge whose endpoints form a pair routes that pair
     directly (pair and edge are removed); an edge between two one-pair
     terminals is deleted; anything else rejects.
     """
-    out = inst.copy()
+    out = inst.to_instance() if isinstance(inst, Residue) else inst.copy()
     g = out.graph
     # Degrees never grow, so an edge turns thin (both ends of degree <= 2)
     # only when a degree at its ends drops.  The heap holds every edge not
@@ -439,7 +442,8 @@ def _residue_key(cur: Residue, bag: frozenset[int]) -> tuple[int, ...]:
 def _routes(cur: Residue, bag: frozenset[int], memo: dict[tuple[int, ...], bool]) -> bool:
     """Whether the residue routes with the bag vertices left after the
     degree-two rule as the hub; a residue whose key is in `memo` is not
-    decided again.  Only a miss turns the residue into an `EDPInstance`.
+    decided again.  Only a miss turns the residue into an `EDPInstance`,
+    once, inside the degree-two rule.
 
     Equal keys mean that a bijection keeping the order of vertex, edge and
     pair ids carries one residue onto the other and the bag onto the bag.
@@ -450,7 +454,7 @@ def _routes(cur: Residue, bag: frozenset[int], memo: dict[tuple[int, ...], bool]
     key = _residue_key(cur, bag)
     verdict = memo.get(key)
     if verdict is None:
-        red, rejected = reduce_degree_two_edges(cur.to_instance())
+        red, rejected = reduce_degree_two_edges(cur)
         verdict = not rejected and solve_simple_edp(preprocess_simple(red, bag & red.graph.vertices)).feasible
         memo[key] = verdict
     return verdict

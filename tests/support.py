@@ -3,7 +3,9 @@ instance builders and disjoint unions used across suites, the unpruned backtrack
 that the oracle's pruned core is checked against, the rescanning spanning-tree
 decomposition builder that the one-pass builder is checked against, the
 merge-based chain walk that the hub solver's in-place one is checked against,
-and the `EDPInstance`-based dynamic step that the residue-based one is checked
+the `EDPInstance`-based dynamic step that the residue-based one is checked
+against, and the element-wise instance builds (one validated `add_*` call per
+element) that the one-pass constructors and `preprocess_simple` are checked
 against."""
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from edpsolve.decomposition import TreecutDecomposition, node_views, verify_nice
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, induced_instance
 from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
-from edpsolve.simple import preprocess_simple, solve_simple_edp
+from edpsolve.simple import SimpleInstance, _key, preprocess_simple, solve_simple_edp
 from edpsolve.treecut_dp import (
     FOREIGN,
     INTERNAL,
@@ -75,6 +77,93 @@ def correspondence(
                 classes[crossings[i + 1]] = FOREIGN
     delta = tuple((e, classes.get(e, UNUSED)) for e in views.cut)
     return Record(delta, tuple(sorted(internal)), tuple(sorted(foreign)), tuple(sorted(leaving)))
+
+
+def elementwise_instance(vertices, edges, pairs) -> EDPInstance:
+    """The instance built one element at a time: `add_vertex` in the given
+    order, then `add_edge` and `add_pair` by ascending id."""
+    g = MultiGraph()
+    for v in vertices:
+        g.add_vertex(v)
+    for eid in sorted(edges):
+        u, v = edges[eid]
+        g.add_edge(u, v, eid)
+    inst = EDPInstance(g)
+    for pid in sorted(pairs):
+        a, b = sorted(pairs[pid])
+        inst.add_pair(a, b, pid)
+    return inst
+
+
+def instance_state(inst: EDPInstance) -> tuple:
+    """Every private field of an instance and its graph, lists in order."""
+    g = inst.graph
+    return (
+        g._vertices,
+        g._edges,
+        g._incidence,
+        g._max_vertex,
+        g._max_edge,
+        inst._pairs,
+        inst._pairs_of,
+        inst._max_pair,
+    )
+
+
+def reference_preprocess_simple(inst: EDPInstance, hub) -> SimpleInstance:
+    """`preprocess_simple` building its reduced instance through validated
+    `add_vertex`/`add_edge`/`add_pair` calls."""
+    hub_set = frozenset(hub)
+    g = inst.graph
+    sat_set = g.vertices - hub_set
+    if not hub_set <= g.vertices:
+        raise StructureError("hub and satellites must partition the vertex set")
+    for v in sorted(sat_set):
+        if g.degree(v) > 2:
+            raise StructureError(f"satellite {v} has degree {g.degree(v)} > 2")
+        for w in g.neighbors(v):
+            if w in sat_set:
+                raise StructureError(f"satellite edge {{{v},{w}}}; satellites must be independent")
+    counts: dict = {}
+    units: dict = {}
+
+    def add_unit(u, v, unit):
+        key = _key(u, v)
+        counts[key] = counts.get(key, 0) + 1
+        units.setdefault(key, []).append(unit)
+
+    reduced = EDPInstance()
+    for v in sorted(hub_set):
+        reduced.graph.add_vertex(v)
+    keep_sats = []
+    for v in sorted(sat_set):
+        if inst.pairs_at(v):
+            keep_sats.append(v)
+            reduced.graph.add_vertex(v)
+    for eid in g.sorted_edges():
+        u, v = g.endpoints(eid)
+        if u in hub_set and v in hub_set:
+            add_unit(u, v, ("edge", eid))
+        elif reduced.graph.has_vertex(u) and reduced.graph.has_vertex(v):
+            reduced.graph.add_edge(u, v, eid)
+    for v in sorted(sat_set):
+        if inst.pairs_at(v) or g.degree(v) != 2:
+            continue
+        e1, e2 = g.incident(v)
+        x, y = g.other_end(e1, v), g.other_end(e2, v)
+        if x != y:
+            add_unit(x, y, ("via", v, e1, e2))
+    for pid in inst.sorted_pairs():
+        a, b = sorted(inst.pair(pid))
+        reduced.add_pair(a, b, pid)
+    return SimpleInstance(
+        original=inst,
+        inst=reduced,
+        hub=tuple(sorted(hub_set)),
+        satellites=tuple(keep_sats),
+        multiplicity=dict(counts),
+        units={k: tuple(v) for k, v in units.items()},
+    )
 
 
 def random_small_instance(seed: int, max_n: int = 8, max_extra: int = 3, max_pairs: int = 4) -> EDPInstance:

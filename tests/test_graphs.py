@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edpsolve.generators import gen_mss_layout, gen_random_instance
 from edpsolve.graphs import (
     EDPInstance,
     MultiGraph,
     ParseError,
     StructureError,
     feedback_edge_set,
+    induced_instance,
     parse_instance,
     relabel_compact,
     restrict_pairs,
@@ -17,6 +19,9 @@ from edpsolve.graphs import (
     terminal_normalize,
 )
 from edpsolve.oracle import brute_force_edp
+from edpsolve.treecut_dp import Residue
+
+from .support import elementwise_instance, instance_state, random_small_instance
 
 
 TRIANGLE_TEXT = """\
@@ -63,6 +68,64 @@ def test_parse_errors_name_lines():
     for text in ("p edp 2 1 0\ne a b\n", "p edp 2 0 1\nt 1 x\n", "p edp 2 x 0\n"):
         with pytest.raises(ParseError, match="line [12]: malformed"):
             parse_instance(text)
+
+
+# every ParseError branch of parse_instance, with the exact message and line
+# number: the echoed line is the raw line cut at '#' and stripped, so tabs
+# and repeated spaces inside it stay as written
+PARSE_ERRORS = [
+    ("p edp 2 0 0\np edp 2 0 0\n", 2, "line 2: duplicate header"),
+    ("  p edp 2 0 0 # a\n  # b\np edp 1 0 0\n", 3, "line 3: duplicate header"),
+    ("p edp 2 0\n", 1, "line 1: malformed header 'p edp 2 0'"),
+    ("p vdp 2 0 0\n", 1, "line 1: malformed header 'p vdp 2 0 0'"),
+    ("p edp 2 x 0\n", 1, "line 1: malformed header 'p edp 2 x 0'"),
+    ("p\tedp  2 1.5 0 # note\n", 1, "line 1: malformed header 'p\\tedp  2 1.5 0'"),
+    ("p edp -1 0 0\n", 1, "line 1: malformed header 'p edp -1 0 0'"),
+    ("p edp 2 0 -3\n", 1, "line 1: malformed header 'p edp 2 0 -3'"),
+    ("e 1 2\np edp 2 1 0\n", 1, "line 1: edge before header"),
+    ("e\n", 1, "line 1: edge before header"),
+    ("# c\n\nt 1 2\n", 3, "line 3: pair before header"),
+    ("p edp 2 1 0\ne 1\n", 2, "line 2: malformed edge line 'e 1'"),
+    ("p edp 2 1 0\ne 1 2 3\n", 2, "line 2: malformed edge line 'e 1 2 3'"),
+    ("p edp 2 1 0 \ne 1 2 3#\n", 2, "line 2: malformed edge line 'e 1 2 3'"),
+    ("p edp 2 1 0\ne a b\n", 2, "line 2: malformed edge line 'e a b'"),
+    ("p edp 2 1 0\ne\t1  x\t# trailing\n", 2, "line 2: malformed edge line 'e\\t1  x'"),
+    ("p edp 2 1 0\n  e 1   2.0   \n", 2, "line 2: malformed edge line 'e 1   2.0'"),
+    ("p edp 2 1 0\ne\xa01\xa0x\n", 2, "line 2: malformed edge line 'e\\xa01\\xa0x'"),
+    ("p edp 2 1 0\ne 1 2 # ok\ne 1 2 x # bad\n", 3, "line 3: malformed edge line 'e 1 2 x'"),
+    (b"p edp 2 1 0\ne 1 x\n", 2, "line 2: malformed edge line 'e 1 x'"),
+    ("p edp 2 0 1\nt 1\n", 2, "line 2: malformed pair line 't 1'"),
+    ("p edp 2 0 1\nt 1 x\n", 2, "line 2: malformed pair line 't 1 x'"),
+    ("p edp 2 0 1\nt\t1\t\tb  # comment\n", 2, "line 2: malformed pair line 't\\t1\\t\\tb'"),
+    ("p edp 3 0 1\nt 1 2 3\n", 2, "line 2: malformed pair line 't 1 2 3'"),
+    ("p edp 2 1 0\ne 1 5\n", 2, "line 2: vertex id out of range in 'e 1 5'"),
+    ("p edp 2 1 0\ne 0 1\n", 2, "line 2: vertex id out of range in 'e 0 1'"),
+    ("p edp 2 1 0\ne  -1\t2 #c\n", 2, "line 2: vertex id out of range in 'e  -1\\t2'"),
+    ("p edp 2 1 0\r\ne 1 9\r\n", 2, "line 2: vertex id out of range in 'e 1 9'"),
+    ("p edp 2 0 1\nt 3 1\n", 2, "line 2: vertex id out of range in 't 3 1'"),
+    ("p edp 2 1 0\ne 2 2\n", 2, "line 2: self-loop edge {2,2}"),
+    ("p edp 2 2 0\ne 1 2#x\ne 2 2#\n", 3, "line 3: self-loop edge {2,2}"),
+    ("p edp 2 0 1\n\nt 1 1\n", 3, "line 3: self-pair {1,1}"),
+    ("p edp 3 0 2\nt 1 2\nt 2 1\n", 3, "line 3: duplicated pair {1,2}"),
+    ("p edp 3 0 3\nt 3 2 # a\nt 1 2\nt 2  3\n", 4, "line 4: duplicated pair {2,3}"),
+    ("p edp 2 1 0\ne 1 2\ne 2 1\n", 3, "line 3: more edge lines than declared"),
+    ("p edp 3 0 1\nt 1 2\nt 1 3\n", 3, "line 3: more pair lines than declared"),
+    ("p edp 2 3 0\ne 1 2\n", None, "declared 3 edges, found 1"),
+    ("p edp 3 1 1\ne 1 2\n", None, "declared 1 pairs, found 0"),
+    ("p edp 3 0 2\nt 1 2\n", None, "declared 2 pairs, found 1"),
+    ("p edp 2 0 0\nx 1 2\n", 2, "line 2: unknown line 'x 1 2'"),
+    ("p edp 2 0 0\n  E 1 2  # upper\n", 2, "line 2: unknown line 'E 1 2'"),
+    ("p edp 2 0 0\n\x0c x\x0b\n", 3, "line 3: unknown line 'x'"),
+    ("", None, "missing header"),
+    ("# only a comment\n\n", None, "missing header"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", PARSE_ERRORS)
+def test_parse_error_messages_are_pinned(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert (info.value.line, str(info.value)) == (line, message)
 
 
 def test_parse_checks_lines_before_building_the_graph():
@@ -352,3 +415,74 @@ def test_fresh_edge_id_after_removing_the_largest():
     g.remove_edge(9)
     g.remove_edge(3)
     assert g.add_edge(1, 2) == 9
+
+
+def _builder_corpus():
+    """Instances from every generator the solvers meet: random small
+    multigraphs, tree-plus and bounded-tcw output, and subset-sum gadgets."""
+    out = [random_small_instance(seed, max_n=12, max_extra=5, max_pairs=6) for seed in range(40)]
+    for seed in range(10):
+        out.append(gen_random_instance(seed, 10 + 7 * seed, 1 + seed % 5, 1 + seed % 4, "tree-plus")[0])
+        out.append(gen_random_instance(seed, 12 + 8 * seed, 2 + seed % 3, 2, "bounded-tcw")[0])
+    for seed in range(6):
+        rng = random.Random(seed)
+        m = 3 + seed
+        items = [tuple(rng.choice((0, 2, 4)) for _ in range(3)) for _ in range(m)]
+        out.append(gen_mss_layout(3, items, (2, 4, 2), m // 2).layout.instance)
+    return out
+
+
+BUILDER_CORPUS = _builder_corpus()
+
+
+@pytest.mark.parametrize("index", range(len(BUILDER_CORPUS)))
+def test_constructors_build_what_add_calls_build(index):
+    inst = BUILDER_CORPUS[index]
+    vertices = sorted(inst.graph.vertices)
+    random.Random(index).shuffle(vertices)
+    edges, pairs = inst.graph.edges, inst.pairs
+    built = EDPInstance(MultiGraph(vertices, edges), pairs)
+    assert instance_state(built) == instance_state(elementwise_instance(vertices, edges, pairs))
+    assert instance_state(built) == instance_state(inst)
+
+
+@pytest.mark.parametrize("index", range(len(BUILDER_CORPUS)))
+def test_whole_instance_builders_match_add_calls(index):
+    inst = BUILDER_CORPUS[index]
+    g, pairs = inst.graph, inst.pairs
+    rng = random.Random(index)
+    keep = set(rng.sample(sorted(g.vertices), (g.num_vertices() + 1) // 2))
+    sub_edges = {e: uv for e, uv in g.edges.items() if set(uv) <= keep}
+    sub_pairs = {p: ab for p, ab in pairs.items() if ab <= keep}
+    assert instance_state(EDPInstance(g.induced(keep))) == instance_state(elementwise_instance(sorted(keep), sub_edges, {}))
+    sub = elementwise_instance(sorted(keep), sub_edges, sub_pairs)
+    assert instance_state(induced_instance(inst, keep)) == instance_state(sub)
+    assert instance_state(Residue.of(inst).to_instance()) == instance_state(inst)
+
+    compact, mapping = relabel_compact(inst)
+    edges = {i: tuple(mapping[x] for x in g.endpoints(e)) for i, e in enumerate(g.sorted_edges(), start=1)}
+    cpairs = {i: frozenset(mapping[x] for x in pairs[p]) for i, p in enumerate(sorted(pairs), start=1)}
+    assert instance_state(compact) == instance_state(elementwise_instance(range(1, len(mapping) + 1), edges, cpairs))
+    parsed = parse_instance(serialize_instance(compact))
+    assert instance_state(parsed) == instance_state(compact)
+
+
+INVALID_BUILDS = [
+    ([1, 0, -2], {}, {}, "vertex ids must be positive, got 0"),
+    ([3, -1], {1: (3, 3)}, {}, "vertex ids must be positive, got -1"),
+    ([1, 2], {4: (1, 2), 2: (2, 2)}, {}, "self-loop on vertex 2"),
+    ([1, 2], {3: (1, 1), 1: (2, 9)}, {}, "edge {2,9} references unknown vertex"),
+    ([2, 1], {1: (7, 1)}, {1: frozenset({1, 2})}, "edge {7,1} references unknown vertex"),
+    ([1, 2, 3], {1: (1, 2)}, {2: (3, 3)}, "self-pair {3,3}"),
+    ([1, 2, 3], {}, {5: frozenset({3, 9}), 2: frozenset({2, 8})}, "pair {2,8} references unknown vertex"),
+    ([1, 2], {}, {1: (2, 1), 2: (4, 1)}, "pair {1,4} references unknown vertex"),
+]
+
+
+@pytest.mark.parametrize("vertices,edges,pairs,message", INVALID_BUILDS)
+def test_constructors_raise_what_add_calls_raise(vertices, edges, pairs, message):
+    with pytest.raises(StructureError) as elementwise:
+        elementwise_instance(vertices, edges, pairs)
+    with pytest.raises(StructureError) as one_pass:
+        EDPInstance(MultiGraph(vertices, edges), pairs)
+    assert str(one_pass.value) == str(elementwise.value) == message

@@ -317,6 +317,7 @@ def test_solve_satellite_pair_cycles(monkeypatch, attach, hub_edges, feasible):
 
 from .support import reference_chain_table  # noqa: E402
 from .support import random_simple_split as random_simple_instance  # noqa: E402
+from .support import instance_state, reference_preprocess_simple  # noqa: E402
 
 
 def test_matches_oracle_on_random_instances():
@@ -483,6 +484,51 @@ def test_yes_records_list_each_pair_once_in_walk_order(monkeypatch):
             assert pids == walked
             check_witness(si.original, res.routes)
     assert yes > 0
+
+
+def _preprocess_cases():
+    """Hub/satellite splits, tree-plus kernels with an inferred hub, the
+    mss-hub-shaped gadgets, and raw tree-plus graphs with an inferred hub,
+    or with the hub {1, 2}, most of which break the split."""
+    cases = [random_simple_instance(seed) for seed in range(200)]
+    for seed in range(60):
+        inst, _ = gen_random_instance(seed, 20 + (seed * 37) % 61, 2 + seed % 5, 2 + seed % 4, "tree-plus")
+        kernel = kernelize(inst)
+        if kernel.answer is None:
+            cases.append((kernel.instance, infer_hub(kernel.instance)))
+        cases.append((inst, infer_hub(inst)))
+        cases.append((inst, [1, 2]))
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = 6 + seed % 9
+        items = [tuple(rng.choice((0, 2, 4, 6, 8)) for _ in range(4)) for _ in range(m)]
+        layout = gen_mss_layout(4, items, (8, 8, 8, 8), m // 2).layout
+        cases.append((layout.instance, layout.hub))
+    cases.append((EDPInstance(MultiGraph([1, 2])), [1, 2, 3]))
+    return cases
+
+
+def test_preprocess_matches_elementwise_build():
+    """The one-pass reduced instance equals the element-wise one in every
+    private field, and the other fields and every StructureError match."""
+    outcomes = collections.Counter()
+    for inst, hub in _preprocess_cases():
+        try:
+            ref = reference_preprocess_simple(inst, hub)
+        except StructureError as err:
+            with pytest.raises(StructureError) as info:
+                preprocess_simple(inst, hub)
+            assert str(info.value) == str(err)
+            outcomes[str(err).split()[-1]] += 1
+            continue
+        si = preprocess_simple(inst, hub)
+        assert instance_state(si.inst) == instance_state(ref.inst)
+        assert (si.hub, si.satellites) == (ref.hub, ref.satellites)
+        assert list(si.multiplicity.items()) == list(ref.multiplicity.items())
+        assert list(si.units.items()) == list(ref.units.items())
+        outcomes["built"] += 1
+    assert outcomes["built"] >= 240, outcomes
+    assert {"independent", "2", "set"} <= set(outcomes)
 
 
 def test_infer_hub_picks_high_degree_and_parallel_endpoints():

@@ -332,6 +332,18 @@ def test_degree_two_chain_collapses():
     assert out.graph.num_edges() == 0 or out.graph.num_vertices() <= 1
 
 
+def test_degree_two_rule_leaves_instances_and_residues_alone():
+    for seed in range(30):
+        inst, _ = gen_random_instance(seed, 8 + seed % 9, seed % 3, 1 + seed % 3, "bounded-tcw")
+        before = inst.copy()
+        residue = Residue.of(inst)
+        kept = Residue(set(residue.vertices), dict(residue.edges), dict(residue.pairs))
+        out, rejected = reduce_degree_two_edges(inst)
+        assert inst == before
+        assert reduce_degree_two_edges(residue) == (out, rejected)
+        assert residue == kept
+
+
 def test_degree_two_chain_between_paired_terminals():
     # three non-terminal degree-2 vertices collapse to one edge, which then
     # routes the pair of its endpoints directly
@@ -825,6 +837,27 @@ def test_solve_treecut_never_calls_the_oracle(monkeypatch):
             if not rooted.children(leaf):
                 assert leaf_valid_records(inst, rooted, views, leaf) == res.tables[leaf]
 
+
+
+def test_memo_misses_build_one_instance_each(monkeypatch):
+    """A residue the memo misses becomes an instance once, and the
+    degree-two rule reduces that instance without copying it."""
+    counts = {"copy": 0, "to_instance": 0}
+    real_copy, real_to_instance = EDPInstance.copy, Residue.to_instance
+
+    def counting_copy(inst):
+        counts["copy"] += 1
+        return real_copy(inst)
+
+    def counting_to_instance(residue):
+        counts["to_instance"] += 1
+        return real_to_instance(residue)
+
+    monkeypatch.setattr(EDPInstance, "copy", counting_copy)
+    monkeypatch.setattr(Residue, "to_instance", counting_to_instance)
+    inst, dec = gen_random_instance(1, 100, 12, 2, "bounded-tcw")
+    assert solve_treecut(inst, dec).feasible
+    assert counts == {"copy": 0, "to_instance": 100}
 
 
 def test_solve_treecut_derives_node_views_once(monkeypatch):
