@@ -456,22 +456,22 @@ def feedback_edge_set(g: MultiGraph) -> frozenset[int]:
     The result is a minimum feedback edge set: |X| = |E| - |V| + #components,
     and every parallel copy beyond the first between two endpoints lands in X.
     """
-    parent: dict[int, int] = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {v: v for v in g._vertices}
+    edges = g._edges
     extra = set()
-    for eid in g.sorted_edges():
-        u, v = g.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
+    for eid in sorted(edges):
+        u, v = edges[eid]
+        # union-find roots of u and v, halving their paths
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
             extra.add(eid)
         else:
-            parent[ru] = rv
+            parent[u] = v
     return frozenset(extra)
 
 

@@ -9,13 +9,21 @@ fires: bare leaves are dropped, degree-two vertices without a bypass edge
 are suppressed (the feedback edge set is maintained through the
 suppression), pendant subtrees hanging by a single edge are resolved with
 the forest solver, and matched leaf twins sharing a neighbor are removed.
+Each rule runs to its own fixpoint in one call on one working copy, or
+stops after its first firing when asked to fire once.
+
 The leaf and degree-two rules draw candidates from a worklist: a min-heap
-seeded with every vertex, to which a firing returns only the vertices whose
-test it changed.  A rejected vertex stays rejected until a firing touches
-it, so the smallest qualifying vertex is always on the heap and the rules
-fire in the same order, with the same new edge ids, as an ascending rescan
-after every firing would.  The pendant and matched-leaf rules scan by
-component and by pair id.
+seeded with every vertex, to which a firing returns only the vertices it
+may have made qualify.  A rejected vertex stays rejected until then, so the
+smallest qualifying vertex is always on the heap and the rules fire in the
+same order, with the same new edge ids, as an ascending rescan after every
+firing would.  The leaf test walks a vertex's incident edges and stops at
+the second distinct neighbour, so re-testing a hub after each of its leaves
+goes makes a few calls, not one per edge.  The pendant rule walks the
+pieces of G minus the feedback-edge endpoints once, in order of their
+smallest vertex: a firing leaves the other pieces and their verdicts as
+they were.  The matched-leaf rule rescans the pairs by id after each
+firing.
 
 No rule disconnects a component, and the maintained feedback edge set stays
 a minimum one, so at the fixpoint each input component is read back as its
@@ -49,30 +57,18 @@ class KernelState:
     answer: str | None = None  # "YES" | "NO" | None while open
 
 
-def _exhaust(
-    state: KernelState, step: Callable[[EDPInstance, set[int], list[int]], bool | str], once: bool
-) -> KernelState:
-    """Fire `step` on one working copy of the instance and its feedback edge
-    set until it stops (after one firing when `once`).  A step makes one
-    firing in place and returns True, False when nothing matched, or "NO"
-    when it settled the instance.  The input state itself comes back when
-    nothing fired.
-
-    The step also gets a min-heap of candidate vertices, seeded with every
-    vertex; a step that tests vertices pops them and pushes back the
-    vertices a firing touched (see `_prune_leaf_step`)."""
+def _exhaust(state: KernelState, step: Callable[[EDPInstance, set[int], bool], bool | str], once: bool) -> KernelState:
+    """Run `step` once on a working copy of the instance and its feedback
+    edge set.  The step fires in place until nothing matches, or stops after
+    its first firing when `once`, and returns whether it fired, or "NO" when
+    it settled the instance.  The input state itself comes back when
+    nothing fired."""
     inst = state.inst.copy()
     fes = set(state.fes_edges)
-    heap = inst.graph.sorted_vertices()  # a sorted list is a min-heap
-    fired = False
-    while not (fired and once):
-        outcome = step(inst, fes, heap)
-        if outcome == "NO":
-            return replace(state, inst=inst, fes_edges=frozenset(fes), answer="NO")
-        if not outcome:
-            break
-        fired = True
-    if not fired:
+    outcome = step(inst, fes, once)
+    if outcome == "NO":
+        return replace(state, inst=inst, fes_edges=frozenset(fes), answer="NO")
+    if not outcome:
         return state
     return replace(state, inst=inst, fes_edges=frozenset(fes))
 
@@ -83,23 +79,35 @@ def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
     return _exhaust(state, _prune_leaf_step, once)
 
 
-def _prune_leaf_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
-    """Fire on the smallest qualifying vertex popped from the heap; a
-    removal changes only its neighbours' tests, so they go back on it."""
+def _prune_leaf_step(inst: EDPInstance, fes: set[int], once: bool) -> bool:
+    """Pop vertices in ascending order and drop each qualifying one; a
+    removal changes only its neighbour's test, so it goes back on the heap.
+    The test stops at the second distinct other end of v's edges."""
     g = inst.graph
+    terminals = inst.terminals()  # the step removes no pair
+    heap = g.sorted_vertices()  # a sorted list is a min-heap
+    fired = False
     while heap:
         v = heappop(heap)
-        if not g.has_vertex(v) or inst.pairs_at(v):
+        if v in terminals or not g.has_vertex(v):
             continue
-        around = g.neighbors(v)
-        if len(around) > 1:
-            continue
-        fes.difference_update(g.incident(v))
-        g.remove_vertex(v)
-        for w in around:
-            heappush(heap, w)
-        return True
-    return False
+        edges = g.incident(v)
+        sole = None
+        for eid in edges:
+            w = g.other_end(eid, v)
+            if sole is None:
+                sole = w
+            elif w != sole:
+                break
+        else:
+            fes.difference_update(edges)
+            g.remove_vertex(v)
+            if once:
+                return True
+            fired = True
+            if sole is not None:
+                heappush(heap, sole)
+    return fired
 
 
 def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
@@ -109,13 +117,17 @@ def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
     return _exhaust(state, _suppress_degree_two_step, once)
 
 
-def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
+def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], once: bool) -> bool:
     """As `_prune_leaf_step`; a firing changes the tests of the new edge's
-    endpoints and the bypass test of their common neighbours."""
+    endpoints.  It also gives every common neighbour of those endpoints a
+    bypass, but that only turns a passing test into a failing one."""
     g = inst.graph
+    terminals = inst.terminals()
+    heap = g.sorted_vertices()
+    fired = False
     while heap:
         v = heappop(heap)
-        if not g.has_vertex(v) or inst.pairs_at(v) or g.degree(v) != 2:
+        if v in terminals or not g.has_vertex(v) or g.degree(v) != 2:
             continue
         e1, e2 = g.incident(v)
         a, b = g.other_end(e1, v), g.other_end(e2, v)
@@ -128,10 +140,12 @@ def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], heap: list[int])
         new_edge = g.add_edge(a, b)
         if was_fes:
             fes.add(new_edge)
-        for w in (a, b, *(g.neighbors(a) & g.neighbors(b))):
-            heappush(heap, w)
-        return True
-    return False
+        if once:
+            return True
+        fired = True
+        heappush(heap, a)
+        heappush(heap, b)
+    return fired
 
 
 def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelState:
@@ -146,13 +160,44 @@ def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelStat
     return _exhaust(state, _prune_pendant_step, once)
 
 
-def _prune_pendant_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool | str:
+def _pieces(g: MultiGraph, anchors: set[int]) -> list[tuple[frozenset[int], list[int]]]:
+    """The components of G minus `anchors`, by smallest vertex, each with
+    the edges that leave it (all of them end at anchors); found by a walk on
+    `g` that does not enter an anchor."""
+    seen = set(anchors)
+    out = []
+    for start in g.sorted_vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        boundary = []
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for eid in g.incident(x):
+                y = g.other_end(eid, x)
+                if y in anchors:
+                    boundary.append(eid)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.append((frozenset(comp), boundary))
+    return out
+
+
+def _prune_pendant_step(inst: EDPInstance, fes: set[int], once: bool) -> bool | str:
+    """Test the pieces in order.  A firing removes one piece, and may
+    reattach its terminal as a bare leaf that it would skip; every other
+    piece, its edges and its pairs stay as they were, so one pass over the
+    pieces found at the start fires as a rescan after every firing would."""
     g = inst.graph
     anchors = set()
     for eid in fes:
         anchors.update(g.endpoints(eid))
-    for comp in g.induced(g.vertices - frozenset(anchors)).connected_components():
-        boundary = [eid for v in comp for eid in g.incident(v) if g.other_end(eid, v) not in comp]
+    fired = False
+    for comp, boundary in _pieces(g, anchors):
         if len(boundary) != 1:
             continue
         ends = g.endpoints(boundary[0])
@@ -192,8 +237,10 @@ def _prune_pendant_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bo
             g.add_vertex(s)
             g.add_edge(outside, s)
             inst.add_pair(s, partner, pid)
-        return True
-    return False
+        if once:
+            return True
+        fired = True
+    return fired
 
 
 def remove_matched_leaf_pairs(state: KernelState, once: bool = False) -> KernelState:
@@ -203,22 +250,36 @@ def remove_matched_leaf_pairs(state: KernelState, once: bool = False) -> KernelS
     return _exhaust(state, _remove_matched_leaf_step, once)
 
 
-def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int], heap: list[int]) -> bool:
+def _remove_matched_leaf_step(inst: EDPInstance, fes: set[int], once: bool) -> bool:
+    """Remove the smallest matched pair, then look again from the smallest
+    pair id: a removal can leave a terminal with one edge and make an
+    earlier pair match."""
+    g = inst.graph
+    fired = False
+    while (pid := _matched_leaf_pair(inst)) is not None:
+        a, b = inst.pair(pid)
+        fes.difference_update(g.incident(a) + g.incident(b))
+        inst.remove_pair(pid)
+        g.remove_vertex(a)
+        g.remove_vertex(b)
+        if once:
+            return True
+        fired = True
+    return fired
+
+
+def _matched_leaf_pair(inst: EDPInstance) -> int | None:
     g = inst.graph
     for pid in inst.sorted_pairs():
-        a, b = sorted(inst.pair(pid))
+        a, b = inst.pair(pid)
         if g.degree(a) != 1 or g.degree(b) != 1:
             continue
         if g.neighbors(a) != g.neighbors(b):
             continue
         if inst.pairs_at(a) != (pid,) or inst.pairs_at(b) != (pid,):
             continue
-        fes.difference_update(g.incident(a) + g.incident(b))
-        inst.remove_pair(pid)
-        g.remove_vertex(a)
-        g.remove_vertex(b)
-        return True
-    return False
+        return pid
+    return None
 
 
 _RULES = (prune_leaf_vertices, suppress_degree_two, prune_pendant_subtrees, remove_matched_leaf_pairs)

@@ -4,9 +4,10 @@ that the oracle's pruned core is checked against, the rescanning spanning-tree
 decomposition builder that the one-pass builder is checked against, the
 merge-based chain walk that the hub solver's in-place one is checked against,
 the `EDPInstance`-based dynamic step that the residue-based one is checked
-against, and the element-wise instance builds (one validated `add_*` call per
+against, the element-wise instance builds (one validated `add_*` call per
 element) that the one-pass constructors and `preprocess_simple` are checked
-against."""
+against, and the nested-`find` feedback edge set that the inlined one is
+checked against."""
 
 from __future__ import annotations
 
@@ -164,6 +165,28 @@ def reference_preprocess_simple(inst: EDPInstance, hub) -> SimpleInstance:
         multiplicity=dict(counts),
         units={k: tuple(v) for k, v in units.items()},
     )
+
+
+def reference_feedback_edge_set(g: MultiGraph) -> frozenset[int]:
+    """`feedback_edge_set` as a spanning forest built in edge-id order with
+    a nested union-find `find`; the reference the inlined loop must equal."""
+    parent: dict[int, int] = {v: v for v in g.vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    extra = set()
+    for eid in g.sorted_edges():
+        u, v = g.endpoints(eid)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            extra.add(eid)
+        else:
+            parent[ru] = rv
+    return frozenset(extra)
 
 
 def random_small_instance(seed: int, max_n: int = 8, max_extra: int = 3, max_pairs: int = 4) -> EDPInstance:

@@ -16,7 +16,7 @@ from edpsolve.kernel import (
 )
 from edpsolve.oracle import brute_force_edp
 
-from .support import random_small_instance, tree_plus_union
+from .support import random_small_instance, reference_feedback_edge_set, tree_plus_union
 
 
 def state_of(inst):
@@ -32,6 +32,21 @@ def test_prune_leaves_cascades_along_pendant_path():
     g.add_edge(4, 5)  # pendant non-terminal path
     out = prune_leaf_vertices(state_of(EDPInstance(g)))
     assert out.inst.graph.vertices == frozenset({1, 2, 3})
+
+
+def test_prune_leaves_counts_parallel_edges_as_one_neighbour():
+    # 4 hangs off the triangle by three parallel edges: one distinct
+    # neighbour, so it goes, and its two feedback edges leave the set
+    g = MultiGraph([1, 2, 3, 4])
+    g.add_edge(1, 2)
+    g.add_edge(2, 3)
+    g.add_edge(1, 3)
+    parallel = {g.add_edge(1, 4) for _ in range(3)}
+    state = state_of(EDPInstance(g))
+    assert len(state.fes_edges & parallel) == 2
+    out = prune_leaf_vertices(state)
+    assert out.inst.graph.vertices == frozenset({1, 2, 3})
+    assert not out.fes_edges & parallel and len(out.fes_edges) == 1
 
 
 def test_prune_leaves_keeps_terminals_and_drops_isolated():
@@ -398,3 +413,50 @@ def test_kernelize_python_calls_grow_about_linearly():
     for seed in (1, 2, 3):
         small, big = (_python_calls(kernelize, gen_random_instance(seed, n, 6, 2, "tree-plus")[0]) for n in (200, 800))
         assert big <= 6 * small, (seed, small, big)
+
+
+def star_with_cycle(d):
+    """Hub 1 with d bare leaves, plus the 4-cycle 1-2-3-4 carrying the pair
+    {2, 4}: every leaf removal sends the hub back to the leaf test."""
+    g = MultiGraph(range(1, d + 5))
+    for u, v in [(1, 2), (2, 3), (3, 4), (1, 4)]:
+        g.add_edge(u, v)
+    for leaf in range(5, d + 5):
+        g.add_edge(1, leaf)
+    inst = EDPInstance(g)
+    inst.add_pair(2, 4)
+    return inst
+
+
+def test_kernelize_python_calls_grow_about_linearly_at_a_hub():
+    """The leaf test stops at a vertex's second distinct neighbour, so the
+    hub's d re-tests cost O(1) Python calls each; building its whole
+    neighbour set per test costs ~14x for four times the leaves."""
+    small, big = (_python_calls(kernelize, star_with_cycle(d)) for d in (200, 800))
+    assert big <= 6 * small, (small, big)
+    res = kernelize(star_with_cycle(200))
+    assert res.answer is None and res.fes_edges == frozenset({207})
+    assert _instance_key(res.instance) == (
+        [2, 3, 4, 205, 206],
+        [(2, (2, 3)), (3, (3, 4)), (205, (2, 205)), (206, (4, 206)), (207, (2, 4))],
+        [(1, frozenset({205, 206}))],
+    )
+
+
+def _random_multigraph(rng):
+    """Up to 10 vertices with ids in 1..30 and up to 16 edges with ids in
+    1..60 between them, drawn from few endpoint pairs so that parallel
+    edges are common."""
+    vertices = rng.sample(range(1, 31), rng.randint(1, 10))
+    spots = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(1, 5))] if len(vertices) > 1 else []
+    eids = rng.sample(range(1, 61), rng.randint(0, 16)) if spots else []
+    return MultiGraph(vertices, {eid: rng.choice(spots) for eid in eids})
+
+
+def test_feedback_edge_set_matches_reference():
+    graphs = [inst.graph for inst in _kernel_digest_cases()]
+    rng = random.Random(20)
+    graphs += [_random_multigraph(rng) for _ in range(1000)]
+    assert sum(g.num_edges() > len({g.endpoints(e) for e in g.edges}) for g in graphs) > 500
+    for i, g in enumerate(graphs):
+        assert feedback_edge_set(g) == reference_feedback_edge_set(g), i

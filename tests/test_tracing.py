@@ -90,3 +90,27 @@ def test_traced_hub_solve_reports_calls_and_peak_table(monkeypatch, tmp_path):
     assert code == 0
     assert tracer.calls["simple.solve_simple_edp"] >= 1
     assert tracer.counters["simple.peak_table"] > 0
+
+
+def test_traced_auto_solve_reaches_every_kernel_rule(monkeypatch, tmp_path):
+    # the tracer wraps the rules through `kernel._RULES` and counts a hit
+    # when a rule's output state differs from its input: a fixpoint that
+    # bypasses `_RULES` or reduces one state in place makes these read 0
+    from edpsolve import cli, kernel
+    from edpsolve.generators import gen_random_instance
+    from edpsolve.graphs import serialize_instance
+
+    inst, _ = gen_random_instance(1, 40, 8, 2, profile="tree-plus")
+    assert kernel.kernelize(inst).answer is None
+    path = tmp_path / "treeplus.edp"
+    path.write_text(serialize_instance(inst))
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["solve", str(path), "--method", "auto", "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for rule in ("prune_leaf_vertices", "suppress_degree_two", "prune_pendant_subtrees", "remove_matched_leaf_pairs"):
+        assert tracer.calls[f"kernel.{rule}"] > 0, rule
+    assert tracer.metrics(overhead=0.0)["kernel.rule_hit_ratio"] > 0
