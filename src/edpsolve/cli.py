@@ -66,8 +66,6 @@ def cmd_solve(args) -> int:
         inst = _load_instance(args.instance)
         hub = _parse_hub(args.hub) if args.hub else None
         feasible, routes, how = _decide(inst, args.method, caps, args.decomposition, hub)
-    except (ParseError, DecompositionError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
     except StructureError as exc:
         return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
     except CapExceeded as exc:
@@ -151,11 +149,7 @@ def _parse_hub(spec: str) -> frozenset[int]:
 
 
 def cmd_kernelize(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    res = kernelize(inst)
+    res = kernelize(_load_instance(args.instance))
     compact, _ = relabel_compact(res.instance)
     text = serialize_instance(compact)
     summary = (
@@ -227,12 +221,7 @@ def _parse_mss(spec: str) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], 
 
 
 def cmd_verify_decomposition(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-        dec = parse_decomposition(Path(args.decomposition).read_text())
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    report = verify_decomposition(inst, dec)
+    report = verify_decomposition(_load_instance(args.instance), _load_decomposition(args.decomposition))
     if not report.valid:
         for err in report.errors:
             print(f"invalid: {err}", file=sys.stderr)
@@ -245,11 +234,7 @@ def cmd_verify_decomposition(args) -> int:
 
 
 def cmd_reduce_to_vdp(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    red = edp_to_vdp(inst)
+    red = edp_to_vdp(_load_instance(args.instance))
     if red.answer_override is not None:
         print(red.answer_override)
         _info(args, "a vertex occurs in more pairs than its degree; the input is already settled")
@@ -367,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # unreadable input or unwritable output
+    except (OSError, ParseError, DecompositionError) as exc:
+        # unreadable or malformed input, a bad decomposition, unwritable output
         return _fail(str(exc), EXIT_INVALID)
 
 

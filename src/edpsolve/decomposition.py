@@ -14,7 +14,7 @@ map, so a treecut solve builds it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping
 
 from .graphs import EDPInstance, ParseError, StructureError, parse_ints
@@ -160,52 +160,48 @@ def torso_size(inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int,
     Suppressing a vertex whose two edges lead to the same neighbor would
     create a self-loop; the loop is dropped.  Disconnected inputs are handled
     by the same consolidation (blobs without edges just disappear).  Every
-    torso edge is at the bag or crosses the cut of the node or of a child,
-    so only those edges are read.
+    torso edge is at the bag or crosses a child's cut (a cut edge of the node
+    does one or the other), so only those edges are read.
     """
     g = inst.graph
     bag = dec.bag(node)
     # one blob per connected component of the decomposition tree minus
-    # `node`: the parent side first (-1), then the children in sorted order
-    children = sorted(dec.children(node))
+    # `node`: the parent side first (-1), then the children in id order
+    children = dec.children(node)
     first = 2 if dec.parent(node) is not None else 1
     part = {v: v for v in bag}
     for i, c in enumerate(children, start=first):
         for eid in views[c].cut:
             u, v = g.endpoints(eid)
-            part[u if u in views[c].subtree else v] = -i
-    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(views[c].cut for c in children))
+            part[v if u in views[c].outside else u] = -i
+    edges = {e for v in bag for e in g.incident(v)}.union(*(views[c].cut for c in children))
     # consolidated multigraph as adjacency with edge multiplicity
     adj: dict[int, dict[int, int]] = {v: {} for v in bag}
-    for eid in sorted(edges):
+    for eid in edges:
         mu, mv = (part.get(x, -1) for x in g.endpoints(eid))  # -1: the parent side
-        if mu == mv:
+        if mu != mv:
+            for a, b in ((mu, mv), (mv, mu)):
+                nbrs = adj.setdefault(a, {})
+                nbrs[b] = nbrs.get(b, 0) + 1
+    # Degrees never grow, so a part turns suppressible only when a neighbour
+    # is suppressed, which pushes it back: each pop of the worklist takes the
+    # smallest suppressible part, as an ascending rescan would.
+    heap = [x for x in adj if x not in bag]
+    heapify(heap)
+    while heap:
+        x = heappop(heap)
+        if x not in adj or sum(adj[x].values()) > 2:
             continue
-        adj.setdefault(mu, {})[mv] = adj.setdefault(mu, {}).get(mv, 0) + 1
-        adj.setdefault(mv, {})[mu] = adj.setdefault(mv, {}).get(mu, 0) + 1
-    vertices = set(adj)
-
-    def degree(x: int) -> int:
-        return sum(adj[x].values())
-
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(vertices):
-            if x in bag or degree(x) > 2:
-                continue
-            nbrs = [y for y, c in adj[x].items() for _ in range(c)]
-            for y in set(nbrs):
-                del adj[y][x]
-            if len(nbrs) == 2 and nbrs[0] != nbrs[1]:
-                a, b = nbrs
-                adj[a][b] = adj[a].get(b, 0) + 1
-                adj[b][a] = adj[b].get(a, 0) + 1
-            del adj[x]
-            vertices.remove(x)
-            changed = True
-            break
-    return len(vertices)
+        nbrs = adj.pop(x)
+        for y in nbrs:
+            del adj[y][x]
+            if y not in bag:
+                heappush(heap, y)
+        if len(nbrs) == 2:  # two distinct neighbours, one edge each
+            a, b = nbrs
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    return len(adj)
 
 
 @dataclass(frozen=True)
@@ -219,19 +215,17 @@ class WidthReport:
 def partition_errors(inst: EDPInstance, dec: TreecutDecomposition) -> tuple[str, ...]:
     """What keeps the bags from being a near-partition of the vertices with
     an empty root bag; empty when they are."""
+    vertices = inst.graph.vertices
     errors = []
     seen: set[int] = set()
     for t in dec.nodes():
         bag = dec.bag(t)
-        stray = bag - inst.graph.vertices
-        if stray:
+        if stray := bag - vertices:
             errors.append(f"node {t}: bag contains non-vertices {sorted(stray)}")
-        overlap = bag & seen
-        if overlap:
+        if overlap := bag & seen:
             errors.append(f"node {t}: bag reuses vertices {sorted(overlap)}")
         seen |= bag
-    missing = inst.graph.vertices - seen
-    if missing:
+    if missing := vertices - seen:
         errors.append(f"vertices {sorted(missing)} appear in no bag")
     if dec.bag(dec.root):
         errors.append(f"root bag must be empty, has {sorted(dec.bag(dec.root))}")

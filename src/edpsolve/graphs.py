@@ -51,12 +51,13 @@ def _max_below(ids: Collection[int], top: int) -> int:
 class MultiGraph:
     """Undirected multigraph with stable integer vertex and edge ids.
 
-    A fresh vertex or edge id is the largest current id plus one; the
-    largest ids are cached, and each incidence list is kept in ascending
-    edge-id order, so no primitive sorts or takes a `max()` per call.
+    The vertex set is the key set of the incidence map, which holds each
+    vertex's edge ids in ascending order.  A fresh vertex or edge id is the
+    largest current id plus one; the largest ids are cached, so no primitive
+    sorts or takes a `max()` per call.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_max_vertex", "_max_edge")
+    __slots__ = ("_edges", "_incidence", "_max_vertex", "_max_edge")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Mapping[int, tuple[int, int]] | None = None):
         # one pass with the checks and messages of add_vertex and add_edge;
@@ -75,7 +76,6 @@ class MultiGraph:
             own[eid] = (u, v) if u < v else (v, u)
             incidence[u].append(eid)
             incidence[v].append(eid)
-        self._vertices: set[int] = set(incidence)
         self._edges = own
         self._incidence = incidence
         self._max_vertex = max(incidence, default=0)
@@ -86,8 +86,7 @@ class MultiGraph:
     def add_vertex(self, v: int) -> int:
         if v <= 0:
             raise StructureError(f"vertex ids must be positive, got {v}")
-        if v not in self._vertices:
-            self._vertices.add(v)
+        if v not in self._incidence:
             self._incidence[v] = []
             if v > self._max_vertex:
                 self._max_vertex = v
@@ -99,7 +98,7 @@ class MultiGraph:
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
         if u == v:
             raise StructureError(f"self-loop on vertex {u}")
-        if u not in self._vertices or v not in self._vertices:
+        if u not in self._incidence or v not in self._incidence:
             raise StructureError(f"edge {{{u},{v}}} references unknown vertex")
         if eid is None:
             eid = self._max_edge + 1
@@ -122,14 +121,12 @@ class MultiGraph:
     def remove_vertex(self, v: int) -> None:
         for eid in list(self._incidence[v]):
             self.remove_edge(eid)
-        self._vertices.remove(v)
         del self._incidence[v]
         if v == self._max_vertex:
-            self._max_vertex = _max_below(self._vertices, v)
+            self._max_vertex = _max_below(self._incidence, v)
 
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
-        g._vertices = set(self._vertices)
         g._edges = dict(self._edges)
         g._incidence = {v: list(inc) for v, inc in self._incidence.items()}
         g._max_vertex = self._max_vertex
@@ -140,7 +137,7 @@ class MultiGraph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._vertices)
+        return frozenset(self._incidence)
 
     @property
     def edges(self) -> Mapping[int, tuple[int, int]]:
@@ -152,13 +149,13 @@ class MultiGraph:
         return self._max_vertex
 
     def num_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._incidence)
 
     def num_edges(self) -> int:
         return len(self._edges)
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._vertices
+        return v in self._incidence
 
     def has_edge(self, eid: int) -> bool:
         return eid in self._edges
@@ -188,7 +185,7 @@ class MultiGraph:
         return tuple(e for e in self.incident(u) if self._edges[e] == key)
 
     def sorted_vertices(self) -> list[int]:
-        return sorted(self._vertices)
+        return sorted(self._incidence)
 
     def sorted_edges(self) -> list[int]:
         return sorted(self._edges)
@@ -197,7 +194,7 @@ class MultiGraph:
         """Subgraph induced on `keep`, preserving vertex and edge ids."""
         keep = set(keep)
         edges = {eid: uv for eid, uv in self._edges.items() if uv[0] in keep and uv[1] in keep}
-        return MultiGraph(sorted(keep & self._vertices), edges)
+        return MultiGraph(sorted(keep.intersection(self._incidence)), edges)
 
     def connected_components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
@@ -221,15 +218,15 @@ class MultiGraph:
     def is_forest(self) -> bool:
         # a forest has one edge fewer than vertices per component; a
         # parallel edge counts as a cycle
-        return len(self._edges) == len(self._vertices) - len(self.connected_components())
+        return len(self._edges) == len(self._incidence) - len(self.connected_components())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._incidence.keys() == other._incidence.keys() and self._edges == other._edges
 
     def __repr__(self) -> str:
-        return f"MultiGraph(|V|={len(self._vertices)}, |E|={len(self._edges)})"
+        return f"MultiGraph(|V|={len(self._incidence)}, |E|={len(self._edges)})"
 
 
 class EDPInstance:
@@ -247,7 +244,7 @@ class EDPInstance:
         self.graph = graph if graph is not None else MultiGraph()
         # one pass with the checks and messages of add_pair; pairs go in by
         # ascending id, so each vertex's list is appended to
-        vertices = self.graph._vertices
+        vertices = self.graph._incidence
         own: dict[int, frozenset[int]] = {}
         pairs_of: dict[int, list[int]] = {}  # vertex -> ascending pair ids
         for pid in sorted(pairs or ()):
@@ -456,7 +453,7 @@ def feedback_edge_set(g: MultiGraph) -> frozenset[int]:
     The result is a minimum feedback edge set: |X| = |E| - |V| + #components,
     and every parallel copy beyond the first between two endpoints lands in X.
     """
-    parent: dict[int, int] = {v: v for v in g._vertices}
+    parent: dict[int, int] = {v: v for v in g._incidence}
     edges = g._edges
     extra = set()
     for eid in sorted(edges):
@@ -499,7 +496,7 @@ def terminal_normalize(inst: EDPInstance) -> EDPInstance:
 def restrict_pairs(inst: EDPInstance, subset: Iterable[int]) -> dict[int, frozenset[int]]:
     """Pairs of the instance whose both members lie in `subset`."""
     keep = set(subset)
-    unknown = keep - inst.graph._vertices
+    unknown = keep.difference(inst.graph._incidence)
     if unknown:
         raise StructureError(f"subset contains non-vertices {sorted(unknown)}")
     return {pid: members for pid, members in inst._pairs.items() if members <= keep}

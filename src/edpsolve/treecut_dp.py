@@ -25,13 +25,13 @@ the next one does.
 Residues are plain id maps (`Residue`): a vertex set, edge id -> endpoints
 and pair id -> members.  The step starts from the node's local residue
 (`_local_instance`), built once per node: the bag, every edge at the bag,
-the node's and the children's cut edges, and the pairs at the bag or
-straddling the node or a child, with each subtree cut down to those
-vertices.  This is exact: the rest of a child's subtree is never read
-before that child's simplification deletes it, so every residue equals the
-whole-subtree one up to the ids of its stubs, and those keep their relative
-order.  A node then costs time in its bag and its cuts, not in the size of
-its subtree.
+the children's cut edges, and the pairs at the bag or straddling a child
+(the node's own cut edges and straddling pairs are among them), with each
+subtree cut down to those vertices.  This is exact: the rest of a child's
+subtree is never read before that child's simplification deletes it, so
+every residue equals the whole-subtree one up to the ids of its stubs, and
+those keep their relative order.  A node then costs time in its bag and
+its cuts, not in the size of its subtree.
 
 Residues have a handful of vertices, so they repeat within a solve.  Each
 solve keeps one memo of residue verdicts, keyed by the residue relabeled by
@@ -406,15 +406,16 @@ def _local_instance(
     inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], node: int
 ) -> tuple[Residue, dict[int, NodeViews]]:
     """What the node's record tests read of `inst`, as a residue: the bag,
-    every edge at the bag, the node's and its children's cut edges, and
-    every pair at the bag or straddling the node or a child; ids are
-    preserved.  Returns it with the views of the node and its children,
-    their subtrees cut down to its vertices."""
+    every edge at the bag, the children's cut edges, and every pair at the
+    bag or straddling a child; ids are preserved.  The node's own cut edges
+    and straddling pairs are among these (see `node_views`).  Returns it
+    with the views of the node and its children, their subtrees cut down to
+    its vertices."""
     g = inst.graph
     bag = dec.bag(node)
     kids = [views[c] for c in dec.children(node)]
-    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(k.cut for k in kids))
-    pids = {p for v in bag for p in inst.pairs_at(v)}.union(views[node].straddling, *(k.straddling for k in kids))
+    edges = {e for v in bag for e in g.incident(v)}.union(*(k.cut for k in kids))
+    pids = {p for v in bag for p in inst.pairs_at(v)}.union(*(k.straddling for k in kids))
     vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
     local = Residue(vertices, {e: g.endpoints(e) for e in edges}, {p: _sorted(inst.pair(p)) for p in pids})
     local_views = {k.node: replace(k, subtree=k.subtree & vertices) for k in (views[node], *kids)}
@@ -484,39 +485,31 @@ def dynamic_step(
     """
     if memo is None:
         memo = {}
-    children = sorted(dec.children(node))
-    absorbable = [c for c in children if views[c].absorbable]
-    record_children = [c for c in children if not views[c].absorbable]
-    bag = dec.bag(node)
-
+    children = dec.children(node)
     if any(not tables[c].records for c in children):
         return RecordTable(node, ())
+    bag = dec.bag(node)
     local, lviews = _local_instance(inst, dec, views, node)
-    valid = []
-    residues = 0
+    record_children = [c for c in children if not views[c].absorbable]
+    kids = [lviews[c] for c in record_children]
+    thin = [(_replace_thin_in, lviews[c], tables[c]) for c in children if views[c].absorbable]
+    valid, residues = [], 0
     for rec in enumerate_records(views[node]):
         base = build_record_instance(local, lviews[node], rec)
-        found = False
         for combo in itertools.product(*(tables[c].records for c in record_children)):
+            # the record children's simplifications, then the thin
+            # replacements, up to the first that leaves no residue
+            steps = [(_simplify_in, kid, crec) for kid, crec in zip(kids, combo)] + thin
             cur: Residue | None = base
-            for c, crec in zip(record_children, combo):
-                cur = _simplify_in(cur, lviews[c], crec)
+            for lay, view, arg in steps:
+                cur = lay(cur, view, arg)
                 if cur is None:
                     break
-            if cur is None:
-                continue
-            for b in absorbable:
-                cur = _replace_thin_in(cur, lviews[b], tables[b])
-                if cur is None:
+            else:
+                residues += 1
+                if _routes(cur, bag, memo):
+                    valid.append(rec)
                     break
-            if cur is None:
-                continue
-            residues += 1
-            if _routes(cur, bag, memo):
-                found = True
-                break
-        if found:
-            valid.append(rec)
     return RecordTable(node, tuple(valid), residues)
 
 

@@ -2,6 +2,7 @@
 instance builders and disjoint unions used across suites, the unpruned backtracking search
 that the oracle's pruned core is checked against, the rescanning spanning-tree
 decomposition builder that the one-pass builder is checked against, the
+rescanning torso suppression that the worklist one is checked against, the
 merge-based chain walk that the hub solver's in-place one is checked against,
 the `EDPInstance`-based dynamic step that the residue-based one is checked
 against, the element-wise instance builds (one validated `add_*` call per
@@ -100,7 +101,6 @@ def instance_state(inst: EDPInstance) -> tuple:
     """Every private field of an instance and its graph, lists in order."""
     g = inst.graph
     return (
-        g._vertices,
         g._edges,
         g._incidence,
         g._max_vertex,
@@ -424,6 +424,52 @@ def rescanning_spanning_tree_decomposition(inst: EDPInstance) -> TreecutDecompos
         for c in dec.children(t):
             new_parent[c] = p
         dec = TreecutDecomposition(new_parent, new_bags)
+
+
+def rescanning_torso_size(inst: EDPInstance, dec: TreecutDecomposition, views, node: int) -> int:
+    """`torso_size` suppressing the smallest degree-<=2 part outside the bag
+    and rescanning all parts after every suppression: the reference for the
+    worklist suppression."""
+    g = inst.graph
+    bag = dec.bag(node)
+    children = sorted(dec.children(node))
+    first = 2 if dec.parent(node) is not None else 1
+    part = {v: v for v in bag}
+    for i, c in enumerate(children, start=first):
+        for eid in views[c].cut:
+            u, v = g.endpoints(eid)
+            part[u if u in views[c].subtree else v] = -i
+    edges = {e for v in bag for e in g.incident(v)}.union(views[node].cut, *(views[c].cut for c in children))
+    adj: dict[int, dict[int, int]] = {v: {} for v in bag}
+    for eid in sorted(edges):
+        mu, mv = (part.get(x, -1) for x in g.endpoints(eid))  # -1: the parent side
+        if mu == mv:
+            continue
+        adj.setdefault(mu, {})[mv] = adj.setdefault(mu, {}).get(mv, 0) + 1
+        adj.setdefault(mv, {})[mu] = adj.setdefault(mv, {}).get(mu, 0) + 1
+    vertices = set(adj)
+
+    def degree(x: int) -> int:
+        return sum(adj[x].values())
+
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(vertices):
+            if x in bag or degree(x) > 2:
+                continue
+            nbrs = [y for y, c in adj[x].items() for _ in range(c)]
+            for y in set(nbrs):
+                del adj[y][x]
+            if len(nbrs) == 2 and nbrs[0] != nbrs[1]:
+                a, b = nbrs
+                adj[a][b] = adj[a].get(b, 0) + 1
+                adj[b][a] = adj[b].get(a, 0) + 1
+            del adj[x]
+            vertices.remove(x)
+            changed = True
+            break
+    return len(vertices)
 
 
 # -- the instance-based dynamic step -------------------------------------------

@@ -8,6 +8,7 @@ from edpsolve.decomposition import (
     chain_decomposition,
     node_views,
     parse_decomposition,
+    partition_errors,
     serialize_decomposition,
     single_node_decomposition,
     spanning_tree_decomposition,
@@ -19,7 +20,12 @@ from edpsolve.decomposition import (
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, ParseError
 
-from .support import reference_decomposition, reference_graph, rescanning_spanning_tree_decomposition
+from .support import (
+    reference_decomposition,
+    reference_graph,
+    rescanning_spanning_tree_decomposition,
+    rescanning_torso_size,
+)
 
 
 def test_reference_values_match_annotations():
@@ -67,6 +73,52 @@ def test_torso_single_bag_is_whole_graph():
     bag_node = next(t for t in dec.nodes() if dec.bag(t))
     assert torso_size(inst, dec, node_views(inst, dec), bag_node) == 4
     assert verify_decomposition(inst, dec).width == 4
+
+
+def _torso_cascade():
+    """Bag {1} under an empty root, with children {2} and {3}: vertex 2
+    reaches vertex 3 by two parallel edges only, and 3 also reaches the bag.
+    The part of 3 (-3) is popped first and found too heavy (degree 3); the
+    part of 2 (-2) is suppressed next and takes both parallel edges with it,
+    so the part of 3 must be pushed back to be suppressed too."""
+    inst = EDPInstance(MultiGraph(range(1, 4), {1: (2, 3), 2: (2, 3), 3: (3, 1)}))
+    dec = TreecutDecomposition({1: None, 2: 1, 3: 2, 4: 2}, {1: set(), 2: {1}, 3: {2}, 4: {3}})
+    return inst, dec
+
+
+def test_torso_size_matches_rescanning_suppression():
+    # the worklist suppression against a rescan after every suppression, on
+    # spanning-tree and chain decompositions of the tree-plus and bounded-tcw
+    # digest corpora of the treecut DP, and on the hand-built cascade
+    insts = [gen_random_instance(seed, 6 + seed % 15, seed % 5, seed % 4, profile="bounded-tcw")[0] for seed in range(60)]
+    insts += [gen_random_instance(seed, 6 + seed % 7, seed % 3, seed % 4, profile="tree-plus")[0] for seed in range(20)]
+    cases = [(inst, build(inst)) for inst in insts for build in (spanning_tree_decomposition, chain_decomposition)]
+    cascade, cascade_dec = _torso_cascade()
+    cases.append((cascade, cascade_dec))
+    for i, (inst, dec) in enumerate(cases):
+        dec = dec.ensure_empty_root()
+        views = node_views(inst, dec)
+        for t in dec.nodes():
+            assert torso_size(inst, dec, views, t) == rescanning_torso_size(inst, dec, views, t), f"case {i} node {t}"
+    assert torso_size(cascade, cascade_dec, node_views(cascade, cascade_dec), 2) == 1
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+def test_partition_errors_reads_the_vertex_set_once(monkeypatch, n):
+    # the vertex set is a fresh copy per read, so a read per node is
+    # quadratic on a chain
+    inst, dec = gen_random_instance(1, n, n // 8, 2, profile="bounded-tcw")
+    dec = dec.ensure_empty_root()
+    reads = []
+    real = MultiGraph.vertices.fget
+
+    def counting(g):
+        reads.append(g)
+        return real(g)
+
+    monkeypatch.setattr(MultiGraph, "vertices", property(counting))
+    assert partition_errors(inst, dec) == ()
+    assert len(reads) == 1
 
 
 def test_verify_rejects_bad_near_partition():
