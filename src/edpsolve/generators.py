@@ -202,14 +202,16 @@ def gen_random_instance(
     extra_edges: int = 0,
     num_pairs: int = 0,
     profile: str = "tree-plus",
+    cut_budget: int = 3,
 ) -> tuple[EDPInstance, TreecutDecomposition | None]:
     """Seeded random instances.
 
     Profiles: "tree-plus" (spanning tree plus `extra_edges` chords, so the
     feedback edge set has exactly that size), "simple" (hub of size <= 4 plus
     degree-<=2 satellites, returned with its star decomposition), and
-    "bounded-tcw" (chain of singleton bags with every cut carrying at most 3
-    edges, returned with its nice width-<=3 chain decomposition).
+    "bounded-tcw" (chain of singleton bags with every cut carrying at most
+    `cut_budget` edges, returned with its nice chain decomposition of width
+    at most `cut_budget`).
     """
     if n < 0 or extra_edges < 0 or num_pairs < 0:
         raise StructureError("parameters must be non-negative")
@@ -253,7 +255,9 @@ def gen_random_instance(
         rng.shuffle(order)
         g = MultiGraph(range(1, n + 1))
         pos = {v: i for i, v in enumerate(order)}
-        budget = [3] * max(n - 1, 0)  # per consecutive cut, adhesion <= 3
+        if cut_budget < 1:
+            raise StructureError("the spine needs a cut budget of at least 1")
+        budget = [cut_budget] * max(n - 1, 0)  # per consecutive cut
         for i in range(1, n):  # spine keeps the graph connected
             g.add_edge(order[i - 1], order[i])
             budget[i - 1] -= 1

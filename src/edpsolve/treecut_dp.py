@@ -22,25 +22,23 @@ internal (the outside must route one extra pair).  A valid foreign record
 implies a valid unused one, so each choice offers the outside every route
 the next one does.
 
-Residues are plain id maps (`Residue`): a vertex set, edge id -> endpoints
-and pair id -> members.  The step starts from the node's local residue
-(`_local_instance`), built once per node: the bag, every edge at the bag,
-the children's cut edges, and the pairs at the bag or straddling a child
-(the node's own cut edges and straddling pairs are among them), with each
-subtree cut down to those vertices.  This is exact: the rest of a child's
-subtree is never read before that child's simplification deletes it, so
-every residue equals the whole-subtree one up to the ids of its stubs, and
-those keep their relative order.  A node then costs time in its bag and
-its cuts, not in the size of its subtree.
+Residues are plain id maps (`Residue`).  The step starts from the node's
+local residue (`_local_instance`), built once per node: the bag, every edge
+at the bag, the children's cut edges, and the pairs at the bag or straddling
+a child, with each child's subtree cut down to those vertices.  So every
+residue is in frontier form for the subtree it lays: only a child's cut
+edges and straddling pairs touch its subtree, and only the node's own reach
+its outside.  Stubs keep this, as each reuses a cut edge id and a re-laid
+pair keeps its id, so a build drops those by id and scans neither map
+(`_lay`).  A fresh vertex is one past the largest vertex of the residue
+handed in, a fresh pair one past its `max_pair`, so every residue equals the
+whole-subtree one up to the ids of its stubs, in the same order.  A node
+costs time in its bag and cuts, not in its subtree.
 
 Residues have a handful of vertices, so they repeat within a solve.  Each
 solve keeps one memo of residue verdicts, keyed by the residue relabeled by
-rank (`_residue_key`), and only a residue missing from it becomes an
+rank (`_residue_key`); only a residue missing from it becomes an
 `EDPInstance` and goes through the degree-two rule and the hub solver.
-Equal keys mean that a bijection keeping the order of vertex, edge and pair
-ids carries one residue onto the other and the hub onto the hub; those steps
-read ids only through their order, so they take the same steps on both.  The
-memo lives for one solve only.
 """
 
 from __future__ import annotations
@@ -72,7 +70,8 @@ UNUSED = "unused"
 
 @dataclass(frozen=True)
 class Record:
-    """One interaction pattern between a solution and a node's cut edges."""
+    """One interaction pattern between a solution and a node's cut edges.
+    Each tuple is sorted (builders lay stubs in that order)."""
 
     classes: tuple[tuple[int, str], ...]  # (edge id, class), sorted by edge id
     internal_pairs: tuple[tuple[int, int], ...]
@@ -150,17 +149,19 @@ def enumerate_records(view: NodeViews) -> list[Record]:
 
 
 class Residue(NamedTuple):
-    """An instance as plain data, the form the dynamic step builds: a vertex
-    set, edge id -> endpoints and pair id -> members, each stored sorted.
-    Only a residue missing from the memo becomes an `EDPInstance`."""
+    """An instance as plain data: a vertex set, edge id -> endpoints and
+    pair id -> members, each stored sorted.  Fresh pair ids count up from
+    one past `max_pair`; `of` leaves it unset, as a whole instance is not
+    in frontier form.  Only a memo miss becomes an `EDPInstance`."""
 
     vertices: AbstractSet[int]
     edges: dict[int, tuple[int, int]]
     pairs: dict[int, tuple[int, int]]
+    max_pair: int | None = None
 
     @classmethod
     def of(cls, inst: EDPInstance) -> "Residue":
-        return cls(set(inst.graph.vertices), inst.graph.edges, {p: _sorted(ab) for p, ab in inst.pairs.items()})
+        return cls(inst.graph.vertices, inst.graph.edges, {p: _sorted(ab) for p, ab in inst.pairs.items()})
 
     def to_instance(self) -> EDPInstance:
         pairs = {p: frozenset(ab) for p, ab in self.pairs.items()}
@@ -178,51 +179,64 @@ def _outside(ends: tuple[int, int], sub: AbstractSet[int]) -> int:
     return b if a in sub else a
 
 
-def _induced(cur: Residue, keep: AbstractSet[int]) -> tuple[Residue, Callable[..., int], Callable[..., None]]:
-    """The residue induced on `keep`: every other vertex, its edges and every
-    pair touching it are gone; ids are preserved.
+def _frontier(inst: EDPInstance, view: NodeViews, inside: bool) -> Residue:
+    """`inst` in frontier form for `_lay`, in one scan: the edges and pairs
+    with an end in the view's subtree (`inside`) or outside it.  Vertices
+    and `max_pair` stay the whole instance's, so fresh ids do too."""
+    sub, drop = view.subtree, 0 if inside else 2
+    edges = {e: uv for e, uv in inst.graph.edges.items() if len(sub.intersection(uv)) != drop}
+    pairs = {p: _sorted(ab) for p, ab in inst.pairs.items() if len(sub & ab) != drop}
+    return Residue(inst.graph.vertices, edges, pairs, inst.max_pair)
+
+
+def _lay(cur: Residue, view: NodeViews, inside: bool, new_pairs: int) -> tuple[Residue, Callable, Callable]:
+    """`cur` without the view's cut edges and straddling pairs, dropped by
+    id, keeping the vertices in the subtree (`inside`) or outside it; in
+    frontier form no other edge or pair leaves those, so no map is scanned.
 
     Also returns `stub(*attach)`, which adds a fresh vertex joined to the
-    kept vertex `y` by edge `eid` for each `(eid, y)` in `attach`, and
-    `pair(a, b, pid=None)`.  Stub ids count up from one past `cur`'s largest
-    vertex, fresh pair ids from one past its largest pair id.  Both raise the
-    `StructureError`s of `MultiGraph.add_edge` and `EDPInstance.add_pair`.
+    kept vertex `y` by edge `eid` for each `(eid, y)`, and `pair(a, b,
+    pid=None)`; both raise a `StructureError` on a duplicate id.  Stub ids
+    count up from one past `cur`'s largest vertex, the `new_pairs` fresh
+    pair ids from one past `cur.max_pair`.
     """
-    vertices = set(keep)
-    edges = {e: uv for e, uv in cur.edges.items() if uv[0] in keep and uv[1] in keep}
-    pairs = {p: ab for p, ab in cur.pairs.items() if ab[0] in keep and ab[1] in keep}
-    fresh_vertex = itertools.count(max(cur.vertices, default=0) + 1)
-    fresh_pair = itertools.count(max(cur.pairs, default=0) + 1)
+    vertices = set(cur.vertices)
+    if inside:
+        vertices &= view.subtree
+    else:
+        vertices -= view.subtree
+    edges, pairs = cur.edges.copy(), cur.pairs.copy()
+    for e in view.cut:
+        edges.pop(e, None)
+    for p in view.straddling:
+        pairs.pop(p, None)
+    top, top_pair = max(cur.vertices, default=0), cur.max_pair
 
-    def stub(*attach: tuple[int, int]) -> int:
-        s = next(fresh_vertex)
-        vertices.add(s)
+    def stub(*attach):
+        nonlocal top
+        top += 1
+        vertices.add(top)
         for eid, y in attach:
-            if y not in vertices:
-                raise StructureError(f"edge {{{s},{y}}} references unknown vertex")
             if eid in edges:
                 raise StructureError(f"duplicate edge id {eid}")
-            edges[eid] = (y, s)  # s is larger than every vertex before it
-        return s
+            edges[eid] = (y, top)  # the stub is the largest vertex
+        return top
 
-    def pair(a: int, b: int, pid: int | None = None) -> None:
-        if a == b:
-            raise StructureError(f"self-pair {{{a},{a}}}")
-        if a not in vertices or b not in vertices:
-            raise StructureError(f"pair {{{a},{b}}} references unknown vertex")
+    def pair(a, b, pid=None):
+        nonlocal top_pair
         if pid is None:
-            pid = next(fresh_pair)
+            top_pair = pid = top_pair + 1
         elif pid in pairs:
             raise StructureError(f"duplicate pair id {pid}")
         pairs[pid] = _sorted((a, b))
 
-    return Residue(vertices, edges, pairs), stub, pair
+    return Residue(vertices, edges, pairs, cur.max_pair + new_pairs), stub, pair
 
 
 def build_record_instance(inst: EDPInstance | Residue, view: NodeViews, rec: Record) -> EDPInstance | Residue:
     """The subtree instance extended with the record's stub structure; the
-    record is valid exactly when this instance is solvable.  The dynamic
-    step passes and gets residues; an `EDPInstance` in gives one out.
+    record is valid exactly when this instance is solvable.  A residue in
+    gives a residue out, an `EDPInstance` an `EDPInstance`.
 
     Cut edges keep their ids: each used cut edge reappears attached to a
     fresh stub vertex in place of its outside endpoint.  An internal pair
@@ -230,23 +244,22 @@ def build_record_instance(inst: EDPInstance | Residue, view: NodeViews, rec: Rec
     can leave and re-enter through the same vertex).
     """
     if isinstance(inst, EDPInstance):
-        return build_record_instance(Residue.of(inst), view, rec).to_instance()
+        _check_fit(view, rec)
+        return build_record_instance(_frontier(inst, view, True), view, rec).to_instance()
     sub = view.subtree
-    out, stub, pair = _induced(inst, sub & inst.vertices)
+    out, stub, pair = _lay(inst, view, True, len(rec.foreign_pairs))
 
-    def inside_end(eid: int) -> int:
+    def inside_end(eid):
         u, v = inst.edges[eid]
         return u if u in sub else v
 
-    for e1, e2 in sorted(rec.internal_pairs):
+    for e1, e2 in rec.internal_pairs:
         a, c = inside_end(e1), inside_end(e2)
         if a != c:
             stub((e1, a), (e2, c))
-    for pid, eid in sorted(rec.leaving):
-        if pid not in view.straddling:
-            raise StructureError(f"pair {pid} is not a straddling pair of node {view.node}")
+    for pid, eid in rec.leaving:
         pair(view.straddling[pid][0], stub((eid, inside_end(eid))), pid)
-    for e1, e2 in sorted(rec.foreign_pairs):
+    for e1, e2 in rec.foreign_pairs:
         pair(stub((e1, inside_end(e1))), stub((e2, inside_end(e2))))
     return out
 
@@ -265,43 +278,46 @@ def leaf_valid_records(
 # -- simplification ----------------------------------------------------------
 
 
+def _check_fit(view: NodeViews, *records: Record) -> None:
+    """Raise unless each record uses cut edges only and leaves exactly the
+    straddling pairs, as `_simplify_in` assumes."""
+    cut = set(view.cut)
+    for rec in records:
+        if not cut.issuperset(rec.used_edges()):
+            raise StructureError("record references edges outside the node's cut")
+        if {pid for pid, _ in rec.leaving} != view.straddling.keys():
+            raise StructureError(f"record does not leave the straddling pairs of node {view.node}")
+
+
 def _simplify_in(cur: Residue, view: NodeViews, rec: Record) -> Residue | None:
-    """Replace the view's subtree by the record's degree-<=2 fringe inside
-    `cur`, reading each straddling pair's outside member (maybe a stub) there.
-
-    Returns None when the record references a cut edge a sibling's
-    simplification already consumed differently; such a branch cannot carry
-    a solution and is skipped.
-    """
-    sub = view.subtree
-    used = rec.used_edges()
-    if not set(used) <= set(view.cut):
-        raise StructureError("record references edges outside the node's cut")
-    outside_end: dict[int, int] = {}
-    for e in used:
-        ends = cur.edges.get(e)
-        if ends is None or (ends[0] in sub) == (ends[1] in sub):
-            return None
-        outside_end[e] = _outside(ends, sub)
-    if set(view.straddling) != {pid for pid, _ in rec.leaving}:
-        return None
-
-    out, stub, pair = _induced(cur, cur.vertices - sub)
-    for pid, eid in sorted(rec.leaving):
+    """Replace the view's subtree by the fitting record's degree-<=2 fringe
+    inside `cur`, reading each straddling pair's outside member (maybe a
+    stub) there.  None means a sibling's simplification already consumed a
+    cut edge the record uses differently: no solution, the branch is
+    skipped."""
+    sub, ends_of = view.subtree, cur.edges
+    outside_end = {}
+    for e, c in rec.classes:
+        if c != UNUSED:
+            ends = ends_of.get(e)
+            if ends is None or (ends[0] in sub) == (ends[1] in sub):
+                return None
+            outside_end[e] = _outside(ends, sub)
+    out, stub, pair = _lay(cur, view, False, len(rec.internal_pairs))
+    for pid, eid in rec.leaving:
         pair(stub((eid, outside_end[eid])), _outside(cur.pairs[pid], sub), pid)
-    for e1, e2 in sorted(rec.internal_pairs):
+    for e1, e2 in rec.internal_pairs:
         pair(stub((e1, outside_end[e1])), stub((e2, outside_end[e2])))
-    for e1, e2 in sorted(rec.foreign_pairs):
+    for e1, e2 in rec.foreign_pairs:
         stub((e1, outside_end[e1]), (e2, outside_end[e2]))
     return out
 
 
 def simplify(inst: EDPInstance, view: NodeViews, rec: Record) -> EDPInstance:
-    """Public form of simplification on the original instance."""
-    out = _simplify_in(Residue.of(inst), view, rec)
-    if out is None:
-        raise StructureError("record does not fit the node's cut")
-    return out.to_instance()
+    """Public form of simplification on the original instance (a record
+    fitting the view fits its cut there)."""
+    _check_fit(view, rec)
+    return _simplify_in(_frontier(inst, view, False), view, rec).to_instance()
 
 
 # -- reduction rules used by the dynamic step --------------------------------
@@ -365,16 +381,9 @@ def reduce_degree_two_edges(inst: EDPInstance | Residue, once: bool = False) -> 
 
 
 def _replace_thin_in(cur: Residue, view: NodeViews, table: RecordTable) -> Residue | None:
-    """Swap the view's thin subtree for the degree-<=2 stubs its record
-    table asks for; None means no record fits, i.e. a NO verdict.
-
-    With straddling pairs every record only routes them out (see the module
-    docstring).  When several records do, one stub on every cut edge
-    carries all the straddling pairs and leaves the exit to the outside.
-    Otherwise one record is laid by `_simplify_in`, in the order foreign,
-    unused, internal: each offers the outside every route the next one
-    does.
-    """
+    """Swap the view's thin subtree for the gadget its record table picks
+    (see the module docstring): the merged exit stub, or one record laid by
+    `_simplify_in`.  None means no record fits, i.e. a NO verdict."""
     sub = view.subtree
     for e in view.cut:
         if e not in cur.edges:
@@ -382,7 +391,7 @@ def _replace_thin_in(cur: Residue, view: NodeViews, table: RecordTable) -> Resid
     if not table.records:
         return None
     if view.straddling and len(table.records) > 1:
-        out, stub, pair = _induced(cur, cur.vertices - sub)
+        out, stub, pair = _lay(cur, view, False, 0)
         s = stub(*((e, _outside(cur.edges[e], sub)) for e in view.cut))
         for pid in view.straddling:
             pair(s, _outside(cur.pairs[pid], sub), pid)
@@ -395,7 +404,8 @@ def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable)
     """Public form of the thin-node replacement; None signals a NO-instance."""
     if view.adhesion > 2:
         raise StructureError(f"node {view.node} is not thin (adhesion {view.adhesion})")
-    out = _replace_thin_in(Residue.of(inst), view, table)
+    _check_fit(view, *table.records)
+    out = _replace_thin_in(_frontier(inst, view, False), view, table)
     return None if out is None else out.to_instance()
 
 
@@ -405,21 +415,19 @@ def replace_thin_subtree(inst: EDPInstance, view: NodeViews, table: RecordTable)
 def _local_instance(
     inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews], node: int
 ) -> tuple[Residue, dict[int, NodeViews]]:
-    """What the node's record tests read of `inst`, as a residue: the bag,
-    every edge at the bag, the children's cut edges, and every pair at the
-    bag or straddling a child; ids are preserved.  The node's own cut edges
-    and straddling pairs are among these (see `node_views`).  Returns it
-    with the views of the node and its children, their subtrees cut down to
-    its vertices."""
+    """The node's local residue (see the module docstring), ids preserved;
+    the node's own cut edges and straddling pairs are in it (see
+    `node_views`).  Also the children's views with their subtrees cut down
+    to its vertices, so that no stub id falls in one."""
     g = inst.graph
     bag = dec.bag(node)
     kids = [views[c] for c in dec.children(node)]
     edges = {e for v in bag for e in g.incident(v)}.union(*(k.cut for k in kids))
     pids = {p for v in bag for p in inst.pairs_at(v)}.union(*(k.straddling for k in kids))
     vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
-    local = Residue(vertices, {e: g.endpoints(e) for e in edges}, {p: _sorted(inst.pair(p)) for p in pids})
-    local_views = {k.node: replace(k, subtree=k.subtree & vertices) for k in (views[node], *kids)}
-    return local, local_views
+    pairs = {p: _sorted(inst.pair(p)) for p in pids}
+    local = Residue(vertices, {e: g.endpoints(e) for e in edges}, pairs, max(pids, default=0))
+    return local, {k.node: replace(k, subtree=k.subtree & vertices) for k in kids}
 
 
 def _residue_key(cur: Residue, bag: frozenset[int]) -> tuple[int, ...]:
@@ -442,21 +450,19 @@ def _residue_key(cur: Residue, bag: frozenset[int]) -> tuple[int, ...]:
 
 def _routes(cur: Residue, bag: frozenset[int], memo: dict[tuple[int, ...], bool]) -> bool:
     """Whether the residue routes with the bag vertices left after the
-    degree-two rule as the hub; a residue whose key is in `memo` is not
-    decided again.  Only a miss turns the residue into an `EDPInstance`,
-    once, inside the degree-two rule.
+    degree-two rule as the hub; only a key missing from `memo` is decided,
+    and only then is the residue built into an `EDPInstance`.
 
     Equal keys mean that a bijection keeping the order of vertex, edge and
     pair ids carries one residue onto the other and the bag onto the bag.
-    The degree-two rule, `preprocess_simple` and the hub solver read ids only
-    through their order (fresh ids count up from the largest), so they take
-    the same steps on both residues and reach the same verdict.
+    The degree-two rule, `preprocess_simple` and the hub solver read ids
+    only through their order, so they reach the same verdict on both.
     """
     key = _residue_key(cur, bag)
     verdict = memo.get(key)
     if verdict is None:
         red, rejected = reduce_degree_two_edges(cur)
-        verdict = not rejected and solve_simple_edp(preprocess_simple(red, bag & red.graph.vertices)).feasible
+        verdict = not rejected and solve_simple_edp(preprocess_simple(red, filter(red.graph.has_vertex, bag))).feasible
         memo[key] = verdict
     return verdict
 
@@ -476,40 +482,43 @@ def dynamic_step(
     children, clean up degree-two chains, and ask the hub/satellite solver
     whether the residue routes.  A leaf has no children to branch over, and
     a child with no valid record makes the node's table empty before any
-    record is enumerated.  Every residue is built as id maps from the node's
-    local residue; only a memo miss builds an `EDPInstance` (see `_routes`).
+    record is enumerated.
 
     `memo` maps residue keys to verdicts (see `_routes`); `solve_treecut`
-    passes one dict for the whole solve, so a residue met at an earlier node
-    is not decided again.  Without it the step uses a fresh dict.
+    passes one dict for the whole solve, else the step uses a fresh one.
     """
     if memo is None:
         memo = {}
     children = dec.children(node)
     if any(not tables[c].records for c in children):
         return RecordTable(node, ())
+    for c in children:
+        _check_fit(views[c], *tables[c].records)
     bag = dec.bag(node)
     local, lviews = _local_instance(inst, dec, views, node)
-    record_children = [c for c in children if not views[c].absorbable]
-    kids = [lviews[c] for c in record_children]
-    thin = [(_replace_thin_in, lviews[c], tables[c]) for c in children if views[c].absorbable]
+    kids = [lviews[c] for c in children if not views[c].absorbable]
+    thin = [(lviews[c], tables[c]) for c in children if views[c].absorbable]
     valid, residues = [], 0
     for rec in enumerate_records(views[node]):
-        base = build_record_instance(local, lviews[node], rec)
-        for combo in itertools.product(*(tables[c].records for c in record_children)):
+        base = build_record_instance(local, views[node], rec)
+        for combo in itertools.product(*(tables[k.node].records for k in kids)):
             # the record children's simplifications, then the thin
-            # replacements, up to the first that leaves no residue
-            steps = [(_simplify_in, kid, crec) for kid, crec in zip(kids, combo)] + thin
-            cur: Residue | None = base
-            for lay, view, arg in steps:
-                cur = lay(cur, view, arg)
+            # replacements, up to the first None
+            cur = base
+            for kid, crec in zip(kids, combo):
+                cur = _simplify_in(cur, kid, crec)
                 if cur is None:
                     break
             else:
-                residues += 1
-                if _routes(cur, bag, memo):
-                    valid.append(rec)
-                    break
+                for view, table in thin:
+                    cur = _replace_thin_in(cur, view, table)
+                    if cur is None:
+                        break
+                else:
+                    residues += 1
+                    if _routes(cur, bag, memo):
+                        valid.append(rec)
+                        break
     return RecordTable(node, tuple(valid), residues)
 
 

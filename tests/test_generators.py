@@ -10,7 +10,7 @@ from edpsolve.generators import (
     gen_mss_layout,
     gen_random_instance,
 )
-from edpsolve.graphs import EDPInstance, MultiGraph, feedback_edge_set, serialize_instance
+from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, feedback_edge_set, serialize_instance
 from edpsolve.oracle import brute_force_edp, brute_force_mss, brute_force_vdp
 from edpsolve.simple import solve_simple_edp
 
@@ -196,6 +196,19 @@ def test_bounded_tcw_profile_invariants():
         assert verify_nice(inst, dec).nice
         assert len(inst.graph.connected_components()) == 1
 
+
+
+def test_bounded_tcw_cut_budget_sets_the_width():
+    # every cut carries at most `cut_budget` edges, and with enough extra
+    # edges the chain reaches that width
+    for budget in (1, 2, 4, 5):
+        for seed in range(10):
+            inst, dec = gen_random_instance(seed, 16, 8, 2, profile="bounded-tcw", cut_budget=budget)
+            report = verify_decomposition(inst, dec)
+            assert report.valid and report.width == budget, (budget, seed)
+            assert verify_nice(inst, dec).nice
+    with pytest.raises(StructureError, match="cut budget"):
+        gen_random_instance(0, 5, 1, 0, profile="bounded-tcw", cut_budget=0)
 
 def test_generator_parameter_validation():
     with pytest.raises(Exception):

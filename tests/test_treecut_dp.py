@@ -39,7 +39,16 @@ from edpsolve.treecut_dp import (
     solve_treecut,
 )
 
-from .support import correspondence, random_small_instance, reference_decomposition, reference_graph, reference_step
+from .support import (
+    correspondence,
+    random_small_instance,
+    reference_build_record_instance,
+    reference_decomposition,
+    reference_graph,
+    reference_replace_thin_in,
+    reference_simplify_in,
+    reference_step,
+)
 
 
 def two_bag_setup(cut_edges):
@@ -935,6 +944,69 @@ def test_residue_builders_scan_no_pair_list(monkeypatch):
     assert scans == []
 
 
+class _ScanLog(dict):
+    """A residue map that logs each Python-level pass over it (iteration,
+    keys, values, items) while `depth` is non-zero; `copy` stays a C-level
+    copy and keeps the logging type."""
+
+    depth, scans = 0, []
+
+    def _logged(self, view):
+        if _ScanLog.depth:
+            _ScanLog.scans.append(len(self))
+        return view
+
+    def __iter__(self):
+        return self._logged(super().__iter__())
+
+    def keys(self):
+        return self._logged(super().keys())
+
+    def values(self):
+        return self._logged(super().values())
+
+    def items(self):
+        return self._logged(super().items())
+
+    def copy(self):
+        return _ScanLog(dict.items(self))
+
+
+def test_residue_builders_scan_neither_map(monkeypatch):
+    # every residue of a node descends from its local residue; with that
+    # one's edge and pair maps logging, no builder inside a solve may pass
+    # over a whole map: each drops the laid subtree's frontier by id
+    from edpsolve import treecut_dp
+
+    real_local = treecut_dp._local_instance
+    logged = []
+
+    def logging_local(*args):
+        local, local_views = real_local(*args)
+        return local._replace(edges=_ScanLog(local.edges), pairs=_ScanLog(local.pairs)), local_views
+
+    def entered(real):
+        def builder(cur, *args):
+            logged.append(isinstance(cur.edges, _ScanLog) and isinstance(cur.pairs, _ScanLog))
+            _ScanLog.depth += 1
+            try:
+                return real(cur, *args)
+            finally:
+                _ScanLog.depth -= 1
+
+        return builder
+
+    monkeypatch.setattr(_ScanLog, "scans", [])
+    monkeypatch.setattr(treecut_dp, "_local_instance", logging_local)
+    for name in ("build_record_instance", "_simplify_in", "_replace_thin_in"):
+        monkeypatch.setattr(treecut_dp, name, entered(getattr(treecut_dp, name)))
+    for seed, n in ((2, 12), (1, 60), (3, 100)):
+        inst, dec = gen_random_instance(seed, n, n // 8, 2, profile="bounded-tcw")
+        solve_treecut(inst, dec)
+    assert _ScanLog.scans == [], len(_ScanLog.scans)
+    assert len(logged) > 1000 and all(logged), (len(logged), logged.count(False))
+
+
 # sha256 over the outputs below on the corpus of `_digest_cases`; a change to
 # any record table, width report or niceness report changes it
 DP_DIGEST = "41bc44654e01076b9c2102d60139d063affa857fa6e1aea0bbcb78924cbf1f0c"
@@ -1102,3 +1174,41 @@ def test_solve_treecut_builds_an_instance_per_memo_miss(monkeypatch):
     inst, dec = gen_random_instance(1, 100, 12, 2, profile="bounded-tcw")
     res = solve_treecut(inst, dec)
     assert len(calls) == res.residue_solves < res.residues, (len(calls), res.residue_solves, res.residues)
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_residue_step_matches_instance_reference_at_width(width):
+    # a per-cut budget of `width` reaches that width; the residue maps still
+    # give the instance-based step's tables, residue counts and memo
+    for seed, pairs in ((1, 3), (2, 2), (3, 2)):
+        inst, dec = gen_random_instance(seed, 24, 6, pairs, "bounded-tcw", cut_budget=width)
+        dec = dec.ensure_empty_root()
+        assert verify_decomposition(inst, dec).width == width, seed
+        views = node_views(inst, dec)
+        tables, ref_tables, memo, ref_memo = {}, {}, {}, {}
+        for t in dec.postorder():
+            tables[t] = dynamic_step(inst, dec, views, t, tables, memo)
+            ref_tables[t] = reference_step(inst, dec, views, t, ref_tables, ref_memo)
+            assert tables[t] == ref_tables[t], (seed, t)
+        assert memo == ref_memo, seed
+
+
+def test_public_builders_match_reference_builders():
+    # the public forms cut the whole instance down to frontier form and still
+    # take fresh ids from the whole instance: equal ids to the reference on
+    # every node and record, and on every thin node with its solved table
+    built = thinned = 0
+    for inst, dec in _digest_cases():
+        dec = dec.ensure_empty_root()
+        if not verify_decomposition(inst, dec).valid or not verify_nice(inst, dec).nice:
+            continue
+        tables = solve_treecut(inst, dec).tables
+        for t, view in node_views(inst, dec).items():
+            for rec in enumerate_records(view):
+                assert build_record_instance(inst, view, rec) == reference_build_record_instance(inst, view, rec)
+                assert simplify(inst, view, rec) == reference_simplify_in(inst, view, rec)
+                built += 1
+            if view.thin:
+                assert replace_thin_subtree(inst, view, tables[t]) == reference_replace_thin_in(inst, view, tables[t])
+                thinned += 1
+    assert built > 1000 and thinned > 100, (built, thinned)
