@@ -30,6 +30,10 @@ EXIT_NO_METHOD = 3
 
 METHODS = ("oracle", "simple", "treecut", "auto")
 
+# the step budget alone bounds the searches on kernels and for witnesses: a
+# size cap would refuse instances that take milliseconds
+BUDGET_ONLY = OracleCaps(max_edges=None, max_vertices=None)
+
 
 def _caps(args) -> OracleCaps:
     return OracleCaps(max_edges=args.cap_edges, max_vertices=args.cap_vertices)
@@ -74,10 +78,9 @@ def cmd_solve(args) -> int:
         _info(args, f"auto: {how}")
     if args.witness and feasible and routes is None:
         # witness reconstruction through kernels/decompositions is not wired
-        # up; search for one under the step budget alone, as auto's kernel
-        # search does, before anything reaches stdout
+        # up; search for one before anything reaches stdout
         try:
-            routes = brute_force_edp(inst, caps=OracleCaps(max_edges=None, max_vertices=None)).routes
+            routes = brute_force_edp(inst, caps=BUDGET_ONLY).routes
         except CapExceeded as exc:
             return _fail(f"witness requested but the brute-force search gave up: {exc}", EXIT_NO_METHOD)
     _answer(feasible)
@@ -129,9 +132,7 @@ def _decide(
         res = solve_treecut(inst, _load_decomposition(decomposition))
         return res.feasible, None, "solved along the supplied decomposition"
     try:
-        # the step budget alone bounds this search: a size cap would refuse
-        # kernels that take milliseconds
-        res = brute_force_edp(kernel, caps=OracleCaps(max_edges=None, max_vertices=None))
+        res = brute_force_edp(kernel, caps=BUDGET_ONLY)
     except CapExceeded as exc:
         raise CapExceeded(
             "no applicable method: kernel is neither a forest nor hub-shaped, "

@@ -387,17 +387,17 @@ def spanning_tree_decomposition(inst: EDPInstance) -> TreecutDecomposition:
     within a constant factor of that edge count.
     """
     g = inst.graph
+    # a DFS forest; each root is its component's smallest vertex
     parent_v: dict[int, int | None] = {}
-    for comp in g.connected_components():
-        rootv = min(comp)
+    for rootv in g.sorted_vertices():
+        if rootv in parent_v:
+            continue
         parent_v[rootv] = None
         stack = [rootv]
-        seen = {rootv}
         while stack:
             x = stack.pop()
             for y in sorted(g.neighbors(x)):
-                if y not in seen:
-                    seen.add(y)
+                if y not in parent_v:
                     parent_v[y] = x
                     stack.append(y)
     node_of = {v: i for i, v in enumerate(sorted(parent_v), start=2)}

@@ -157,39 +157,29 @@ def edp_to_vdp(inst: EDPInstance) -> VdpReduction:
     YES-instance under vertex-disjoint semantics iff the input is one under
     edge-disjoint semantics."""
     g = inst.graph
-    d = max((g.degree(v) for v in g.vertices), default=0)
-    for v in g.sorted_vertices():
-        if len(inst.pairs_at(v)) > d:
-            return VdpReduction(EDPInstance(), "NO", {}, {})
-    out = MultiGraph()
-    copies: dict[int, tuple[int, ...]] = {}
-    nxt = 1
-    for v in g.sorted_vertices():
-        mine = []
-        for _ in range(max(d, 1)):
-            out.add_vertex(nxt)
-            mine.append(nxt)
-            nxt += 1
-        copies[v] = tuple(mine)
-    edge_vertex: dict[int, int] = {}
-    for eid in g.sorted_edges():
-        out.add_vertex(nxt)
-        edge_vertex[eid] = nxt
-        nxt += 1
+    vertices = g.sorted_vertices()
+    d = max(map(g.degree, vertices), default=0)
+    if any(len(inst.pairs_at(v)) > d for v in vertices):
+        return VdpReduction(EDPInstance(), "NO", {}, {})
+    width = max(d, 1)
+    # vertex ids 1.. in order: each vertex's copies by ascending vertex,
+    # then one vertex per edge by ascending edge id; edge ids 1.. likewise
+    copies = {v: tuple(range(i * width + 1, (i + 1) * width + 1)) for i, v in enumerate(vertices)}
+    base = len(vertices) * width
+    edge_vertex = {eid: base + i for i, eid in enumerate(g.sorted_edges(), start=1)}
+    edges: dict[int, tuple[int, int]] = {}
+    for eid, x in edge_vertex.items():
         u, v = g.endpoints(eid)
-        for c in copies[u]:
-            out.add_edge(c, edge_vertex[eid])
-        for c in copies[v]:
-            out.add_edge(c, edge_vertex[eid])
-    reduced = EDPInstance(out)
-    cursor = {v: 0 for v in g.vertices}
+        for c in copies[u] + copies[v]:
+            edges[len(edges) + 1] = (c, x)
+    cursor = dict.fromkeys(vertices, 0)
+    pairs = {}
     for pid in inst.sorted_pairs():
         x, y = sorted(inst.pair(pid))
-        cx = copies[x][cursor[x]]
+        pairs[pid] = frozenset((copies[x][cursor[x]], copies[y][cursor[y]]))
         cursor[x] += 1
-        cy = copies[y][cursor[y]]
         cursor[y] += 1
-        reduced.add_pair(cx, cy, pid)
+    reduced = EDPInstance(MultiGraph(range(1, base + len(edge_vertex) + 1), edges), pairs)
     return VdpReduction(reduced, None, copies, edge_vertex)
 
 

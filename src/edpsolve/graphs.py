@@ -20,6 +20,7 @@ between threads.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Collection, Iterable, Mapping
 
 
@@ -196,24 +197,40 @@ class MultiGraph:
         edges = {eid: uv for eid, uv in self._edges.items() if uv[0] in keep and uv[1] in keep}
         return MultiGraph(sorted(keep.intersection(self._incidence)), edges)
 
-    def connected_components(self) -> list[frozenset[int]]:
+    def components(self, avoid: Collection[int] = frozenset()) -> list[tuple[frozenset[int], list[int]]]:
+        """The components of G minus `avoid`, ordered by smallest vertex, each
+        with the edges that leave it (all of them end in `avoid`), in the
+        order a depth-first walk that never enters `avoid` meets them."""
+        edges = self._edges
+        incidence = self._incidence
         seen: set[int] = set()
-        comps = []
-        for start in self.sorted_vertices():
-            if start in seen:
+        out = []
+        for start in sorted(incidence):
+            if start in seen or start in avoid:
                 continue
-            comp = {start}
+            seen.add(start)
+            comp = [start]
+            boundary = []
             stack = [start]
             while stack:
                 x = stack.pop()
-                for eid in self._incidence[x]:
-                    y = self.other_end(eid, x)
-                    if y not in comp:
-                        comp.add(y)
+                for eid in incidence[x]:
+                    y, z = edges[eid]
+                    if y == x:
+                        y = z
+                    if y in seen:
+                        continue
+                    if y in avoid:
+                        boundary.append(eid)
+                    else:
+                        seen.add(y)
+                        comp.append(y)
                         stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+            out.append((frozenset(comp), boundary))
+        return out
+
+    def connected_components(self) -> list[frozenset[int]]:
+        return [comp for comp, _ in self.components()]
 
     def is_forest(self) -> bool:
         # a forest has one edge fewer than vertices per component; a
@@ -470,6 +487,44 @@ def feedback_edge_set(g: MultiGraph) -> frozenset[int]:
         else:
             parent[u] = v
     return frozenset(extra)
+
+
+def prune_leaves(g: MultiGraph, keep: Collection[int], once: bool = False) -> bool:
+    """Remove from `g`, in place and repeatedly, every vertex outside `keep`
+    with at most one distinct neighbour: a simple path enters and leaves an
+    inner vertex through two distinct neighbours, so no path between kept
+    vertices passes one.  Returns whether any vertex went; with `once`, stops
+    after the first.
+
+    Candidates come from a worklist: a min-heap seeded with every vertex, to
+    which a removal returns only the sole neighbour, the one vertex whose
+    test it changes.  A rejected vertex stays rejected until then, so the
+    smallest qualifying vertex is always on the heap and vertices go in the
+    order of an ascending rescan after every removal.  The test walks a
+    vertex's incident edges and stops at the second distinct neighbour, so
+    re-testing a hub after each of its leaves goes costs a few steps, not
+    one per edge."""
+    heap = g.sorted_vertices()  # a sorted list is a min-heap
+    fired = False
+    while heap:
+        v = heappop(heap)
+        if v in keep or not g.has_vertex(v):
+            continue
+        sole = None
+        for eid in g._incidence[v]:
+            w = g.other_end(eid, v)
+            if sole is None:
+                sole = w
+            elif w != sole:
+                break
+        else:
+            g.remove_vertex(v)
+            if once:
+                return True
+            fired = True
+            if sole is not None:
+                heappush(heap, sole)
+    return fired
 
 
 def terminal_normalize(inst: EDPInstance) -> EDPInstance:

@@ -12,18 +12,16 @@ the forest solver, and matched leaf twins sharing a neighbor are removed.
 Each rule runs to its own fixpoint in one call on one working copy, or
 stops after its first firing when asked to fire once.
 
-The leaf and degree-two rules draw candidates from a worklist: a min-heap
-seeded with every vertex, to which a firing returns only the vertices it
-may have made qualify.  A rejected vertex stays rejected until then, so the
-smallest qualifying vertex is always on the heap and the rules fire in the
-same order, with the same new edge ids, as an ascending rescan after every
-firing would.  The leaf test walks a vertex's incident edges and stops at
-the second distinct neighbour, so re-testing a hub after each of its leaves
-goes makes a few calls, not one per edge.  The pendant rule walks the
-pieces of G minus the feedback-edge endpoints once, in order of their
-smallest vertex: a firing leaves the other pieces and their verdicts as
-they were.  The matched-leaf rule rescans the pairs by id after each
-firing.
+The leaf rule is `graphs.prune_leaves`, the worklist the oracle prunes
+with too.  The degree-two rule draws candidates from a worklist of the same
+kind: a min-heap seeded with every vertex, to which a firing returns only
+the vertices it may have made qualify.  A rejected vertex stays rejected
+until then, so it fires in the same order, with the same new edge ids, as
+an ascending rescan after every firing would.  The pendant rule walks the
+pieces of G minus the feedback-edge endpoints (`MultiGraph.components`)
+once, in order of their smallest vertex: a firing leaves the other pieces
+and their verdicts as they were.  The matched-leaf rule rescans the pairs
+by id after each firing.
 
 No rule disconnects a component, and the maintained feedback edge set stays
 a minimum one, so at the fixpoint each input component is read back as its
@@ -43,7 +41,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
-from .graphs import EDPInstance, MultiGraph, feedback_edge_set, induced_instance, terminal_normalize
+from .graphs import EDPInstance, MultiGraph, feedback_edge_set, induced_instance, prune_leaves, terminal_normalize
 from .oracle import tree_edp_feasible
 
 
@@ -80,34 +78,13 @@ def prune_leaf_vertices(state: KernelState, once: bool = False) -> KernelState:
 
 
 def _prune_leaf_step(inst: EDPInstance, fes: set[int], once: bool) -> bool:
-    """Pop vertices in ascending order and drop each qualifying one; a
-    removal changes only its neighbour's test, so it goes back on the heap.
-    The test stops at the second distinct other end of v's edges."""
+    """`prune_leaves` on the graph, keeping the terminals; the edges of the
+    vertices that went leave the feedback edge set."""
     g = inst.graph
-    terminals = inst.terminals()  # the step removes no pair
-    heap = g.sorted_vertices()  # a sorted list is a min-heap
-    fired = False
-    while heap:
-        v = heappop(heap)
-        if v in terminals or not g.has_vertex(v):
-            continue
-        edges = g.incident(v)
-        sole = None
-        for eid in edges:
-            w = g.other_end(eid, v)
-            if sole is None:
-                sole = w
-            elif w != sole:
-                break
-        else:
-            fes.difference_update(edges)
-            g.remove_vertex(v)
-            if once:
-                return True
-            fired = True
-            if sole is not None:
-                heappush(heap, sole)
-    return fired
+    if not prune_leaves(g, inst.terminals(), once):
+        return False
+    fes.difference_update([e for e in fes if not g.has_edge(e)])
+    return True
 
 
 def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
@@ -118,9 +95,10 @@ def suppress_degree_two(state: KernelState, once: bool = False) -> KernelState:
 
 
 def _suppress_degree_two_step(inst: EDPInstance, fes: set[int], once: bool) -> bool:
-    """As `_prune_leaf_step`; a firing changes the tests of the new edge's
-    endpoints.  It also gives every common neighbour of those endpoints a
-    bypass, but that only turns a passing test into a failing one."""
+    """A worklist as in `prune_leaves`; a firing changes the tests of the
+    new edge's endpoints.  It also gives every common neighbour of those
+    endpoints a bypass, but that only turns a passing test into a failing
+    one."""
     g = inst.graph
     terminals = inst.terminals()
     heap = g.sorted_vertices()
@@ -160,33 +138,6 @@ def prune_pendant_subtrees(state: KernelState, once: bool = False) -> KernelStat
     return _exhaust(state, _prune_pendant_step, once)
 
 
-def _pieces(g: MultiGraph, anchors: set[int]) -> list[tuple[frozenset[int], list[int]]]:
-    """The components of G minus `anchors`, by smallest vertex, each with
-    the edges that leave it (all of them end at anchors); found by a walk on
-    `g` that does not enter an anchor."""
-    seen = set(anchors)
-    out = []
-    for start in g.sorted_vertices():
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        boundary = []
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in g.incident(x):
-                y = g.other_end(eid, x)
-                if y in anchors:
-                    boundary.append(eid)
-                elif y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        out.append((frozenset(comp), boundary))
-    return out
-
-
 def _prune_pendant_step(inst: EDPInstance, fes: set[int], once: bool) -> bool | str:
     """Test the pieces in order.  A firing removes one piece, and may
     reattach its terminal as a bare leaf that it would skip; every other
@@ -197,7 +148,7 @@ def _prune_pendant_step(inst: EDPInstance, fes: set[int], once: bool) -> bool | 
     for eid in fes:
         anchors.update(g.endpoints(eid))
     fired = False
-    for comp, boundary in _pieces(g, anchors):
+    for comp, boundary in g.components(anchors):
         if len(boundary) != 1:
             continue
         ends = g.endpoints(boundary[0])

@@ -8,11 +8,10 @@ The backtracking core routes the pairs in a fixed order over simple paths
 and prunes only branches that cannot succeed, so every answer and the first
 witness found are those of the plain search without prunes:
 
-- Before the search, non-terminal vertices with at most one distinct
-  neighbour are dropped, repeatedly.  A simple path enters and leaves each
-  inner vertex through two distinct neighbours, so no terminal-to-terminal
-  path passes a dropped vertex; the paths of every pair, and their order,
-  are unchanged.
+- Before the search, `graphs.prune_leaves` drops the non-terminal vertices
+  with at most one distinct neighbour, repeatedly.  No terminal-to-terminal
+  path passes a dropped vertex, so the paths of every pair, and their
+  order, are unchanged.
 - Before a pair is routed, every pending pair must have both endpoints
   free and be connected in the graph minus the edges (EDP) or the vertices
   (VDP) that placed routes block.  Blocking only grows deeper in the
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .graphs import EDPInstance, MultiGraph, StructureError
+from .graphs import EDPInstance, MultiGraph, StructureError, prune_leaves
 
 SEARCH_STEP_BUDGET = 1_000_000
 
@@ -84,46 +83,24 @@ def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
     return _search(inst, vertex_disjoint=True, budgeted=caps is not None)
 
 
-def _pruned_adjacency(g: MultiGraph, terminals: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
-    """(edge, neighbour) lists in incidence order, without the non-terminals
-    that no simple path between terminals can pass: those with at most one
-    distinct neighbour, repeatedly."""
-    nbrs = {v: {g.other_end(e, v) for e in g.incident(v)} for v in g.vertices}
-    todo = [v for v, ns in nbrs.items() if len(ns) <= 1 and v not in terminals]
-    dropped: set[int] = set()
-    while todo:
-        v = todo.pop()
-        if v in dropped:
-            continue
-        dropped.add(v)
-        for w in nbrs[v]:
-            nbrs[w].discard(v)
-            if len(nbrs[w]) <= 1 and w not in terminals:
-                todo.append(w)
-    adj = {}
-    for v in g.vertices:
-        if v not in dropped:
-            ends = ((e, g.other_end(e, v)) for e in g.incident(v))
-            adj[v] = [(e, w) for e, w in ends if w not in dropped]
-    return adj
-
-
 def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveResult:
     """Route the pairs in order, backtracking over simple paths in the
     depth-first order of the incidence lists.  A placed route blocks its
     edges, or its vertices when `vertex_disjoint`; the other blocked set
     stays empty.
 
-    The leaf prune (`_pruned_adjacency`) removes only vertices that no
-    simple path between terminals uses, so each pair's paths come in
-    the same order.  The placement prune (`routable`) fails a placement only
-    when some pending pair cannot be routed whatever the later routes are,
-    so it cuts only branches that yield no witness; the first witness found
-    is the plain search's first.  A `budgeted` search raises CapExceeded on
+    The leaf prune (`prune_leaves`, on a copy of the graph) removes only
+    vertices that no simple path between terminals uses, so each pair's
+    paths come in the same order.  The placement prune (`routable`) fails a
+    placement only when some pending pair cannot be routed whatever the
+    later routes are, so it cuts only branches that yield no witness; the
+    first witness found is the plain search's first.  A `budgeted` search raises CapExceeded on
     the step after the `SEARCH_STEP_BUDGET`-th."""
     order = _ordered_pairs(inst)
     ends = [tuple(sorted(inst.pair(pid))) for pid in order]
-    adj = _pruned_adjacency(inst.graph, inst.terminals())
+    g = inst.graph.copy()
+    prune_leaves(g, inst.terminals())
+    adj = {v: [(e, g.other_end(e, v)) for e in g.incident(v)] for v in g.vertices}
     limit = SEARCH_STEP_BUDGET if budgeted else float("inf")
     used: set[int] = set()
     taken: set[int] = set()

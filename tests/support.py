@@ -6,18 +6,21 @@ rescanning torso suppression that the worklist one is checked against, the
 merge-based chain walk that the hub solver's in-place one is checked against,
 the `EDPInstance`-based dynamic step that the residue-based one is checked
 against, the element-wise instance builds (one validated `add_*` call per
-element) that the one-pass constructors and `preprocess_simple` are checked
-against, and the nested-`find` feedback edge set that the inlined one is
-checked against."""
+element) that the one-pass constructors, `preprocess_simple` and
+`edp_to_vdp` are checked against, the nested-`find` feedback edge set that
+the inlined one is checked against, and the kernel's leaf worklist, the
+oracle's neighbour-set closure and the kernel's anchor-avoiding piece walk
+that `prune_leaves` and `MultiGraph.components` are checked against."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import replace
+from heapq import heappop, heappush
 
 from edpsolve.decomposition import TreecutDecomposition, node_views, verify_nice
-from edpsolve.generators import gen_random_instance
+from edpsolve.generators import VdpReduction, gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, induced_instance
 from edpsolve.oracle import RoutedPath, SolveResult, _ordered_pairs
 from edpsolve.simple import SimpleInstance, _key, preprocess_simple, solve_simple_edp
@@ -187,6 +190,124 @@ def reference_feedback_edge_set(g: MultiGraph) -> frozenset[int]:
         else:
             parent[ru] = rv
     return frozenset(extra)
+
+
+def elementwise_edp_to_vdp(inst: EDPInstance) -> VdpReduction:
+    """`edp_to_vdp` building its output one `add_vertex`, `add_edge` and
+    `add_pair` call at a time."""
+    g = inst.graph
+    d = max((g.degree(v) for v in g.vertices), default=0)
+    for v in g.sorted_vertices():
+        if len(inst.pairs_at(v)) > d:
+            return VdpReduction(EDPInstance(), "NO", {}, {})
+    out = MultiGraph()
+    copies: dict[int, tuple[int, ...]] = {}
+    nxt = 1
+    for v in g.sorted_vertices():
+        mine = []
+        for _ in range(max(d, 1)):
+            out.add_vertex(nxt)
+            mine.append(nxt)
+            nxt += 1
+        copies[v] = tuple(mine)
+    edge_vertex: dict[int, int] = {}
+    for eid in g.sorted_edges():
+        out.add_vertex(nxt)
+        edge_vertex[eid] = nxt
+        nxt += 1
+        u, v = g.endpoints(eid)
+        for c in copies[u]:
+            out.add_edge(c, edge_vertex[eid])
+        for c in copies[v]:
+            out.add_edge(c, edge_vertex[eid])
+    reduced = EDPInstance(out)
+    cursor = {v: 0 for v in g.vertices}
+    for pid in inst.sorted_pairs():
+        x, y = sorted(inst.pair(pid))
+        cx = copies[x][cursor[x]]
+        cursor[x] += 1
+        cy = copies[y][cursor[y]]
+        cursor[y] += 1
+        reduced.add_pair(cx, cy, pid)
+    return VdpReduction(reduced, None, copies, edge_vertex)
+
+
+def reference_leaf_worklist(g: MultiGraph, keep, once: bool = False) -> bool:
+    """The kernel's own leaf loop: pop vertices in ascending order and drop
+    each one outside `keep` with at most one distinct neighbour, pushing
+    that neighbour back; the test copies the incidence list."""
+    heap = g.sorted_vertices()
+    fired = False
+    while heap:
+        v = heappop(heap)
+        if v in keep or not g.has_vertex(v):
+            continue
+        sole = None
+        for eid in g.incident(v):
+            w = g.other_end(eid, v)
+            if sole is None:
+                sole = w
+            elif w != sole:
+                break
+        else:
+            g.remove_vertex(v)
+            if once:
+                return True
+            fired = True
+            if sole is not None:
+                heappush(heap, sole)
+    return fired
+
+
+def reference_leaf_closure(g: MultiGraph, keep, once: bool = False) -> bool:
+    """The oracle's neighbour-set closure: every vertex outside `keep` with
+    at most one distinct neighbour, repeatedly, found on neighbour sets and
+    then removed from `g`; with `once`, only the smallest that qualifies at
+    the start."""
+    nbrs = {v: {g.other_end(e, v) for e in g.incident(v)} for v in g.vertices}
+    todo = [v for v, ns in nbrs.items() if len(ns) <= 1 and v not in keep]
+    if once:
+        todo = sorted(todo)[:1]
+    dropped: set[int] = set()
+    while todo:
+        v = todo.pop()
+        if v in dropped:
+            continue
+        dropped.add(v)
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) <= 1 and w not in keep and not once:
+                todo.append(w)
+    for v in sorted(dropped):
+        g.remove_vertex(v)
+    return bool(dropped)
+
+
+def reference_pieces(g: MultiGraph, anchors) -> list[tuple[frozenset[int], list[int]]]:
+    """The kernel's own piece walk: the components of G minus `anchors`, by
+    smallest vertex, each with the edges that leave it, found by a walk that
+    starts with the anchors seen."""
+    seen = set(anchors)
+    out = []
+    for start in g.sorted_vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        boundary = []
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for eid in g.incident(x):
+                y = g.other_end(eid, x)
+                if y in anchors:
+                    boundary.append(eid)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.append((frozenset(comp), boundary))
+    return out
 
 
 def random_small_instance(seed: int, max_n: int = 8, max_extra: int = 3, max_pairs: int = 4) -> EDPInstance:

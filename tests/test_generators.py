@@ -14,7 +14,7 @@ from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, feedback_ed
 from edpsolve.oracle import brute_force_edp, brute_force_mss, brute_force_vdp
 from edpsolve.simple import solve_simple_edp
 
-from .support import random_small_instance
+from .support import elementwise_edp_to_vdp, instance_state, random_small_instance
 
 
 def test_mss_gadget_shape_for_two_by_two():
@@ -217,3 +217,18 @@ def test_generator_parameter_validation():
         gen_random_instance(0, 1, 2, 0, profile="tree-plus")
     with pytest.raises(Exception):
         gen_random_instance(0, 3, 0, 0, profile="no-such-profile")
+
+
+def test_vdp_reduction_matches_elementwise_build():
+    answered = 0
+    for seed in range(600):
+        inst = random_small_instance(seed, 9, 4, 4)
+        got, want = edp_to_vdp(inst), elementwise_edp_to_vdp(inst)
+        assert instance_state(got.instance) == instance_state(want.instance), seed
+        assert (got.answer_override, got.vertex_copies, got.edge_vertex) == (
+            want.answer_override,
+            want.vertex_copies,
+            want.edge_vertex,
+        ), seed
+        answered += got.answer_override is not None
+    assert 0 < answered < 600, answered

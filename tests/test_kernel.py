@@ -2,8 +2,8 @@ import hashlib
 import random
 import sys
 
-from edpsolve.generators import gen_random_instance
-from edpsolve.graphs import EDPInstance, MultiGraph, feedback_edge_set, terminal_normalize
+from edpsolve.generators import edp_to_vdp, gen_random_instance
+from edpsolve.graphs import EDPInstance, MultiGraph, feedback_edge_set, prune_leaves, terminal_normalize
 from edpsolve.kernel import (
     _RULES,
     KernelState,
@@ -16,7 +16,15 @@ from edpsolve.kernel import (
 )
 from edpsolve.oracle import brute_force_edp
 
-from .support import random_small_instance, reference_feedback_edge_set, tree_plus_union
+from .support import (
+    instance_state,
+    random_small_instance,
+    reference_feedback_edge_set,
+    reference_leaf_closure,
+    reference_leaf_worklist,
+    reference_pieces,
+    tree_plus_union,
+)
 
 
 def state_of(inst):
@@ -460,3 +468,47 @@ def test_feedback_edge_set_matches_reference():
     assert sum(g.num_edges() > len({g.endpoints(e) for e in g.edges}) for g in graphs) > 500
     for i, g in enumerate(graphs):
         assert feedback_edge_set(g) == reference_feedback_edge_set(g), i
+
+
+def _tree_plus_digest_cases():
+    """The terminal-normalized tree-plus instances of `_kernel_digest_cases`."""
+    return _kernel_digest_cases()[1:80:2]
+
+
+def theta(d):
+    """Vertices 1 and 2 joined by d paths of length 2, with the pair {1, 2}."""
+    g = MultiGraph(range(1, d + 3))
+    for mid in range(3, d + 3):
+        g.add_edge(1, mid)
+        g.add_edge(mid, 2)
+    inst = EDPInstance(g)
+    inst.add_pair(1, 2)
+    return inst
+
+
+def test_prune_leaves_matches_both_replaced_loops():
+    cases = []
+    for seed in range(600):
+        inst = random_small_instance(seed, 9, 4, 4)
+        cases += [inst, edp_to_vdp(inst).instance]
+    cases += _tree_plus_digest_cases() + [star_with_cycle(200), theta(100)]
+    fired = 0
+    for i, inst in enumerate(cases):
+        for once in (False, True):
+            got = inst.copy()
+            flag = prune_leaves(got.graph, got.terminals(), once)
+            fired += flag
+            for reference in (reference_leaf_worklist, reference_leaf_closure):
+                want = inst.copy()
+                assert reference(want.graph, want.terminals(), once) == flag, (i, once, reference.__name__)
+                assert instance_state(got) == instance_state(want), (i, once, reference.__name__)
+    assert fired > 500, fired
+
+
+def test_components_match_replaced_piece_walk():
+    for i, inst in enumerate(_tree_plus_digest_cases()):
+        g = inst.graph
+        anchors = {x for e in feedback_edge_set(g) for x in g.endpoints(e)}
+        assert anchors, i
+        assert g.components(anchors) == reference_pieces(g, anchors), i
+        assert g.connected_components() == [comp for comp, _ in reference_pieces(g, set())], i
