@@ -49,17 +49,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_instance(path: str) -> EDPInstance:
-    return parse_instance(Path(path).read_text())
-
-
-def _print_witness(inst: EDPInstance, routes: dict[int, RoutedPath]) -> None:
-    for pid in inst.sorted_pairs():
-        print(" ".join(str(v) for v in routes[pid].vertices))
-
-
-def _answer(feasible: bool) -> None:
-    print("YES" if feasible else "NO")
+def _load_instance(path: str | Path) -> EDPInstance:
+    return parse_instance(Path(path).read_bytes())
 
 
 def cmd_solve(args) -> int:
@@ -83,9 +74,10 @@ def cmd_solve(args) -> int:
             routes = brute_force_edp(inst, caps=BUDGET_ONLY).routes
         except CapExceeded as exc:
             return _fail(f"witness requested but the brute-force search gave up: {exc}", EXIT_NO_METHOD)
-    _answer(feasible)
+    print("YES" if feasible else "NO")
     if args.witness and feasible and routes is not None:
-        _print_witness(inst, routes)
+        for pid in inst.sorted_pairs():
+            print(" ".join(str(v) for v in routes[pid].vertices))
     return EXIT_OK
 
 
@@ -142,7 +134,7 @@ def _decide(
 
 
 def _load_decomposition(path: str | Path) -> TreecutDecomposition:
-    return parse_decomposition(Path(path).read_text())
+    return parse_decomposition(Path(path).read_bytes())
 
 
 def _parse_hub(spec: str) -> frozenset[int]:
@@ -257,7 +249,7 @@ def cmd_bench(args) -> int:
     disagree = False
     for path in sorted(root.glob("*.edp")):
         try:
-            inst = parse_instance(path.read_text())
+            inst = _load_instance(path)
         except ParseError as exc:
             return _fail(f"{path}: {exc}", EXIT_INVALID)
         n, m, q = inst.graph.num_vertices(), inst.graph.num_edges(), len(inst.pairs)

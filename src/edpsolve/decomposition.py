@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping
 
-from .graphs import EDPInstance, ParseError, StructureError, parse_ints
+from .graphs import EDPInstance, ParseError, StructureError, TextLines
 
 
 class DecompositionError(ValueError):
@@ -284,31 +284,21 @@ def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
 
 
 def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    lines = TextLines(text)
     declared = None
-    header_line = None
     parent: dict[int, int | None] = {}
     bags: dict[int, frozenset[int]] = {}
     node_line: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in lines:
         if fields[0] == "d":
-            if declared is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) != 3 or fields[1] != "tcw":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            (declared,) = parse_ints(fields[2:], f"header {line!r}", lineno)
-            header_line = lineno
+            (declared,) = lines.header(lineno, fields, "tcw", 1)
         elif fields[0] == "n":
             if declared is None:
                 raise ParseError("node before header", lineno)
-            if len(fields) < 3:
-                raise ParseError(f"malformed node line {line!r}", lineno)
-            node, par, *verts = parse_ints(fields[1:], f"node line {line!r}", lineno)
+            try:
+                node, par, *verts = map(int, fields[1:])
+            except ValueError:
+                raise ParseError(f"malformed node line {lines.echo(lineno)}", lineno) from None
             if node in parent:
                 raise ParseError(f"duplicate node {node}", lineno)
             if len(set(verts)) != len(verts):
@@ -317,15 +307,15 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
             bags[node] = frozenset(verts)
             node_line[node] = lineno
         else:
-            raise ParseError(f"unknown line {line!r}", lineno)
+            raise ParseError(f"unknown line {lines.echo(lineno)}", lineno)
     if declared is None:
         raise ParseError("missing header")
     if len(parent) != declared:
-        raise ParseError(f"declared {declared} nodes, found {len(parent)}", header_line)
+        raise ParseError(f"declared {declared} nodes, found {len(parent)}", lines.header_line)
     try:
         dec = TreecutDecomposition(parent, bags)
     except DecompositionError as exc:
-        raise ParseError(str(exc), node_line.get(exc.node, header_line)) from exc
+        raise ParseError(str(exc), node_line.get(exc.node, lines.header_line)) from exc
     return dec.ensure_empty_root()
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Collection, Iterable, Mapping
+from operator import itemgetter
+from typing import Collection, Iterable, Iterator, Mapping
 
 
 class ParseError(ValueError):
@@ -341,9 +342,9 @@ class EDPInstance:
         return f"EDPInstance(|V|={self.graph.num_vertices()}, |E|={self.graph.num_edges()}, |P|={len(self._pairs)})"
 
 
-# -- text format ----------------------------------------------------------
+# -- text formats ---------------------------------------------------------
 #
-# Instance format (line oriented, '#' comments):
+# Instance format, read by `TextLines` like the decomposition format:
 #   p edp <n> <m> <q>
 #   e <u> <v>        (m lines, edge ids 1..m in file order)
 #   t <a> <b>        (q lines, pair ids 1..q in file order)
@@ -358,68 +359,89 @@ def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> lis
         raise ParseError(f"malformed {what}", line) from None
 
 
+class TextLines:
+    """UTF-8 text of a line format: iterating gives each non-blank line's
+    number, as `str.splitlines()` counts, and fields, cut at '#'.  Invalid
+    UTF-8 is a ParseError on the line of the first bad byte."""
+
+    __slots__ = ("header_line", "_lines")
+
+    def __init__(self, text: str | bytes):
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the bytes before the bad one are valid; one more character puts it on its line
+                line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+                raise ParseError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", line) from None
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [raw.split("#", 1)[0] if "#" in raw else raw for raw in lines]
+        self._lines = lines
+        self.header_line: int | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        # C iterators alone: no Python frame per line, no fields list kept
+        return filter(itemgetter(1), enumerate(map(str.split, self._lines), start=1))
+
+    def echo(self, line: int) -> str:
+        """Line `line` as messages quote it: cut at '#', stripped, quoted."""
+        return repr(self._lines[line - 1].strip())
+
+    def header(self, line: int, fields: list[str], name: str, count: int) -> list[int]:
+        """The `count` counts of the header `<tag> <name> <counts>` on line
+        `line`, once per text; each a non-negative integer."""
+        if self.header_line is not None:
+            raise ParseError("duplicate header", line)
+        what = f"header {self.echo(line)}"
+        values = parse_ints(fields[2:], what, line)
+        if len(values) != count or fields[1] != name or min(values) < 0:
+            raise ParseError(f"malformed {what}", line)
+        self.header_line = line
+        return values
+
+
+_NOUNS = {"e": "edge", "t": "pair"}
+
+
 def parse_instance(text: str | bytes) -> EDPInstance:
     """Parse the line format; every line is checked before the instance is
     built in one constructor call, so a bad line costs no work proportional
     to the header's n."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    lines = TextLines(text)
     n = m = q = None
     edges: dict[int, tuple[int, int]] = {}
     pairs: dict[int, frozenset[int]] = {}
     seen_pair_contents: set[frozenset[int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not fields:
-            continue
+    for lineno, fields in lines:
         kind = fields[0]
-        if kind == "e":
+        if kind == "e" or kind == "t":
             if n is None:
-                raise ParseError("edge before header", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed edge line {_echo(raw)!r}", lineno)
+                raise ParseError(f"{_NOUNS[kind]} before header", lineno)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                _, u, v = fields
+                u, v = int(u), int(v)
             except ValueError:
-                raise ParseError(f"malformed edge line {_echo(raw)!r}", lineno) from None
+                raise ParseError(f"malformed {_NOUNS[kind]} line {lines.echo(lineno)}", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in {_echo(raw)!r}", lineno)
+                raise ParseError(f"vertex id out of range in {lines.echo(lineno)}", lineno)
             if u == v:
-                raise ParseError(f"self-loop edge {{{u},{v}}}", lineno)
-            if len(edges) == m:
-                raise ParseError("more edge lines than declared", lineno)
-            edges[len(edges) + 1] = (u, v)
-        elif kind == "t":
-            if n is None:
-                raise ParseError("pair before header", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed pair line {_echo(raw)!r}", lineno)
-            try:
-                a, b = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"malformed pair line {_echo(raw)!r}", lineno) from None
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ParseError(f"vertex id out of range in {_echo(raw)!r}", lineno)
-            if a == b:
-                raise ParseError(f"self-pair {{{a},{a}}}", lineno)
-            content = frozenset((a, b))
-            if content in seen_pair_contents:
-                raise ParseError(f"duplicated pair {{{min(content)},{max(content)}}}", lineno)
-            seen_pair_contents.add(content)
-            if len(pairs) == q:
-                raise ParseError("more pair lines than declared", lineno)
-            pairs[len(pairs) + 1] = content
+                raise ParseError(f"{'self-loop edge' if kind == 'e' else 'self-pair'} {{{u},{v}}}", lineno)
+            if kind == "e":
+                store, declared, value = edges, m, (u, v)
+            else:
+                value = frozenset((u, v))
+                if value in seen_pair_contents:
+                    raise ParseError(f"duplicated pair {{{min(u, v)},{max(u, v)}}}", lineno)
+                seen_pair_contents.add(value)
+                store, declared = pairs, q
+            if len(store) == declared:
+                raise ParseError(f"more {_NOUNS[kind]} lines than declared", lineno)
+            store[len(store) + 1] = value
         elif kind == "p":
-            line = _echo(raw)
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) != 5 or fields[1] != "edp":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            n, m, q = parse_ints(fields[2:5], f"header {line!r}", lineno)
-            if n < 0 or m < 0 or q < 0:
-                raise ParseError(f"malformed header {line!r}", lineno)
+            n, m, q = lines.header(lineno, fields, "edp", 3)
         else:
-            raise ParseError(f"unknown line {_echo(raw)!r}", lineno)
+            raise ParseError(f"unknown line {lines.echo(lineno)}", lineno)
     if n is None:
         raise ParseError("missing header")
     if len(edges) != m:
@@ -427,11 +449,6 @@ def parse_instance(text: str | bytes) -> EDPInstance:
     if len(pairs) != q:
         raise ParseError(f"declared {q} pairs, found {len(pairs)}")
     return EDPInstance(MultiGraph(range(1, n + 1), edges), pairs)
-
-
-def _echo(raw: str) -> str:
-    """A line as error messages quote it: cut at '#' and stripped."""
-    return raw.split("#", 1)[0].strip()
 
 
 def serialize_instance(inst: EDPInstance) -> str:

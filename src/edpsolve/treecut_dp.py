@@ -48,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Mapping, NamedTuple
 
 from .decomposition import (
     DecompositionError,
@@ -60,7 +60,7 @@ from .decomposition import (
     width_report,
 )
 from .graphs import EDPInstance, MultiGraph, StructureError
-from .simple import preprocess_simple, solve_simple_edp
+from .simple import _key, preprocess_simple, solve_simple_edp
 
 INTERNAL = "internal"
 LEAVING = "leaving"
@@ -161,16 +161,11 @@ class Residue(NamedTuple):
 
     @classmethod
     def of(cls, inst: EDPInstance) -> "Residue":
-        return cls(inst.graph.vertices, inst.graph.edges, {p: _sorted(ab) for p, ab in inst.pairs.items()})
+        return cls(inst.graph.vertices, inst.graph.edges, {p: _key(*ab) for p, ab in inst.pairs.items()})
 
     def to_instance(self) -> EDPInstance:
         pairs = {p: frozenset(ab) for p, ab in self.pairs.items()}
         return EDPInstance(MultiGraph(self.vertices, self.edges), pairs)
-
-
-def _sorted(ends: Iterable[int]) -> tuple[int, int]:
-    a, b = ends
-    return (a, b) if a < b else (b, a)
 
 
 def _outside(ends: tuple[int, int], sub: AbstractSet[int]) -> int:
@@ -185,7 +180,7 @@ def _frontier(inst: EDPInstance, view: NodeViews, inside: bool) -> Residue:
     and `max_pair` stay the whole instance's, so fresh ids do too."""
     sub, drop = view.subtree, 0 if inside else 2
     edges = {e: uv for e, uv in inst.graph.edges.items() if len(sub.intersection(uv)) != drop}
-    pairs = {p: _sorted(ab) for p, ab in inst.pairs.items() if len(sub & ab) != drop}
+    pairs = {p: _key(*ab) for p, ab in inst.pairs.items() if len(sub & ab) != drop}
     return Residue(inst.graph.vertices, edges, pairs, inst.max_pair)
 
 
@@ -228,7 +223,7 @@ def _lay(cur: Residue, view: NodeViews, inside: bool, new_pairs: int) -> tuple[R
             top_pair = pid = top_pair + 1
         elif pid in pairs:
             raise StructureError(f"duplicate pair id {pid}")
-        pairs[pid] = _sorted((a, b))
+        pairs[pid] = _key(a, b)
 
     return Residue(vertices, edges, pairs, cur.max_pair + new_pairs), stub, pair
 
@@ -425,7 +420,7 @@ def _local_instance(
     edges = {e for v in bag for e in g.incident(v)}.union(*(k.cut for k in kids))
     pids = {p for v in bag for p in inst.pairs_at(v)}.union(*(k.straddling for k in kids))
     vertices = set(bag).union(*(g.endpoints(e) for e in edges), *(inst.pair(p) for p in pids))
-    pairs = {p: _sorted(inst.pair(p)) for p in pids}
+    pairs = {p: _key(*inst.pair(p)) for p in pids}
     local = Residue(vertices, {e: g.endpoints(e) for e in edges}, pairs, max(pids, default=0))
     return local, {k.node: replace(k, subtree=k.subtree & vertices) for k in kids}
 

@@ -444,6 +444,37 @@ def test_bench_unknown_method_exit_2(tmp_path):
     assert "'orcale'" in err
 
 
+def test_non_utf8_input_exit_2_with_its_line(tmp_path, triangle):
+    bad_inst = tmp_path / "bad.edp"
+    bad_inst.write_bytes(b"p edp 3 3 1\ne 1 2\ne 2 3 # \xe9\ne 1 3\nt 1 3\n")
+    good_dec = tmp_path / "tri.dec"
+    good_dec.write_text("d tcw 2\nn 1 0\nn 2 1 1 2 3\n")
+    bad_dec = tmp_path / "bad.dec"
+    bad_dec.write_bytes(b"d tcw 2\r\nn 1 0\r\n\xffn 2 1 1 2 3\r\n")
+    inst_error = "error: line 3: invalid UTF-8 byte 0xe9\n"
+    dec_error = "error: line 3: invalid UTF-8 byte 0xff\n"
+    for argv, expected in (
+        (("solve", str(bad_inst)), inst_error),
+        (("kernelize", str(bad_inst)), inst_error),
+        (("verify-decomposition", str(bad_inst), str(good_dec)), inst_error),
+        (("verify-decomposition", triangle, str(bad_dec)), dec_error),
+        (("reduce-to-vdp", str(bad_inst)), inst_error),
+        (("solve", triangle, "--method", "treecut", "--decomposition", str(bad_dec)), dec_error),
+    ):
+        assert run_cli(*argv) == (2, "", expected), argv
+
+    bench_dir = tmp_path / "corpus"
+    bench_dir.mkdir()
+    path = bench_dir / "i0.edp"
+    path.write_bytes(bad_inst.read_bytes())
+    code, _, err = run_cli("bench", str(bench_dir), "--methods", "treecut")
+    assert (code, err) == (2, f"error: {path}: line 3: invalid UTF-8 byte 0xe9\n")
+    path.write_text(Path(triangle).read_text())
+    (bench_dir / "i0.edp.dec").write_bytes(bad_dec.read_bytes())
+    code, _, err = run_cli("bench", str(bench_dir), "--methods", "treecut")
+    assert (code, err) == (2, f"error: {path}.dec: line 3: invalid UTF-8 byte 0xff\n")
+
+
 def test_bench_malformed_decomposition_exit_2(tmp_path):
     bench_dir = tmp_path / "corpus"
     bench_dir.mkdir()

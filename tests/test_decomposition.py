@@ -175,6 +175,49 @@ def test_parse_errors():
         TreecutDecomposition({1: 2, 2: 1}, {1: set(), 2: set()})
 
 
+DEC_PARSE_ERRORS = [
+    ("d tcw 1\nd tcw 1\nn 1 0\n", 2, "line 2: duplicate header"),
+    ("d tcw\n", 1, "line 1: malformed header 'd tcw'"),
+    ("d tcw 1 2\n", 1, "line 1: malformed header 'd tcw 1 2'"),
+    ("d tree 1\n", 1, "line 1: malformed header 'd tree 1'"),
+    ("d\ttcw  x # c\n", 1, "line 1: malformed header 'd\\ttcw  x'"),
+    ("d tcw -1\n", 1, "line 1: malformed header 'd tcw -1'"),
+    ("n 1 0\nd tcw 1\n", 1, "line 1: node before header"),
+    ("d tcw 1\nn 1\n", 2, "line 2: malformed node line 'n 1'"),
+    ("d tcw 1\nn\n", 2, "line 2: malformed node line 'n'"),
+    ("d tcw 1\nn 1 x\n", 2, "line 2: malformed node line 'n 1 x'"),
+    ("d tcw 1\n  n 1 0\t1 a  # bad\n", 2, "line 2: malformed node line 'n 1 0\\t1 a'"),
+    ("d tcw 2\nn 1 0\nn 1 0\n", 3, "line 3: duplicate node 1"),
+    ("d tcw 2\nn 1 0\nn 2 1 1 1 2 3\n", 3, "line 3: node 2 lists a vertex twice"),
+    ("d tcw 1\nx 1\n", 2, "line 2: unknown line 'x 1'"),
+    ("d tcw 1\n  D tcw 1\n", 2, "line 2: unknown line 'D tcw 1'"),
+    ("", None, "missing header"),
+    ("# c\n\n", None, "missing header"),
+    ("d tcw 2\nn 1 0\n", 1, "line 1: declared 2 nodes, found 1"),
+    ("# c\n\nd tcw 0\nn 1 0\n", 3, "line 3: declared 0 nodes, found 1"),
+    ("d tcw 3\nn 1 0\nn 2 9\nn 3 1\n", 3, "line 3: node 2 has unknown parent 9"),
+    ("d tcw 3\nn 0 0\nn 1 0 1\nn 2 0\n", 3, "line 3: need exactly one root, found 3"),
+    ("# no root\nd tcw 2\nn 1 2\nn 2 1\n", 2, "line 2: need exactly one root, found 0"),
+    ("d tcw 4\nn 1 0\nn 4 1\nn 3 2\nn 2 3\n", 4, "line 4: parent links do not form a tree"),
+    (b"d tcw 1\nn 1 x\n", 2, "line 2: malformed node line 'n 1 x'"),
+    ("d tcw 1\r\nn 1 x\r\n", 2, "line 2: malformed node line 'n 1 x'"),
+    (b"d tcw 1\r\nn 1 x\r\n", 2, "line 2: malformed node line 'n 1 x'"),
+    ("d tcw 1\rn 1 x\r", 2, "line 2: malformed node line 'n 1 x'"),
+    ("d tcw 1\n\x0c n 1 x\n", 3, "line 3: malformed node line 'n 1 x'"),
+    ("d tcw 1\n\x0bn 1 x\n", 3, "line 3: malformed node line 'n 1 x'"),
+    (b"d tcw 1\nn 1 0 # \xe9\n", 2, "line 2: invalid UTF-8 byte 0xe9"),
+    (b"d tcw 1\r\n\r\xff\r\n", 3, "line 3: invalid UTF-8 byte 0xff"),
+    (b"\xc3", 1, "line 1: invalid UTF-8 byte 0xc3"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", DEC_PARSE_ERRORS)
+def test_decomposition_parse_error_messages_are_pinned(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_decomposition(text)
+    assert (info.value.line, str(info.value)) == (line, message)
+
+
 def test_star_decomposition_is_nice_and_width_bounded():
     for seed in range(40):
         inst, dec = gen_random_instance(seed, 4 + seed % 6, 0, seed % 4, profile="simple")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edpsolve.decomposition import parse_decomposition
 from edpsolve.generators import gen_mss_layout, gen_random_instance
 from edpsolve.graphs import (
     EDPInstance,
@@ -158,6 +159,48 @@ def test_parse_tolerates_comments_and_blank_lines():
     inst = parse_instance(text)
     assert inst.graph.edges == {1: (1, 2)}
     assert inst.pairs == {1: frozenset({1, 2})}
+
+
+MUTATION_BYTES = b"\xff\xc3\xe9\x85\r\n\x0b\x0c\t #0123456789-xpedtn"
+
+
+def _mutants(base: bytes, count: int, seed: int):
+    """`count` seeded mutants of `base`, each one to three byte insertions,
+    replacements or deletions."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 3)):
+            op, at = rng.randrange(3), rng.randrange(len(data) + 1)
+            if op == 0:
+                data.insert(at, rng.choice(MUTATION_BYTES))
+            elif at < len(data):
+                if op == 1:
+                    data[at] = rng.choice(MUTATION_BYTES)
+                else:
+                    del data[at]
+        yield bytes(data)
+
+
+def test_byte_mutants_raise_only_parse_errors_on_a_line_of_the_text():
+    instance = b"# sample\np edp 4 4 2\ne 1 2\ne 2 3 # c\ne 3 4\ne 1 4\nt 1 3\nt 2 4\n"
+    decomposition = b"d tcw 3 # chain\nn 1 0\nn 2 1 1 2\nn 3 2 3 4\n"
+    decode_errors = 0
+    for parse, base, seed in ((parse_instance, instance, 1), (parse_decomposition, decomposition, 2)):
+        for data in _mutants(base, 2000, seed):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                decode_errors += 1
+            for text, lines in (
+                (data, len(data.decode("utf-8", "replace").splitlines())),
+                (data.decode("latin-1"), len(data.decode("latin-1").splitlines())),
+            ):
+                try:
+                    parse(text)
+                except ParseError as exc:
+                    assert exc.line is None or 1 <= exc.line <= lines, (text, exc)
+    assert decode_errors > 100  # the set reaches the decoding path
 
 
 def _random_instance(rng, n, extra, num_pairs):
