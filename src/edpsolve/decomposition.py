@@ -296,7 +296,7 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
             if declared is None:
                 raise ParseError("node before header", lineno)
             try:
-                node, par, *verts = map(int, fields[1:])
+                node, par, *verts = map(lines.to_int, fields[1:])
             except ValueError:
                 raise ParseError(f"malformed node line {lines.echo(lineno)}", lineno) from None
             if node in parent:

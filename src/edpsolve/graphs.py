@@ -350,11 +350,20 @@ class EDPInstance:
 #   t <a> <b>        (q lines, pair ids 1..q in file order)
 
 
+def strict_int(token: str) -> int:
+    """`token` as an integer when it is ASCII digits with an optional
+    leading '-'; ValueError otherwise, where `int()` would also take a '+',
+    '_' separators or non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> list[int]:
-    """The tokens as integers; a ParseError about the malformed `what`
-    otherwise."""
+    """The tokens as integers by `strict_int`; a ParseError about the
+    malformed `what` otherwise."""
     try:
-        return [int(x) for x in tokens]
+        return [strict_int(x) for x in tokens]
     except ValueError:
         raise ParseError(f"malformed {what}", line) from None
 
@@ -362,9 +371,10 @@ def parse_ints(tokens: Iterable[str], what: str, line: int | None = None) -> lis
 class TextLines:
     """UTF-8 text of a line format: iterating gives each non-blank line's
     number, as `str.splitlines()` counts, and fields, cut at '#'.  Invalid
-    UTF-8 is a ParseError on the line of the first bad byte."""
+    UTF-8 is a ParseError on the line of the first bad byte.  `to_int` reads
+    one field by the `strict_int` rule."""
 
-    __slots__ = ("header_line", "_lines")
+    __slots__ = ("header_line", "to_int", "_lines")
 
     def __init__(self, text: str | bytes):
         if isinstance(text, bytes):
@@ -374,6 +384,9 @@ class TextLines:
                 # the bytes before the bad one are valid; one more character puts it on its line
                 line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
                 raise ParseError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", line) from None
+        # on ASCII text without '+' or '_', int() takes exactly the tokens
+        # strict_int takes, so the common case pays no per-token test
+        self.to_int = int if text.isascii() and "_" not in text and "+" not in text else strict_int
         lines = text.splitlines()
         if "#" in text:
             lines = [raw.split("#", 1)[0] if "#" in raw else raw for raw in lines]
@@ -413,6 +426,7 @@ def parse_instance(text: str | bytes) -> EDPInstance:
     edges: dict[int, tuple[int, int]] = {}
     pairs: dict[int, frozenset[int]] = {}
     seen_pair_contents: set[frozenset[int]] = set()
+    to_int = lines.to_int
     for lineno, fields in lines:
         kind = fields[0]
         if kind == "e" or kind == "t":
@@ -420,7 +434,7 @@ def parse_instance(text: str | bytes) -> EDPInstance:
                 raise ParseError(f"{_NOUNS[kind]} before header", lineno)
             try:
                 _, u, v = fields
-                u, v = int(u), int(v)
+                u, v = to_int(u), to_int(v)
             except ValueError:
                 raise ParseError(f"malformed {_NOUNS[kind]} line {lines.echo(lineno)}", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):

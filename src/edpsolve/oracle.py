@@ -12,10 +12,15 @@ witness found are those of the plain search without prunes:
   with at most one distinct neighbour, repeatedly.  No terminal-to-terminal
   path passes a dropped vertex, so the paths of every pair, and their
   order, are unchanged.
-- Before a pair is routed, every pending pair must have both endpoints
-  free and be connected in the graph minus the edges (EDP) or the vertices
-  (VDP) that placed routes block.  Blocking only grows deeper in the
-  search, so a branch that fails this test fails however it continues.
+- Before a pair is routed, the pending pairs must pass three tests in the
+  free graph, the graph minus the edges (EDP) or the vertices (VDP) that
+  placed routes block.  Each pair has both endpoints free and both in one
+  component.  The cut test: no bridge separates the ends of two pairs
+  (EDP), since a bridge carries at most one of edge-disjoint paths; no
+  vertex is needed by two pairs (VDP), a pair needing its ends and every
+  vertex that separates them, since a vertex lies on at most one of
+  vertex-disjoint paths.  Blocking only grows deeper in the search, so a
+  branch that fails a test fails however it continues.
 
 One search step extends a partial path by one edge.  With caps, a search
 gives up after `SEARCH_STEP_BUDGET` steps by raising `CapExceeded`; without
@@ -91,46 +96,120 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
 
     The leaf prune (`prune_leaves`, on a copy of the graph) removes only
     vertices that no simple path between terminals uses, so each pair's
-    paths come in the same order.  The placement prune (`routable`) fails a
-    placement only when some pending pair cannot be routed whatever the
-    later routes are, so it cuts only branches that yield no witness; the
-    first witness found is the plain search's first.  A `budgeted` search raises CapExceeded on
-    the step after the `SEARCH_STEP_BUDGET`-th."""
+    paths come in the same order.  The search then runs on dense vertex ids
+    0..n-1, so the placement test keeps its DFS times in lists.  The
+    placement test (`routable`) fails a placement only when some pending
+    pair cannot be routed whatever the later routes are, so it cuts only
+    branches that yield no witness; the first witness found is the plain
+    search's first.  A `budgeted` search raises CapExceeded on the step
+    after the `SEARCH_STEP_BUDGET`-th."""
     order = _ordered_pairs(inst)
-    ends = [tuple(sorted(inst.pair(pid))) for pid in order]
     g = inst.graph.copy()
     prune_leaves(g, inst.terminals())
-    adj = {v: [(e, g.other_end(e, v)) for e in g.incident(v)] for v in g.vertices}
+    names = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(names)}
+    adj = [[(e, index[g.other_end(e, v)]) for e in g.incident(v)] for v in names]
+    ends = [tuple(index[v] for v in sorted(inst.pair(pid))) for pid in order]
     limit = SEARCH_STEP_BUDGET if budgeted else float("inf")
     used: set[int] = set()
     taken: set[int] = set()
-    routes: dict[int, RoutedPath] = {}
+    routes: dict[int, tuple[list[int], list[int]]] = {}
     blocked = taken if vertex_disjoint else used
     steps = 0
 
     def routable(i: int) -> bool:
-        """Every pending pair has free endpoints and is connected around
-        the blocked edges and vertices; one flood fill per component."""
-        comp: dict[int, int] = {}
-        for a, b in ends[i:]:
+        """The pending pairs `ends[i:]` pass the tests on the free graph
+        (the graph minus the blocked edges and vertices): both ends free,
+        both ends in one component, and the cut test.  With one pending
+        pair nothing else can fire, so a walk from one end that stops at
+        the other decides it.
+
+        Otherwise one iterative low-link DFS runs over the components that
+        hold pending ends.  Each vertex starts with the XOR of `1 << j`
+        over the ends of pending pair j on it; XORed up the DFS tree, a
+        subtree's value has bit j set exactly when one end of pair j lies
+        inside it, and a root's value is 0 exactly when no pair leaves its
+        component.
+
+        Edge-disjoint: a tree edge into a subtree is a bridge when no back
+        edge leaves the subtree (low > tin of the parent), and every pair
+        with one end inside must cross it; a bridge carries at most one
+        path, so two such pairs fail.  Vertex-disjoint: a pair needs its
+        ends and every vertex that separates them; a vertex p separates the
+        pairs with one end in a child subtree that no back edge leaves
+        above p (low >= tin[p]), pooled over all such children of p; a
+        vertex lies on at most one path, so two pairs needing one vertex
+        fail, and so do two pairs sharing an end.  Blocking only grows
+        deeper in the search, so each failure holds for every completion
+        of the placement."""
+        pending = ends[i:]
+        if len(pending) == 1:
+            a, b = pending[0]
             if a in taken or b in taken:
                 return False
-            if a not in comp:
-                comp[a] = a
-                stack = [a]
-                while stack:
-                    x = stack.pop()
-                    for eid, y in adj[x]:
-                        if y not in comp and eid not in used and y not in taken:
-                            comp[y] = a
-                            stack.append(y)
-            if comp.get(b) != comp[a]:
+            seen = {a}
+            stack = [a]
+            while stack:
+                for eid, y in adj[stack.pop()]:
+                    if y not in seen and eid not in used and y not in taken:
+                        if y == b:
+                            return True
+                        seen.add(y)
+                        stack.append(y)
+            return False
+        sub = [0] * len(names)
+        for j, (a, b) in enumerate(pending):
+            if a in taken or b in taken or (vertex_disjoint and (sub[a] or sub[b])):
+                return False
+            sub[a] ^= 1 << j
+            sub[b] ^= 1 << j
+        need = sub[:]
+        tin = [0] * len(names)
+        low = [0] * len(names)
+        clock = 0
+        for root, _ in pending:
+            if tin[root]:
+                continue
+            clock += 1
+            tin[root] = low[root] = clock
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                x, into, it = stack[-1]
+                for eid, y in it:
+                    if eid in used or y in taken:
+                        continue
+                    if tin[y]:
+                        # the edge in from the parent is the only one that must not count
+                        if tin[y] < low[x] and eid != into:
+                            low[x] = tin[y]
+                    else:
+                        clock += 1
+                        tin[y] = low[y] = clock
+                        stack.append((y, eid, iter(adj[y])))
+                        break
+                else:
+                    stack.pop()
+                    if not stack:
+                        break
+                    p = stack[-1][0]
+                    s = sub[x]
+                    sub[p] ^= s
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    if vertex_disjoint:
+                        if low[x] >= tin[p]:
+                            need[p] |= s
+                            if need[p] & (need[p] - 1):
+                                return False
+                    elif low[x] > tin[p] and s & (s - 1):
+                        return False
+            if sub[root]:
                 return False
         return True
 
-    def paths(a: int, b: int) -> Iterator[RoutedPath]:
+    def paths(a: int, b: int) -> Iterator[tuple[list[int], list[int]]]:
         """Simple a-b paths around the blocked edges and vertices, in the
-        depth-first order of the incidence lists."""
+        depth-first order of the incidence lists, as (vertices, edges)."""
         nonlocal steps
         verts = [a]
         eids: list[int] = []
@@ -145,7 +224,7 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
                 if steps > limit:
                     raise CapExceeded(f"search budget of {SEARCH_STEP_BUDGET} steps exhausted")
                 if w == b:
-                    yield RoutedPath((*verts, b), (*eids, eid))
+                    yield [*verts, b], [*eids, eid]
                     continue
                 visited.add(w)
                 verts.append(w)
@@ -165,7 +244,7 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
             return False
         pid = order[i]
         for route in paths(*ends[i]):
-            items = route.vertices if vertex_disjoint else route.edges
+            items = route[0] if vertex_disjoint else route[1]
             blocked.update(items)
             routes[pid] = route
             if place(i + 1):
@@ -175,7 +254,8 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
         return False
 
     if place(0):
-        return SolveResult(True, dict(routes), steps)
+        named = {pid: RoutedPath(tuple(names[v] for v in vs), tuple(es)) for pid, (vs, es) in routes.items()}
+        return SolveResult(True, named, steps)
     return SolveResult(False, steps=steps)
 
 

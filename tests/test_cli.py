@@ -131,9 +131,14 @@ def test_solve_parse_error_exit_2(tmp_path):
     code, _, err = run_cli("solve", str(bad))
     assert code == 2
     assert "self-pair" in err
-    bad.write_text("p edp 2 1 0\ne a b\n")
-    code, _, err = run_cli("solve", str(bad))
-    assert code == 2 and "line 2" in err
+    for text, line in (
+        ("p edp 2 1 0\ne a b\n", "line 2"),
+        ("p edp 1_0 0 0\n", "line 1"),
+        ("p edp 2 1 0\ne \u0661 \uff12\n", "line 2"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run_cli("solve", str(bad))
+        assert code == 2 and line in err
 
     tri = tmp_path / "tri.edp"
     tri.write_text("p edp 3 3 1\ne 1 2\ne 2 3\ne 1 3\nt 1 3\n")
@@ -142,8 +147,9 @@ def test_solve_parse_error_exit_2(tmp_path):
         dec.write_text(text)
         code, _, err = run_cli("solve", str(tri), "--method", "treecut", "--decomposition", str(dec))
         assert code == 2 and line in err
-    code, _, err = run_cli("solve", str(tri), "--method", "simple", "--hub", "1,x")
-    assert code == 2 and "--hub" in err
+    for hub in ("1,x", "1,\u0662", "1_0", "+1"):
+        code, _, err = run_cli("solve", str(tri), "--method", "simple", "--hub", hub)
+        assert code == 2 and "--hub" in err
 
 
 def test_solve_treecut_needs_decomposition(triangle):

@@ -182,11 +182,15 @@ DEC_PARSE_ERRORS = [
     ("d tree 1\n", 1, "line 1: malformed header 'd tree 1'"),
     ("d\ttcw  x # c\n", 1, "line 1: malformed header 'd\\ttcw  x'"),
     ("d tcw -1\n", 1, "line 1: malformed header 'd tcw -1'"),
+    ("d tcw 1_0\n", 1, "line 1: malformed header 'd tcw 1_0'"),
     ("n 1 0\nd tcw 1\n", 1, "line 1: node before header"),
     ("d tcw 1\nn 1\n", 2, "line 2: malformed node line 'n 1'"),
     ("d tcw 1\nn\n", 2, "line 2: malformed node line 'n'"),
     ("d tcw 1\nn 1 x\n", 2, "line 2: malformed node line 'n 1 x'"),
     ("d tcw 1\n  n 1 0\t1 a  # bad\n", 2, "line 2: malformed node line 'n 1 0\\t1 a'"),
+    ("d tcw 1\nn 1 0 1_0\n", 2, "line 2: malformed node line 'n 1 0 1_0'"),
+    ("d tcw 1\nn 1 +0\n", 2, "line 2: malformed node line 'n 1 +0'"),
+    ("d tcw 1\nn \u0661 0\n", 2, "line 2: malformed node line 'n \u0661 0'"),
     ("d tcw 2\nn 1 0\nn 1 0\n", 3, "line 3: duplicate node 1"),
     ("d tcw 2\nn 1 0\nn 2 1 1 1 2 3\n", 3, "line 3: node 2 lists a vertex twice"),
     ("d tcw 1\nx 1\n", 2, "line 2: unknown line 'x 1'"),

@@ -83,6 +83,8 @@ PARSE_ERRORS = [
     ("p\tedp  2 1.5 0 # note\n", 1, "line 1: malformed header 'p\\tedp  2 1.5 0'"),
     ("p edp -1 0 0\n", 1, "line 1: malformed header 'p edp -1 0 0'"),
     ("p edp 2 0 -3\n", 1, "line 1: malformed header 'p edp 2 0 -3'"),
+    ("p edp 1_0 0 0\n", 1, "line 1: malformed header 'p edp 1_0 0 0'"),
+    ("p edp +2 0 0\n", 1, "line 1: malformed header 'p edp +2 0 0'"),
     ("e 1 2\np edp 2 1 0\n", 1, "line 1: edge before header"),
     ("e\n", 1, "line 1: edge before header"),
     ("# c\n\nt 1 2\n", 3, "line 3: pair before header"),
@@ -93,6 +95,10 @@ PARSE_ERRORS = [
     ("p edp 2 1 0\ne\t1  x\t# trailing\n", 2, "line 2: malformed edge line 'e\\t1  x'"),
     ("p edp 2 1 0\n  e 1   2.0   \n", 2, "line 2: malformed edge line 'e 1   2.0'"),
     ("p edp 2 1 0\ne\xa01\xa0x\n", 2, "line 2: malformed edge line 'e\\xa01\\xa0x'"),
+    ("p edp 2 1 0\ne \u0661 \uff12\n", 2, "line 2: malformed edge line 'e \u0661 \uff12'"),
+    ("p edp 2 1 0\ne 1_0 2\n", 2, "line 2: malformed edge line 'e 1_0 2'"),
+    ("p edp 2 1 0\ne +1 2\n", 2, "line 2: malformed edge line 'e +1 2'"),
+    ("p edp 2 0 1\nt \u0661 2 # \u00e9\n", 2, "line 2: malformed pair line 't \u0661 2'"),
     ("p edp 2 1 0\ne 1 2 # ok\ne 1 2 x # bad\n", 3, "line 3: malformed edge line 'e 1 2 x'"),
     (b"p edp 2 1 0\ne 1 x\n", 2, "line 2: malformed edge line 'e 1 x'"),
     ("p edp 2 0 1\nt 1\n", 2, "line 2: malformed pair line 't 1'"),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from edpsolve import oracle
-from edpsolve.generators import edp_to_vdp
+from edpsolve.generators import edp_to_vdp, gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError, parse_instance
 from edpsolve.oracle import (
     CapExceeded,
@@ -76,15 +76,22 @@ def test_pruned_search_matches_naive_reference():
     assert vdp_checked == 237
 
 
-def test_search_budget_is_the_reason(monkeypatch):
+def k4(*pairs):
     g = MultiGraph(range(1, 5))
     for u in range(1, 5):
         for v in range(u + 1, 5):
             g.add_edge(u, v)
     inst = EDPInstance(g)
-    for a, b in ((1, 2), (3, 4), (1, 3), (2, 4)):
+    for a, b in pairs:
         inst.add_pair(a, b)
-    for search in (brute_force_edp, brute_force_vdp):
+    return inst
+
+
+def test_search_budget_is_the_reason(monkeypatch):
+    # the vertex-disjoint leg has pairs without a shared end: two pairs
+    # sharing one fail the placement test before the first step
+    legs = ((brute_force_edp, k4((1, 2), (3, 4), (1, 3), (2, 4))), (brute_force_vdp, k4((1, 3), (2, 4))))
+    for search, inst in legs:
         steps = search(inst, caps=None).steps
         assert steps > 1
         monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", steps - 1)
@@ -93,6 +100,63 @@ def test_search_budget_is_the_reason(monkeypatch):
         assert search(inst, caps=None).steps == steps  # uncapped: no budget
         monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", steps)
         assert search(inst).steps == steps
+
+
+def two_triangles(shared: bool, pairs):
+    """Triangles 1-2-3 and 3-4-5 sharing vertex 3 when `shared`, else
+    triangles 1-2-3 and 4-5-6 joined by the bridge 3-4."""
+    g = MultiGraph(range(1, 6 if shared else 7))
+    for u, v in [(1, 2), (2, 3), (1, 3), (3, 4), *([(4, 5), (3, 5)] if shared else [(4, 5), (5, 6), (4, 6)])]:
+        g.add_edge(u, v)
+    inst = EDPInstance(g)
+    for a, b in pairs:
+        inst.add_pair(a, b)
+    return inst
+
+
+@pytest.mark.parametrize(
+    "inst,vertex_disjoint",
+    [
+        (two_triangles(False, [(1, 5), (2, 6)]), False),  # two pairs over one bridge
+        (two_triangles(True, [(1, 4), (2, 5)]), True),  # two pairs through one cut vertex
+        (two_triangles(True, [(1, 2), (2, 4)]), True),  # two pairs sharing an end
+    ],
+    ids=["edp-bridge", "vdp-cut-vertex", "vdp-shared-end"],
+)
+def test_cut_test_decides_before_the_first_step(inst, vertex_disjoint):
+    search = brute_force_vdp if vertex_disjoint else brute_force_edp
+    res = search(inst, caps=None)
+    assert (res.feasible, res.steps) == (False, 0)
+    assert not naive_search(inst, vertex_disjoint).feasible
+
+
+@pytest.mark.parametrize("seed", [239, 194])
+def test_cut_test_decides_hard_vdp_reductions_at_once(seed):
+    # the NO reductions on which the connectivity test alone spent
+    # 768,731 and 272,423 steps
+    red = edp_to_vdp(random_small_instance(seed, max_n=9, max_extra=4, max_pairs=4))
+    res = brute_force_vdp(red.instance, caps=None)
+    assert (res.feasible, res.steps) == (False, 0)
+
+
+def test_cut_test_search_matches_naive_reference_on_tree_plus():
+    # tree-plus instances, where bridges and cut vertices abound: the
+    # edge-disjoint search on each, and the vertex-disjoint search on its
+    # graph with the pairs that share no end with an earlier pair
+    decided_at_once = 0
+    for seed in range(300):
+        inst, _ = gen_random_instance(seed, 8 + seed % 5, 5 + seed % 6, 4 + seed % 3, "tree-plus")
+        vinst = EDPInstance(inst.graph)
+        for pid in inst.sorted_pairs():
+            a, b = sorted(inst.pair(pid))
+            if not (vinst.pairs_at(a) or vinst.pairs_at(b)):
+                vinst.add_pair(a, b, pid)
+        for search, case, vertex_disjoint in ((brute_force_edp, inst, False), (brute_force_vdp, vinst, True)):
+            want = naive_search(case, vertex_disjoint)
+            got = search(case, caps=None)
+            assert (got.feasible, got.routes) == (want.feasible, want.routes), f"seed {seed} vdp {vertex_disjoint}"
+            decided_at_once += not got.feasible and got.steps == 0
+    assert decided_at_once >= 170
 
 
 def test_edp_relabeling_invariance():
