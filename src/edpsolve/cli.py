@@ -130,7 +130,19 @@ def _decide(
             "no applicable method: kernel is neither a forest nor hub-shaped, "
             f"no decomposition was supplied, and the brute-force search gave up: {exc}"
         ) from None
+    if res.cut is not None:
+        sizes = f"{len(res.cut)} edges separate {_separated(kernel, res.cut)} pairs"
+        return False, None, f"kernel refuted by the cut condition ({sizes})"
     return res.feasible, None, f"kernel settled by brute force ({res.steps} search steps)"
+
+
+def _separated(inst: EDPInstance, cut: tuple[int, ...]) -> int:
+    """How many pairs of `inst` lose every path when the edges `cut` go."""
+    g = inst.graph.copy()
+    for eid in cut:
+        g.remove_edge(eid)
+    comp = {v: i for i, part in enumerate(g.connected_components()) for v in part}
+    return sum(len({comp[v] for v in pair}) == 2 for pair in inst.pairs.values())
 
 
 def _load_decomposition(path: str | Path) -> TreecutDecomposition:

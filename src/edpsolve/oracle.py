@@ -21,6 +21,13 @@ witness found are those of the plain search without prunes:
   vertex that separates them, since a vertex lies on at most one of
   vertex-disjoint paths.  Blocking only grows deeper in the search, so a
   branch that fails a test fails however it continues.
+- At the root of an edge-disjoint search with three or more pairs, the
+  cut condition on larger cuts (`_violated_cut`): the minimum cuts of
+  Gusfield's max flows between the pair ends, each leaf end replaced by
+  its sole neighbour.  Edge-disjoint paths cross a cut on distinct edges,
+  so a cut separating more pairs than it has edges refutes the instance
+  before the first step, and no YES instance has one.  With two pairs
+  such a cut is a bridge, which the tests above already catch.
 
 One search step extends a partial path by one edge.  With caps, a search
 gives up after `SEARCH_STEP_BUDGET` steps by raising `CapExceeded`; without
@@ -64,6 +71,7 @@ class SolveResult:
     feasible: bool
     routes: dict[int, RoutedPath] | None = None  # pair id -> path, when feasible
     steps: int = 0  # backtracking search steps spent, for the searches that count them
+    cut: tuple[int, ...] | None = None  # edge ids of a cut that refuted the instance, when one did
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -101,8 +109,12 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
     placement test (`routable`) fails a placement only when some pending
     pair cannot be routed whatever the later routes are, so it cuts only
     branches that yield no witness; the first witness found is the plain
-    search's first.  A `budgeted` search raises CapExceeded on the step
-    after the `SEARCH_STEP_BUDGET`-th."""
+    search's first.  Once the root passes `routable`, an edge-disjoint
+    search with three or more pairs tests the cut condition
+    (`_violated_cut`); a violated cut answers NO with 0 steps and names the
+    cut, and no YES instance violates it, so the rest are searched as
+    before.  A `budgeted` search raises CapExceeded on the step after the
+    `SEARCH_STEP_BUDGET`-th."""
     order = _ordered_pairs(inst)
     g = inst.graph.copy()
     prune_leaves(g, inst.terminals())
@@ -238,25 +250,90 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
                     eids.pop()
 
     def place(i: int) -> bool:
+        """Route the pairs from the i-th on; they pass `routable`."""
         if i == len(order):
             return True
-        if not routable(i):
-            return False
         pid = order[i]
         for route in paths(*ends[i]):
             items = route[0] if vertex_disjoint else route[1]
             blocked.update(items)
             routes[pid] = route
-            if place(i + 1):
+            if routable(i + 1) and place(i + 1):
                 return True
             blocked.difference_update(items)
             del routes[pid]
         return False
 
+    if not routable(0):
+        return SolveResult(False)
+    cut = None if vertex_disjoint or len(ends) < 3 else _violated_cut(adj, ends)
+    if cut is not None:
+        return SolveResult(False, cut=cut)
     if place(0):
         named = {pid: RoutedPath(tuple(names[v] for v in vs), tuple(es)) for pid, (vs, es) in routes.items()}
         return SolveResult(True, named, steps)
     return SolveResult(False, steps=steps)
+
+
+def _violated_cut(adj: list[list[tuple[int, int]]], ends: list[tuple[int, int]]) -> tuple[int, ...] | None:
+    """The edge ids of a cut that separates more of the pairs `ends` than
+    it has edges, or None when no cut tried does.
+
+    The cuts tried are the minimum cuts of Gusfield's n-1 max flows over
+    the flow vertices: the pair ends, each end of degree one replaced by
+    its sole neighbour.  A flow from a leaf has value 1 and its cuts are
+    bridges, which `routable` has tested; in the cuts of the other flows a
+    leaf lies on its neighbour's side.  Each flow is unit-capacity, by BFS
+    augmenting paths over the edge ids, and stops once its value reaches
+    the number of pairs: no cut that large separates more pairs than it
+    has edges.  Both extreme minimum cuts of a flow are tested, the
+    vertices the residual graph reaches from s and the complement of those
+    that reach t.  Edge-disjoint paths cross a cut on distinct edges, so a
+    violated cut refutes the instance."""
+    sites = sorted({adj[v][0][1] if len(adj[v]) == 1 else v for pair in ends for v in pair})
+    tree = [0] * len(sites)  # Gusfield's tree: the index of each site's parent
+    for i in range(1, len(sites)):
+        s, t = sites[i], sites[tree[i]]
+        heading: dict[int, int] = {}  # edge id -> the vertex its unit of flow enters
+        value = 0
+        while value < len(ends):
+            prev: dict[int, tuple[int, int] | None] = {s: None}
+            queue = [s]
+            for x in queue:
+                for eid, y in adj[x]:
+                    if y not in prev and heading.get(eid) != y:
+                        prev[y] = (x, eid)
+                        queue.append(y)
+                if t in prev:
+                    break
+            if t not in prev:
+                break
+            value += 1
+            y = t
+            while y != s:
+                x, eid = prev[y]
+                if heading.get(eid) == x:
+                    del heading[eid]
+                else:
+                    heading[eid] = y
+                y = x
+        if value == len(ends):
+            continue
+        sink = {t}
+        queue = [t]
+        for y in queue:
+            for eid, x in adj[y]:
+                if x not in sink and heading.get(eid) != y:
+                    sink.add(x)
+                    queue.append(x)
+        # a pair crosses the cut around either set exactly when one of its ends lies in it
+        for side in (prev, sink):
+            if sum((a in side) != (b in side) for a, b in ends) > value:
+                return tuple(sorted(eid for x in side for eid, y in adj[x] if y not in side))
+        for j in range(i + 1, len(sites)):
+            if tree[j] == tree[i] and sites[j] in prev:
+                tree[j] = i
+    return None
 
 
 def _forest_route(g: MultiGraph, a: int, b: int) -> RoutedPath | None:

@@ -247,6 +247,35 @@ def test_auto_exit_3_names_the_search_budget(over_cap_kernel, monkeypatch):
     assert "search budget of 5 steps exhausted" in err
 
 
+@pytest.fixture()
+def cut_refuted_kernel(tmp_path):
+    """The first tree-plus instance (n=400, 8 chords, 3 pairs) whose kernel
+    is open, is not hub-shaped and is refuted by the root cut check of the
+    kernel search; and that kernel's search result."""
+    for seed in range(50):
+        inst, _ = gen_random_instance(seed, 400, 8, 3, profile="tree-plus")
+        res = kernelize(inst)
+        if res.answer is not None:
+            continue
+        try:
+            preprocess_simple(res.instance, infer_hub(res.instance))
+        except StructureError:
+            found = brute_force_edp(res.instance, caps=None)
+            if found.cut is not None:
+                path = tmp_path / "treeplus.edp"
+                path.write_text(serialize_instance(inst))
+                return str(path), found
+    pytest.fail("no tree-plus kernel refuted by the cut condition")
+
+
+def test_auto_names_the_cut_that_refutes_a_kernel(cut_refuted_kernel):
+    path, found = cut_refuted_kernel
+    assert len(found.cut) == 2
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 0 and out.splitlines() == ["NO"]
+    assert "auto: kernel refuted by the cut condition (2 edges separate 3 pairs)" in err
+
+
 def test_auto_and_kernelize_on_disjoint_union(tmp_path):
     # three tree-plus components with interleaved edge ids, a YES instance
     # whose kernel is open and not hub-shaped

@@ -159,6 +159,95 @@ def test_cut_test_search_matches_naive_reference_on_tree_plus():
     assert decided_at_once >= 170
 
 
+def two_k4s(joins, pairs):
+    """K4s on 1-4 and 5-8 joined by the edges `joins`, each 1-4 to 5-8."""
+    g = MultiGraph(range(1, 9))
+    for block in ((1, 2, 3, 4), (5, 6, 7, 8)):
+        for i, u in enumerate(block):
+            for v in block[i + 1 :]:
+                g.add_edge(u, v)
+    joining = tuple(g.add_edge(u, v) for u, v in joins)
+    inst = EDPInstance(g)
+    for a, b in pairs:
+        inst.add_pair(a, b)
+    return inst, joining
+
+
+def spy_on_cuts(monkeypatch) -> list:
+    """Record the result of every `_violated_cut` call the oracle makes."""
+    seen = []
+    check = oracle._violated_cut
+
+    def spy(adj, ends):
+        seen.append(check(adj, ends))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_violated_cut", spy)
+    return seen
+
+
+def separated(inst, cut) -> int:
+    """How many pairs of `inst` the edges `cut` disconnect, by flood fill."""
+    out = 0
+    for pid in inst.sorted_pairs():
+        a, b = sorted(inst.pair(pid))
+        seen = {a}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for eid in inst.graph.incident(x):
+                y = inst.graph.other_end(eid, x)
+                if eid not in cut and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        out += b not in seen
+    return out
+
+
+CROSSING = [(3, 7), (4, 8), (1, 6)]
+
+
+def test_root_cut_refutes_two_k4s_joined_by_two_edges():
+    # no bridge, so every pair passes the placement test; the 2-edge cut
+    # between the K4s carries all three pairs
+    inst, joining = two_k4s([(1, 5), (2, 6)], CROSSING)
+    res = brute_force_edp(inst, caps=None)
+    assert (res.feasible, res.steps, res.cut) == (False, 0, joining)
+    assert not naive_search(inst, vertex_disjoint=False).feasible
+
+
+def test_root_cut_keeps_answer_and_witness_with_a_third_join():
+    inst, _ = two_k4s([(1, 5), (2, 6), (3, 7)], CROSSING)
+    want = naive_search(inst, vertex_disjoint=False)
+    got = brute_force_edp(inst, caps=None)
+    assert (got.feasible, got.routes, got.cut) == (want.feasible, want.routes, None)
+
+
+def test_root_cut_skipped_with_two_pairs_and_vertex_disjoint(monkeypatch):
+    calls = spy_on_cuts(monkeypatch)
+    two_pairs, _ = two_k4s([(1, 5), (2, 6)], CROSSING[:2])
+    assert brute_force_edp(two_pairs, caps=None).feasible
+    three_pairs, _ = two_k4s([(1, 5), (2, 6)], CROSSING)
+    assert brute_force_vdp(three_pairs, caps=None).steps > 0
+    assert calls == []
+    brute_force_edp(three_pairs, caps=None)  # the spy does see the check
+    assert len(calls) == 1
+
+
+def test_root_cut_matches_naive_reference_where_it_fires(monkeypatch):
+    # answers and first witnesses equal the plain search's, on a corpus
+    # where the check refutes often; every refuting cut is violated
+    calls = spy_on_cuts(monkeypatch)
+    for seed in range(2000):
+        inst = random_small_instance(10000 + seed, max_n=10, max_extra=6, max_pairs=6)
+        want = naive_search(inst, vertex_disjoint=False)
+        got = brute_force_edp(inst, caps=None)
+        assert (got.feasible, got.routes) == (want.feasible, want.routes), f"seed {seed}"
+        if got.cut is not None:
+            assert got.steps == 0 and separated(inst, got.cut) > len(got.cut), f"seed {seed}"
+    assert sum(cut is not None for cut in calls) >= 130  # 131 today; 126 without Gusfield's tree
+
+
 def test_edp_relabeling_invariance():
     rng = random.Random(11)
     for _ in range(25):
