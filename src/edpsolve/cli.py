@@ -30,13 +30,9 @@ EXIT_NO_METHOD = 3
 
 METHODS = ("oracle", "simple", "treecut", "auto")
 
-# the step budget alone bounds the searches on kernels and for witnesses: a
-# size cap would refuse instances that take milliseconds
-BUDGET_ONLY = OracleCaps(max_edges=None, max_vertices=None)
-
 
 def _caps(args) -> OracleCaps:
-    return OracleCaps(max_edges=args.cap_edges, max_vertices=args.cap_vertices)
+    return OracleCaps(max_edges=args.cap_edges)
 
 
 def _info(args, message: str) -> None:
@@ -71,7 +67,7 @@ def cmd_solve(args) -> int:
         # witness reconstruction through kernels/decompositions is not wired
         # up; search for one before anything reaches stdout
         try:
-            routes = brute_force_edp(inst, caps=BUDGET_ONLY).routes
+            routes = brute_force_edp(inst).routes
         except CapExceeded as exc:
             return _fail(f"witness requested but the brute-force search gave up: {exc}", EXIT_NO_METHOD)
     print("YES" if feasible else "NO")
@@ -93,7 +89,8 @@ def _decide(
     Returns the answer, the routes when the method routed `inst` itself
     (oracle, simple), and which step decided for auto.  The decomposition
     file is read only once the method needs it.  `caps` bounds the oracle
-    method; auto's kernel search runs under the search step budget alone.
+    method; auto's kernel search runs under the default caps, the search
+    step budget alone.
     Raises CapExceeded over the caps or the budget (for auto: no method
     left), StructureError off the hub/satellite shape, DecompositionError
     for a missing or bad decomposition, and OSError or ParseError while
@@ -124,7 +121,7 @@ def _decide(
         res = solve_treecut(inst, _load_decomposition(decomposition))
         return res.feasible, None, "solved along the supplied decomposition"
     try:
-        res = brute_force_edp(kernel, caps=BUDGET_ONLY)
+        res = brute_force_edp(kernel)
     except CapExceeded as exc:
         raise CapExceeded(
             "no applicable method: kernel is neither a forest nor hub-shaped, "
@@ -209,7 +206,8 @@ def _write_or_print(path: str | None, text: str) -> None:
 
 def _parse_mss(spec: str) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], int]:
     """Grammar: k=2,S=2:2;0:4,t=4:4,l=1 (entries ':'-separated, vectors
-    ';'-separated; an empty S is written S=)."""
+    ';'-separated; an empty S is written S=).  Numbers are read by
+    `strict_int`, as in the text formats."""
     fields = {}
     for part in spec.split(","):
         if "=" not in part:
@@ -219,10 +217,11 @@ def _parse_mss(spec: str) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], 
     missing = {"k", "S", "t", "l"} - set(fields)
     if missing:
         raise ValueError(f"--mss is missing {sorted(missing)}")
-    k = int(fields["k"])
-    items = [tuple(int(x) for x in vec.split(":")) for vec in fields["S"].split(";") if vec]
-    target = tuple(int(x) for x in fields["t"].split(":")) if fields["t"] else ()
-    return k, items, target, int(fields["l"])
+    what = f"--mss {spec!r}"
+    k, min_count = parse_ints((fields["k"], fields["l"]), what)
+    items = [tuple(parse_ints(vec.split(":"), what)) for vec in fields["S"].split(";") if vec]
+    target = tuple(parse_ints(fields["t"].split(":"), what)) if fields["t"] else ()
+    return k, items, target, min_count
 
 
 def cmd_verify_decomposition(args) -> int:
@@ -291,14 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edpsolve", description="Edge-disjoint paths toolkit")
     caps = argparse.ArgumentParser(add_help=False)
     caps.add_argument(
-        "--cap-edges", type=int, default=20,
-        help="edge cap of --method oracle and of bench's oracle rows "
-        "(auto's kernel search and the --witness search have a step budget instead)",
+        "--cap-edges", type=int, default=None,
+        help="edge cap of --method oracle and of bench's oracle rows; none by default "
+        "(every search has a step budget)",
     )
-    caps.add_argument(
-        "--cap-vertices", type=int, default=12,
-        help="vertex cap of vertex-disjoint searches; no method here runs one, so it bounds nothing",
-    )
+    caps.add_argument("--cap-vertices", type=int, help="accepted and ignored: no method runs a vertex-disjoint search")
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)

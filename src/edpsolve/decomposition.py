@@ -1,5 +1,5 @@
-"""Treecut decompositions: model, text format, width verification and the
-niceness check.
+"""Treecut decompositions: model, text format, and one check of validity,
+width and niceness.
 
 A decomposition is a rooted tree whose nodes carry a near-partition of the
 graph's vertices into bags (empty bags allowed).  The root bag is kept empty;
@@ -7,8 +7,9 @@ graph's vertices into bags (empty bags allowed).  The root bag is kept empty;
 that violates this, which leaves the width unchanged.
 
 Every per-node fact comes from `node_views`, one bottom-up pass over all
-nodes; the width report, the niceness report and the treecut DP read its
-map, so a treecut solve builds it once.
+nodes.  `verify_decomposition` derives that map once and reports validity,
+width and niceness from it, and the treecut DP reads the map off the
+report, so a treecut solve builds it once.
 """
 
 from __future__ import annotations
@@ -204,14 +205,6 @@ def torso_size(inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int,
     return len(adj)
 
 
-@dataclass(frozen=True)
-class WidthReport:
-    valid: bool
-    errors: tuple[str, ...]
-    per_node: Mapping[int, tuple[int, int]]  # node -> (torso size, adhesion)
-    width: int
-
-
 def partition_errors(inst: EDPInstance, dec: TreecutDecomposition) -> tuple[str, ...]:
     """What keeps the bags from being a near-partition of the vertices with
     an empty root bag; empty when they are."""
@@ -232,27 +225,23 @@ def partition_errors(inst: EDPInstance, dec: TreecutDecomposition) -> tuple[str,
     return tuple(errors)
 
 
-def width_report(inst: EDPInstance, dec: TreecutDecomposition, views: Mapping[int, NodeViews]) -> WidthReport:
-    """Per-node (torso size, adhesion) and the width of a decomposition that
-    has no `partition_errors`, read from its `node_views` map."""
-    per_node = {t: (torso_size(inst, dec, views, t), views[t].adhesion) for t in dec.nodes()}
-    width = max((max(tor, adh) for tor, adh in per_node.values()), default=0)
-    return WidthReport(True, (), per_node, width)
-
-
-def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> WidthReport:
-    """Validate the near-partition and the empty root bag, then report
-    per-node (torso size, adhesion) and the overall width."""
-    errors = partition_errors(inst, dec)
-    if errors:
-        return WidthReport(False, errors, {}, -1)
-    return width_report(inst, dec, node_views(inst, dec))
-
-
 @dataclass(frozen=True)
-class NicenessReport:
-    nice: bool
+class DecompositionReport:
+    """What `verify_decomposition` finds.  An invalid decomposition has
+    only its `errors`; a valid one has per-node (torso size, adhesion), the
+    width, the offending thin nodes and the `node_views` map they were read
+    from."""
+
+    valid: bool
+    errors: tuple[str, ...]
+    per_node: Mapping[int, tuple[int, int]]  # node -> (torso size, adhesion)
+    width: int
     offending: tuple[int, ...]  # thin nodes whose subtree touches a sibling subtree
+    views: Mapping[int, NodeViews]
+
+    @property
+    def nice(self) -> bool:
+        return self.valid and not self.offending
 
 
 def _offends(views: Mapping[int, NodeViews], t: int, parent: Callable, bag: Callable) -> bool:
@@ -263,18 +252,26 @@ def _offends(views: Mapping[int, NodeViews], t: int, parent: Callable, bag: Call
     return views[t].thin and bool((views[t].outside - bag(p)) & views[p].subtree)
 
 
-def niceness_report(dec: TreecutDecomposition, views: Mapping[int, NodeViews]) -> NicenessReport:
-    """Check that every thin node's subtree neighborhood avoids all sibling
-    subtrees, from the decomposition's `node_views` map.  Which children the
-    dynamic program branches over is `NodeViews.absorbable`."""
+def verify_decomposition(inst: EDPInstance, dec: TreecutDecomposition) -> DecompositionReport:
+    """Validate the near-partition and the empty root bag (`partition_errors`);
+    on a valid decomposition, derive the `node_views` map once and report
+    from it per-node (torso size, adhesion), the width and the thin nodes
+    whose subtree's neighborhood reaches a sibling subtree, which keep the
+    decomposition from being nice.  Which children the dynamic program
+    branches over is `NodeViews.absorbable`."""
+    errors = partition_errors(inst, dec)
+    if errors:
+        return DecompositionReport(False, errors, {}, -1, (), {})
+    views = node_views(inst, dec)
+    per_node = {t: (torso_size(inst, dec, views, t), views[t].adhesion) for t in dec.nodes()}
+    width = max((max(tor, adh) for tor, adh in per_node.values()), default=0)
     offending = tuple(t for t in dec.nodes() if _offends(views, t, dec.parent, dec.bag))
-    return NicenessReport(not offending, offending)
+    return DecompositionReport(True, (), per_node, width, offending, views)
 
 
-def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> NicenessReport:
-    """`niceness_report` on the decomposition's views.  The bags must be a
-    near-partition of the vertices (see `verify_decomposition`)."""
-    return niceness_report(dec, node_views(inst, dec))
+def verify_nice(inst: EDPInstance, dec: TreecutDecomposition) -> DecompositionReport:
+    """`verify_decomposition`, read for its `nice` and `offending`."""
+    return verify_decomposition(inst, dec)
 
 
 # -- text format -----------------------------------------------------------

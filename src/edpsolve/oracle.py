@@ -51,11 +51,13 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Size limits for the brute-force searches; None disables a limit.
-    Searching under any caps also bounds the search by `SEARCH_STEP_BUDGET`."""
+    """Limits of the brute-force searches: searching under any caps bounds
+    the search by `SEARCH_STEP_BUDGET`, and an edge-disjoint search also
+    refuses a graph of more than `max_edges` edges when that is set.  The
+    default is the budget alone: a size cap would refuse instances that the
+    budgeted search decides in milliseconds."""
 
-    max_edges: int | None = 20
-    max_vertices: int | None = 12
+    max_edges: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,6 @@ def brute_force_edp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -
 
 def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -> SolveResult:
     """Decide VDP: paths pairwise vertex-disjoint, endpoints included."""
-    if caps is not None and caps.max_vertices is not None and inst.graph.num_vertices() > caps.max_vertices:
-        raise CapExceeded(f"{inst.graph.num_vertices()} vertices exceeds cap {caps.max_vertices}")
     return _search(inst, vertex_disjoint=True, budgeted=caps is not None)
 
 
@@ -249,19 +249,31 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
                 if eids:
                     eids.pop()
 
-    def place(i: int) -> bool:
-        """Route the pairs from the i-th on; they pass `routable`."""
-        if i == len(order):
+    def place() -> bool:
+        """Route the pairs in order; they pass `routable`.  The i-th entry
+        of the stack is the generator of the i-th pair's routes, so the
+        pair count meets no recursion limit.  A pair's route is freed
+        before its generator resumes."""
+        if not order:
             return True
-        pid = order[i]
-        for route in paths(*ends[i]):
-            items = route[0] if vertex_disjoint else route[1]
-            blocked.update(items)
-            routes[pid] = route
-            if routable(i + 1) and place(i + 1):
-                return True
-            blocked.difference_update(items)
-            del routes[pid]
+        stack = [paths(*ends[0])]
+        while stack:
+            i = len(stack) - 1
+            for route in stack[-1]:
+                items = route[0] if vertex_disjoint else route[1]
+                blocked.update(items)
+                if routable(i + 1):
+                    routes[order[i]] = route
+                    if len(stack) == len(order):
+                        return True
+                    stack.append(paths(*ends[i + 1]))
+                    break
+                blocked.difference_update(items)
+            else:
+                stack.pop()
+                if stack:
+                    route = routes.pop(order[i - 1])
+                    blocked.difference_update(route[0] if vertex_disjoint else route[1])
         return False
 
     if not routable(0):
@@ -269,7 +281,7 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
     cut = None if vertex_disjoint or len(ends) < 3 else _violated_cut(adj, ends)
     if cut is not None:
         return SolveResult(False, cut=cut)
-    if place(0):
+    if place():
         named = {pid: RoutedPath(tuple(names[v] for v in vs), tuple(es)) for pid, (vs, es) in routes.items()}
         return SolveResult(True, named, steps)
     return SolveResult(False, steps=steps)

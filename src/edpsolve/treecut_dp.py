@@ -9,7 +9,8 @@ on its own.  Every node is decided by the same step: branch over the
 children's valid records (none at a leaf), replace each child subtree by a
 small degree-<=2 representative, and feed the residue to the hub/satellite
 solver.  Per-node data (subtree, cut, straddling pairs, which children are
-absorbable) is read from the `node_views` map, computed once per solve.
+absorbable) is read from the `node_views` map that `verify_decomposition`
+derives once per solve.
 
 A thin child (at most two cut edges) whose outside lies in the bag is not
 branched over: its record table picks one gadget.  A straddling pair takes
@@ -50,15 +51,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import AbstractSet, Callable, Mapping, NamedTuple
 
-from .decomposition import (
-    DecompositionError,
-    NodeViews,
-    TreecutDecomposition,
-    niceness_report,
-    node_views,
-    partition_errors,
-    width_report,
-)
+from .decomposition import DecompositionError, NodeViews, TreecutDecomposition, verify_decomposition
 from .graphs import EDPInstance, MultiGraph, StructureError
 from .simple import _key, preprocess_simple, solve_simple_edp
 
@@ -534,21 +527,19 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
     record.  The decomposition must be valid and nice (this artifact checks
     decompositions, it does not repair them)."""
     dec = dec.ensure_empty_root()
-    errors = partition_errors(inst, dec)
-    if errors:
-        raise DecompositionError("invalid decomposition: " + "; ".join(errors))
-    views = node_views(inst, dec)
-    wrep = width_report(inst, dec, views)
-    nrep = niceness_report(dec, views)
-    if not nrep.nice:
+    report = verify_decomposition(inst, dec)
+    if not report.valid:
+        raise DecompositionError("invalid decomposition: " + "; ".join(report.errors))
+    if report.offending:
         raise DecompositionError(
-            f"decomposition is not nice (offending thin nodes {list(nrep.offending)}); "
+            f"decomposition is not nice (offending thin nodes {list(report.offending)}); "
             "run verify_nice for details"
         )
+    views, width = report.views, report.width
     for t in dec.nodes():
-        if sum(not views[c].absorbable for c in dec.children(t)) > 2 * wrep.width + 1:
+        if sum(not views[c].absorbable for c in dec.children(t)) > 2 * width + 1:
             raise RuntimeError(f"node {t} keeps too many record children")
-    bound = record_count_bound(wrep.width)
+    bound = record_count_bound(width)
     tables: dict[int, RecordTable] = {}
     memo: dict[tuple[int, ...], bool] = {}
     for t in dec.postorder():
@@ -559,4 +550,4 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
     if any(rec != EMPTY_RECORD for rec in root_table.records):
         raise RuntimeError("the root keeps a non-empty record")
     residues = sum(table.residues for table in tables.values())
-    return TreecutResult(bool(root_table.records), tables, wrep.width, residues, len(memo))
+    return TreecutResult(bool(root_table.records), tables, width, residues, len(memo))

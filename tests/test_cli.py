@@ -166,6 +166,36 @@ def test_solve_cap_exceeded_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_has_no_default_size_cap(tmp_path, seed):
+    # 57 edges, over the old default cap of 20: the step budget alone
+    # bounds the search, which decides these at once
+    inst, _ = gen_random_instance(seed, 50, 8, 3, profile="tree-plus")
+    path = tmp_path / "treeplus.edp"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run_cli("solve", str(path), "--method", "oracle", "--quiet")
+    assert code == 0 and out in ("YES\n", "NO\n")
+    assert run_cli("solve", str(path), "--method", "auto", "--quiet")[:2] == (0, out)
+
+
+def test_search_routes_more_pairs_than_the_recursion_limit(tmp_path):
+    # 1,500 pairs, each the two ends of its own edge: the search keeps the
+    # routed pairs on a stack of its own, not on the call stack
+    q = 1500
+    lines = [f"p edp {2 * q} {q} {q}"]
+    lines += [f"e {2 * i - 1} {2 * i}" for i in range(1, q + 1)]
+    lines += [f"t {2 * i - 1} {2 * i}" for i in range(1, q + 1)]
+    path = tmp_path / "matching.edp"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli("solve", str(path), "--method", "auto", "--witness", "--quiet")
+    assert code == 0
+    routes = out.splitlines()
+    assert routes[0] == "YES" and len(routes) == q + 1
+    replay_witness(parse_instance(path.read_text()), routes[1:])
+    code, out, _ = run_cli("solve", str(path), "--method", "oracle", "--cap-edges", "100000", "--quiet")
+    assert code == 0 and out == "YES\n"
+
+
 @pytest.fixture()
 def auto_yes_over_cap(tmp_path):
     """A tree-plus instance of 305 edges that auto answers YES through its
@@ -333,6 +363,15 @@ def test_generate_mss_bad_spec_exit_2():
     code, _, err = run_cli("generate", "--type", "mss", "--mss", "k=1,S=1,t=2,l=1")
     assert code == 2
     assert "even" in err
+
+
+@pytest.mark.parametrize("spec", ["k=0,S=,t=,l=+0", "k=1,S=\u0662,t=\u0664,l=1", "k=1,S=2,t=4,l=+1", "k=1,S=2_0,t=4,l=1"])
+def test_generate_mss_takes_strict_integers(spec):
+    # '+', '_' and non-ASCII digits, which int() takes, exit 2 as in the
+    # text formats and in --hub
+    code, out, err = run_cli("generate", "--type", "mss", "--mss", spec)
+    assert code == 2 and out == ""
+    assert "--mss" in err
 
 
 def test_verify_decomposition_output(tmp_path, triangle):

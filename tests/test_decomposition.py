@@ -2,7 +2,6 @@ import pytest
 
 from edpsolve.decomposition import (
     DecompositionError,
-    NicenessReport,
     NodeViews,
     TreecutDecomposition,
     chain_decomposition,
@@ -131,6 +130,27 @@ def test_verify_rejects_bad_near_partition():
         {1: None, 2: 1, 3: 1}, {1: set(), 2: inst.graph.vertices, 3: {1}}
     )
     assert any("reuses" in e for e in verify_decomposition(inst, dec2).errors)
+
+
+@pytest.mark.parametrize(
+    "bags, error",
+    [
+        ({2: {1, 2, 3, 4, 5, 6, 7}, 3: {1}}, "node 3: bag reuses vertices [1]"),
+        ({2: {1, 2, 3, 4, 5, 6}, 3: set()}, "vertices [7] appear in no bag"),
+        ({2: {1, 2, 3, 4, 5, 6, 7}, 3: {99}}, "node 3: bag contains non-vertices [99]"),
+    ],
+    ids=["overlap", "missing", "stray"],
+)
+def test_invalid_bags_are_neither_valid_nor_nice(bags, error):
+    # the niceness check reads the views, which need a near-partition, so
+    # both checks stop at the partition errors
+    inst = reference_graph()
+    dec = TreecutDecomposition({1: None, 2: 1, 3: 2}, {1: set(), **bags})
+    for check in (verify_decomposition, verify_nice):
+        rep = check(inst, dec)
+        assert not rep.valid and not rep.nice
+        assert rep.errors == (error,)
+        assert rep.per_node == {} and rep.views == {} and rep.offending == ()
 
 
 def test_verify_rejects_nonempty_root():
@@ -311,12 +331,13 @@ def test_node_views_match_per_node_definitions():
 
 
 def test_nice_classification_splits_children():
-    # the niceness report holds the verdict only, and the views split each
+    # the report holds the verdict and the offenders only, and the views split each
     # node's children: under bag {4, 5}, {6} and {7} are thin and see only
     # the bag, while {3} also sees vertex 2
     inst = reference_graph()
     dec = spanning_tree_decomposition(inst)
-    assert verify_nice(inst, dec) == NicenessReport(True, ())
+    rep = verify_nice(inst, dec)
+    assert rep.nice and rep.offending == ()
     views = node_views(inst, dec)
     (node,) = [t for t in dec.nodes() if dec.bag(t) == {4, 5}]
     split = {dec.bag(c): views[c].absorbable for c in dec.children(node)}

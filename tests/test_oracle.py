@@ -332,12 +332,6 @@ def test_vdp_two_disjoint_edges_yes():
     check_witness(inst, res.routes, vertex_disjoint=True)
 
 
-def test_vdp_cap():
-    inst = EDPInstance(MultiGraph(range(1, 20)))
-    with pytest.raises(CapExceeded):
-        brute_force_vdp(inst)
-
-
 def test_tree_edp_star_yes():
     g = star_k13()
     assert tree_edp_feasible(g, {1: frozenset({2, 3}), 2: frozenset({4, 1})})

@@ -50,12 +50,12 @@ def test_traced_treecut_solve_reaches_every_dp_layer(monkeypatch, tmp_path):
     # a width-3 chain with an absorbable child: a refactor that routes
     # around a traced name makes its count read 0 here
     from edpsolve import cli
-    from edpsolve.decomposition import serialize_decomposition
+    from edpsolve.decomposition import node_views, serialize_decomposition
     from edpsolve.generators import gen_random_instance
     from edpsolve.graphs import serialize_instance
 
     inst, dec = gen_random_instance(2, 12, 1, 2, profile="bounded-tcw")
-    assert any(view.absorbable for view in treecut_dp.node_views(inst, dec).values())
+    assert any(view.absorbable for view in node_views(inst, dec).values())
     path, dec_path = tmp_path / "chain.edp", tmp_path / "chain.dec"
     path.write_text(serialize_instance(inst))
     dec_path.write_text(serialize_decomposition(dec))
@@ -68,6 +68,7 @@ def test_traced_treecut_solve_reaches_every_dp_layer(monkeypatch, tmp_path):
     assert code == 0
     for name in ("dynamic_step", "build_record_instance", "_simplify_in", "_replace_thin_in", "reduce_degree_two_edges"):
         assert tracer.calls[f"treecut_dp.{name}"] >= 1, name
+    assert tracer.calls["decomposition.verify_decomposition"] >= 1
 
 
 def test_traced_hub_solve_reports_calls_and_peak_table(monkeypatch, tmp_path):

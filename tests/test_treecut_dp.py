@@ -870,7 +870,7 @@ def test_memo_misses_build_one_instance_each(monkeypatch):
 
 
 def test_solve_treecut_derives_node_views_once(monkeypatch):
-    from edpsolve import decomposition, treecut_dp
+    from edpsolve import decomposition
 
     calls = []
     real = decomposition.node_views
@@ -880,7 +880,6 @@ def test_solve_treecut_derives_node_views_once(monkeypatch):
         return real(inst, dec)
 
     monkeypatch.setattr(decomposition, "node_views", counting)
-    monkeypatch.setattr(treecut_dp, "node_views", counting)
     per_solve = []
     for n in (20, 80):
         inst, dec = gen_random_instance(5, n, n // 8, 2, profile="bounded-tcw")
