@@ -87,7 +87,8 @@ class TreecutDecomposition:
     def ensure_empty_root(self) -> "TreecutDecomposition":
         if not self._bags[self.root]:
             return self
-        fresh = max(self._parent) + 1
+        # a positive id: 0 marks the root's missing parent in the text format
+        fresh = max(max(self._parent) + 1, 1)
         parent = dict(self._parent)
         parent[self.root] = fresh
         parent[fresh] = None

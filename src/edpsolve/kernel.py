@@ -267,7 +267,7 @@ class ComponentReport:
 
     @property
     def size_bound(self) -> int:
-        return 11 * self.fes_size - 2
+        return max(11 * self.fes_size - 2, 0)
 
     @property
     def leaf_bound(self) -> int:
@@ -283,7 +283,7 @@ class KernelResult:
 
     @property
     def size_bound(self) -> int:
-        return 11 * len(self.fes_edges) - 2
+        return max(11 * len(self.fes_edges) - 2, 0)
 
 
 def kernelize(inst: EDPInstance) -> KernelResult:

@@ -48,21 +48,6 @@ def _key(u: int, v: int) -> HubPair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SolutionVector:
-    """Per-hub-pair edge usage counts; absent key means zero."""
-
-    entries: tuple[tuple[HubPair, int], ...] = ()
-
-    @staticmethod
-    def zero() -> "SolutionVector":
-        return SolutionVector()
-
-    @staticmethod
-    def of(counts: Mapping[HubPair, int]) -> "SolutionVector":
-        return SolutionVector(tuple(sorted((k, c) for k, c in counts.items() if c > 0)))
-
-
 # provenance of one routed pair: (pair id, hub vertex sequence, leading
 # satellite edge id or None, trailing satellite edge id or None)
 RouteRec = tuple[int, tuple[int, ...], int | None, int | None]
@@ -97,7 +82,8 @@ class SimpleInstance:
 @dataclass
 class SimpleResult:
     feasible: bool
-    vector: SolutionVector | None = None
+    # per hub pair, ascending, the hub-hub edges the routes use; absent means zero
+    vector: tuple[tuple[HubPair, int], ...] | None = None
     routes: dict[int, RoutedPath] | None = None
     records: tuple[RouteRec, ...] = ()
     max_set_size: int = 0
@@ -162,19 +148,6 @@ def preprocess_simple(inst: EDPInstance, hub: Iterable[int]) -> SimpleInstance:
     )
 
 
-# -- hub path enumeration --------------------------------------------------
-
-
-def enumerate_hub_paths(si: SimpleInstance, u: int, v: int) -> frozenset[SolutionVector]:
-    """One 0/1 vector per simple u-v path in the hub skeleton."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    if u not in si.hub or v not in si.hub:
-        raise ValueError("endpoints must be hub vertices")
-    dp = _DP(si, prune=True)
-    return frozenset(map(dp.vector, dp.paths(u, v)))
-
-
 # -- the solver -------------------------------------------------------------
 
 Table = dict  # packed vector -> provenance chain (see _flatten)
@@ -188,12 +161,12 @@ class _DP:
     adding integers.  A table vector routes each pair at most once over each
     hub pair, so its counts are at most the number of pairs; a field holds
     twice that and any multiplicity, and has a guard bit on top.  In
-    `ceiling - s`, where `ceiling` holds the limits with every guard bit set,
-    a field keeps its guard bit exactly when its count in `s` is within its
-    limit.
+    `ceiling - s`, where `ceiling` holds the multiplicities with every guard
+    bit set, a field keeps its guard bit exactly when its count in `s` is
+    within its multiplicity.
     """
 
-    def __init__(self, si: SimpleInstance, prune: bool):
+    def __init__(self, si: SimpleInstance):
         self.cache: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         self.num_pairs = len(si.inst.pairs)
         self.size_bound = (self.num_pairs + 1) ** math.comb(si.k, 2)
@@ -203,9 +176,7 @@ class _DP:
         self.shift = {k: (len(dims) - 1 - i) * (self.bits + 1) for i, k in enumerate(dims)}
         self.units = sum(1 << sh for sh in self.shift.values())
         self.guards = self.units << self.bits
-        self.limit = self.guards + sum(si.multiplicity[k] << sh for k, sh in self.shift.items())
-        # without pruning every field is at its largest count
-        self.ceiling = self.limit if prune else 2 * self.guards - self.units
+        self.ceiling = self.guards + sum(si.multiplicity[k] << sh for k, sh in self.shift.items())
         # the hub skeleton: neighbour and the bit of the pair's field, neighbours ascending
         self.adj: dict[int, list[tuple[int, int]]] = {a: [] for a in si.hub}
         for (a, b), sh in self.shift.items():
@@ -220,14 +191,9 @@ class _DP:
             raise RuntimeError("vector set exceeds its size bound")
         return table
 
-    def pack(self, vec: SolutionVector) -> int:
-        if any(k not in self.shift or not 0 < c <= self.num_pairs for k, c in vec.entries):
-            raise ValueError(f"vector {vec.entries} does not fit the hub skeleton and pair count")
-        return sum(c << self.shift[k] for k, c in vec.entries)
-
-    def vector(self, s: int) -> SolutionVector:
+    def vector(self, s: int) -> tuple[tuple[HubPair, int], ...]:
         mask = (1 << self.bits) - 1
-        return SolutionVector(tuple((k, c) for k, sh in self.shift.items() if (c := s >> sh & mask)))
+        return tuple((k, c) for k, sh in self.shift.items() if (c := s >> sh & mask))
 
     def order(self, s: int) -> int:
         """A key that sorts packed vectors as their entries sort.
@@ -239,9 +205,6 @@ class _DP:
         """
         filled = (s + self.guards - self.units) & self.guards
         return s | (self.guards ^ filled) & -((filled & -filled) << 1)
-
-    def within_limits(self, s: int) -> bool:
-        return (self.limit - s) & self.guards == self.guards
 
     def paths(self, u: int, v: int) -> dict[int, tuple[int, ...]]:
         """Vector -> vertex sequence of the first simple u-v path in the hub
@@ -294,7 +257,7 @@ class _DP:
         return self.check(out)
 
 
-def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
+def solve_simple_edp(si: SimpleInstance) -> SimpleResult:
     """Decide the hub/satellite instance; YES comes with a witness.
 
     The pairs are the edges of a pair graph whose nodes are the satellites
@@ -305,9 +268,6 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
     its pairs can use; the tables are merged component by component, and
     the chosen vector's provenance is flattened into its records.  The
     solver reads vertex, edge and pair ids only through their order.
-
-    `prune` toggles eager multiplicity pruning inside vector combination;
-    disabling it only affects intermediate set sizes, never the answer.
     """
     inst = si.inst
     g = inst.graph
@@ -324,7 +284,7 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
         if g.degree(v) > 2:
             raise StructureError(f"satellite {v} has degree {g.degree(v)} > 2")
 
-    dp = _DP(si, prune)
+    dp = _DP(si)
     # pair graph nodes: (0, satellite) and (1, pair id, hub vertex); a
     # choice is the edge a pair takes at the node and its hub end
     adj: dict[tuple, list[tuple[int, tuple]]] = {}
@@ -345,10 +305,6 @@ def solve_simple_edp(si: SimpleInstance, prune: bool = True) -> SimpleResult:
         if not acc:
             return SimpleResult(False, max_set_size=dp.max_seen)
 
-    if not prune:
-        acc = {vec: prov for vec, prov in acc.items() if dp.within_limits(vec)}
-    if not acc:
-        return SimpleResult(False, max_set_size=dp.max_seen)
     vec = min(acc, key=dp.order)
     records = _flatten(acc[vec])
     return SimpleResult(True, dp.vector(vec), _expand_witness(si, records), records, dp.max_seen)

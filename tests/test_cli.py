@@ -335,6 +335,15 @@ def test_kernelize_summary(triangle, tmp_path):
         assert exc.value.code == 2
 
 
+def test_kernelize_settled_instance_prints_zero_bound(tmp_path):
+    # the kernel settles the path 1-2-3 with X empty, so it keeps no vertex
+    path = tmp_path / "path.edp"
+    path.write_text("p edp 3 2 1\ne 1 2\ne 2 3\nt 1 3\n")
+    code, out, _ = run_cli("kernelize", str(path), "-o", str(tmp_path / "kernel.edp"))
+    assert code == 0
+    assert out.split() == ["fes=0", "kernel_vertices=0", "bound=0", "answer=YES"]
+
+
 def test_generate_roundtrip_and_determinism(tmp_path):
     a = tmp_path / "a.edp"
     b = tmp_path / "b.edp"

@@ -162,12 +162,14 @@ def test_verify_rejects_nonempty_root():
 
 
 def test_parse_normalizes_root_and_round_trips():
-    text = "d tcw 2\nn 1 0 1 2\nn 2 1 3\n"
-    inst = EDPInstance(MultiGraph([1, 2, 3]))
-    dec = parse_decomposition(text)
-    assert dec.bag(dec.root) == frozenset()
-    assert verify_decomposition(inst, dec).valid
-    assert parse_decomposition(serialize_decomposition(dec)) == dec
+    # the second input has only negative node ids, so the spliced root needs
+    # an id other than max + 1 = 0, the text format's "no parent"
+    for text in ("d tcw 2\nn 1 0 1 2\nn 2 1 3\n", "d tcw 2\nn -1 0 1 2\nn -2 -1 3\n"):
+        inst = EDPInstance(MultiGraph([1, 2, 3]))
+        dec = parse_decomposition(text)
+        assert dec.bag(dec.root) == frozenset()
+        assert verify_decomposition(inst, dec).valid
+        assert parse_decomposition(serialize_decomposition(dec)) == dec
 
 
 def test_parse_errors():

@@ -12,15 +12,7 @@ from edpsolve.generators import gen_mss_instance, gen_mss_layout, gen_random_ins
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError
 from edpsolve.kernel import kernelize
 from edpsolve.oracle import brute_force_edp, check_witness
-from edpsolve.simple import (
-    _DP,
-    SimpleInstance,
-    SolutionVector,
-    enumerate_hub_paths,
-    infer_hub,
-    preprocess_simple,
-    solve_simple_edp,
-)
+from edpsolve.simple import _DP, SimpleInstance, infer_hub, preprocess_simple, solve_simple_edp
 
 
 def hub_only(*mult_edges):
@@ -34,6 +26,22 @@ def hub_only(*mult_edges):
 
 def si_of(inst, hub):
     return preprocess_simple(inst, hub)
+
+
+def vec_of(counts):
+    """The solver's vector form of per-hub-pair counts: (hub pair, count)
+    entries with a nonzero count, hub pairs ascending."""
+    return tuple(sorted((k, c) for k, c in counts.items() if c > 0))
+
+
+def pack(dp, vec):
+    return sum(c << dp.shift[k] for k, c in vec)
+
+
+def hub_paths(si, u, v):
+    """The vectors of the simple u-v paths in the hub skeleton."""
+    dp = _DP(si)
+    return {dp.vector(s) for s in dp.paths(u, v)}
 
 
 def test_preprocess_suppresses_pairless_degree_two_satellite():
@@ -92,56 +100,43 @@ def test_preprocess_structure_errors():
 
 def test_hub_paths_triangle():
     si = si_of(hub_only((1, 2), (2, 3), (1, 3)), [1, 2, 3])
-    vecs = enumerate_hub_paths(si, 1, 2)
-    assert vecs == frozenset(
-        {
-            SolutionVector.of({(1, 2): 1}),
-            SolutionVector.of({(1, 3): 1, (2, 3): 1}),
-        }
-    )
+    assert hub_paths(si, 1, 2) == {vec_of({(1, 2): 1}), vec_of({(1, 3): 1, (2, 3): 1})}
 
 
 def test_hub_paths_disconnected_pair_is_empty():
     g = MultiGraph([1, 2, 3])
     g.add_edge(1, 2)
     si = si_of(EDPInstance(g), [1, 2, 3])
-    assert enumerate_hub_paths(si, 1, 3) == frozenset()
+    assert hub_paths(si, 1, 3) == set()
 
 
 def test_hub_paths_k4_count():
     edges = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
     si = si_of(hub_only(*edges), [1, 2, 3, 4])
     # simple 1-2 paths in K4: direct, two one-stop, two two-stop
-    assert len(enumerate_hub_paths(si, 1, 2)) == 5
+    assert len(hub_paths(si, 1, 2)) == 5
 
 
-def test_hub_paths_rejects_equal_endpoints():
-    si = si_of(hub_only((1, 2)), [1, 2])
-    with pytest.raises(ValueError):
-        enumerate_hub_paths(si, 1, 1)
-
-
-def combine(xs, ys, prune=False):
-    """`_DP.merge` on two vector sets, over a triangle hub with one edge per
-    side and three pairs (size bound 4**3)."""
-    inst = hub_only((1, 2), (1, 3), (2, 3))
+def combine(xs, ys):
+    """`_DP.merge` on two vector sets, over a triangle hub with two parallel
+    1-2 edges, one 1-3 and one 2-3 edge, and three pairs (size bound 4**3)."""
+    inst = hub_only((1, 2), (1, 2), (1, 3), (2, 3))
     for a, b in ((1, 2), (1, 3), (2, 3)):
         inst.add_pair(a, b)
-    dp = _DP(si_of(inst, [1, 2, 3]), prune)
-    out = dp.merge({dp.pack(x): () for x in xs}, {dp.pack(y): () for y in ys})
-    return frozenset(dp.vector(s) for s in out)
+    dp = _DP(si_of(inst, [1, 2, 3]))
+    out = dp.merge({pack(dp, x): () for x in xs}, {pack(dp, y): () for y in ys})
+    return {dp.vector(s) for s in out}
 
 
 def test_combine_identity_and_sum():
-    x = frozenset({SolutionVector.of({(1, 2): 1})})
-    zero = frozenset({SolutionVector.zero()})
-    assert combine(x, zero) == x
-    assert combine(x, x) == frozenset({SolutionVector.of({(1, 2): 2})})
+    x = {vec_of({(1, 2): 1})}
+    assert combine(x, {vec_of({})}) == x
+    assert combine(x, x) == {vec_of({(1, 2): 2})}
 
 
 def test_combine_prunes_against_limits():
-    x = frozenset({SolutionVector.of({(1, 2): 1})})
-    assert combine(x, x, prune=True) == frozenset()
+    assert combine({vec_of({(1, 3): 1})}, {vec_of({(1, 3): 1})}) == set()
+    assert combine({vec_of({(1, 2): 2})}, {vec_of({(1, 2): 1})}) == set()
 
 
 @given(st.integers(0, 10**6))
@@ -153,8 +148,8 @@ def test_combine_commutes(seed):
     def rand_set():
         out = set()
         for _ in range(rng.randint(1, 3)):
-            out.add(SolutionVector.of({k: rng.randint(0, 2) for k in rng.sample(pool, rng.randint(0, 3))}))
-        return frozenset(out)
+            out.add(vec_of({k: rng.randint(0, 2) for k in rng.sample(pool, rng.randint(0, 3))}))
+        return out
 
     xs, ys = rand_set(), rand_set()
     assert combine(xs, ys) == combine(ys, xs)
@@ -164,9 +159,9 @@ def test_combine_commutes(seed):
 @settings(max_examples=60, deadline=None)
 def test_packed_vectors_sort_and_merge_as_their_entries(seed):
     """Packed vectors round-trip, sort as their entries sort, and `merge`
-    keeps every sum within the limits with the provenance of the first pair
-    in entry order, as written out here over count dicts; the provenance
-    cell, flattened, is the concatenation of the pair's."""
+    keeps every sum within the multiplicities with the provenance of the
+    first pair in entry order, as written out here over count dicts; the
+    provenance cell, flattened, is the concatenation of the pair's."""
     rng = random.Random(seed)
     keys = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
     mult = {k: rng.randint(1, 3) for k in rng.sample(keys, rng.randint(1, len(keys)))}
@@ -178,33 +173,31 @@ def test_packed_vectors_sort_and_merge_as_their_entries(seed):
     num_pairs = 4
     for a, b in keys[:num_pairs]:
         inst.add_pair(a, b)
-    prune = rng.random() < 0.7
-    dp = _DP(si_of(inst, [1, 2, 3, 4]), prune)
+    dp = _DP(si_of(inst, [1, 2, 3, 4]))
 
     def rand_table(tag):
         vecs = {
-            SolutionVector.of({k: rng.randint(1, num_pairs) for k in rng.sample(sorted(mult), rng.randint(0, len(mult)))})
+            vec_of({k: rng.randint(1, num_pairs) for k in rng.sample(sorted(mult), rng.randint(0, len(mult)))})
             for _ in range(rng.randint(1, 8))
         }
         return {vec: ((tag, i),) for i, vec in enumerate(sorted(vecs, key=lambda v: rng.random()))}
 
     xs, ys = rand_table("x"), rand_table("y")
     vecs = list(xs) + list(ys)
-    assert [dp.vector(dp.pack(v)) for v in vecs] == vecs
-    assert sorted(vecs, key=lambda v: dp.order(dp.pack(v))) == sorted(vecs, key=lambda v: v.entries)
+    assert [dp.vector(pack(dp, v)) for v in vecs] == vecs
+    assert sorted(vecs, key=lambda v: dp.order(pack(dp, v))) == sorted(vecs)
     want = {}
-    for x, px in sorted(xs.items(), key=lambda kv: kv[0].entries):
-        for y, py in sorted(ys.items(), key=lambda kv: kv[0].entries):
-            counts = dict(x.entries)
-            for k, c in y.entries:
+    for x, px in sorted(xs.items()):
+        for y, py in sorted(ys.items()):
+            counts = dict(x)
+            for k, c in y:
                 counts[k] = counts.get(k, 0) + c
-            if prune and any(c > mult[k] for k, c in counts.items()):
+            if any(c > mult[k] for k, c in counts.items()):
                 continue
-            want.setdefault(SolutionVector.of(counts), px + py)
-    got = dp.merge({dp.pack(x): p for x, p in xs.items()}, {dp.pack(y): p for y, p in ys.items()})
+            want.setdefault(vec_of(counts), px + py)
+    got = dp.merge({pack(dp, x): p for x, p in xs.items()}, {pack(dp, y): p for y, p in ys.items()})
     # merge keeps provenance as one cell (table side, options side)
     assert {dp.vector(s): px + py for s, (px, py) in got.items()} == want
-    assert all(dp.within_limits(s) == all(c <= mult[k] for k, c in dp.vector(s).entries) for s in got)
 
 
 def test_solve_two_route_satellite_pair():
@@ -329,13 +322,6 @@ def test_matches_oracle_on_random_instances():
             check_witness(inst, res.routes)
 
 
-def test_pruning_toggle_is_answer_neutral():
-    for seed in range(120):
-        inst, hub = random_simple_instance(seed)
-        si = si_of(inst, hub)
-        assert solve_simple_edp(si, prune=True).feasible == solve_simple_edp(si, prune=False).feasible
-
-
 def test_witness_inner_vertices_stay_in_hub():
     for seed in range(150):
         inst, hub = random_simple_instance(seed)
@@ -353,7 +339,7 @@ def test_vector_sets_stay_within_bound():
         solve_simple_edp(si_of(inst, hub))
 
 
-SIMPLE_DIGEST = "fa73863cf7380874946ac2b2762346881d16789cb39dae3afb0fbeb68482ad45"
+SIMPLE_DIGEST = "30a3e6eaa41d5466eb7714dfee32bb7c9c38ffcb5a7e4e373e51ea8a224d0f66"
 
 
 def _simple_digest_cases():
@@ -378,16 +364,14 @@ def _simple_digest_cases():
 
 
 def test_simple_outputs_match_pinned_digest():
-    """Answers and chosen vectors, with and without pruning, are pinned;
-    routes and table sizes are left out, as provenance may shift."""
+    """Answers and chosen vectors are pinned; routes and table sizes are
+    left out, as provenance may shift."""
     h = hashlib.sha256()
     for inst, hub in _simple_digest_cases():
-        si = si_of(inst, hub)
-        for prune in (True, False):
-            res = solve_simple_edp(si, prune=prune)
-            h.update(repr((res.feasible, res.vector.entries if res.feasible else None)).encode())
-            if res.feasible:
-                check_witness(inst, res.routes)
+        res = solve_simple_edp(si_of(inst, hub))
+        h.update(repr((res.feasible, res.vector if res.feasible else None)).encode())
+        if res.feasible:
+            check_witness(inst, res.routes)
     assert h.hexdigest() == SIMPLE_DIGEST
 
 
@@ -433,7 +417,7 @@ def _mss_hub_cases():
 
 def test_chain_tables_match_merge_reference(monkeypatch):
     """Every chain table the solver builds has the vector set of the
-    merge-based reference walk, pruned and unpruned, and the cases reach
+    merge-based reference walk, and the cases reach
     cycles and satellite-ended paths as well as hub-ended paths."""
     shapes = collections.Counter()
     real = simple._chain_table
@@ -453,8 +437,7 @@ def test_chain_tables_match_merge_reference(monkeypatch):
     sis = [si_of(inst, hub) for inst, hub in _simple_digest_cases()] + _mss_grid_cases() + _mss_hub_cases()
     sis += _random_satellite_cycles()
     for si in sis:
-        for prune in (True, False):
-            solve_simple_edp(si, prune=prune)
+        solve_simple_edp(si)
     assert min(shapes["cycle"], shapes["hub-ended path"], shapes["satellite-ended path"]) > 0, shapes
 
 
@@ -473,16 +456,15 @@ def test_yes_records_list_each_pair_once_in_walk_order(monkeypatch):
     monkeypatch.setattr(simple, "_walks", recording)
     yes = 0
     for si in [si_of(inst, hub) for inst, hub in _simple_digest_cases()] + _mss_hub_cases():
-        for prune in (True, False):
-            walked.clear()
-            res = solve_simple_edp(si, prune=prune)
-            if not res.feasible:
-                continue
-            yes += 1
-            pids = [pid for pid, _path, _lead, _tail in res.records]
-            assert sorted(pids) == si.original.sorted_pairs()
-            assert pids == walked
-            check_witness(si.original, res.routes)
+        walked.clear()
+        res = solve_simple_edp(si)
+        if not res.feasible:
+            continue
+        yes += 1
+        pids = [pid for pid, _path, _lead, _tail in res.records]
+        assert sorted(pids) == si.original.sorted_pairs()
+        assert pids == walked
+        check_witness(si.original, res.routes)
     assert yes > 0
 
 
