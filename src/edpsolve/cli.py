@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import oracle
 from .decomposition import DecompositionError, TreecutDecomposition, parse_decomposition, serialize_decomposition, verify_decomposition
 from .generators import edp_to_vdp, gen_mss_layout, gen_random_instance
 from .graphs import EDPInstance, ParseError, StructureError, feedback_edge_set, parse_instance, parse_ints, relabel_compact, serialize_instance
@@ -91,10 +92,22 @@ def _decide(
     file is read only once the method needs it.  `caps` bounds the oracle
     method; auto's kernel search runs under the default caps, the search
     step budget alone.
-    Raises CapExceeded over the caps or the budget (for auto: no method
-    left), StructureError off the hub/satellite shape, DecompositionError
-    for a missing or bad decomposition, and OSError or ParseError while
-    reading one.
+
+    Auto kernelizes, then decides an open kernel by the kernel search under
+    a slice of a hundredth of `oracle.SEARCH_STEP_BUDGET` (at least one
+    step).  Only when the slice runs out does it try, in order, the
+    hub/satellite DP under its effort budget, the treecut DP along the
+    supplied decomposition under its residue budget, and the search under
+    the full budget.  Every decider is exact, so the order moves only the
+    time: the slice caps what trying the search first costs, and the DP,
+    which is XP in the hub size, runs only on kernels that the slice does
+    not settle.
+
+    Raises CapExceeded over the caps or the budget (for auto: every
+    decider gave up; the message names each budget that ran out),
+    StructureError off the hub/satellite shape, DecompositionError for a
+    missing or bad decomposition, and OSError or ParseError while reading
+    one.
     """
     if method == "oracle":
         res = brute_force_edp(inst, caps=caps)
@@ -112,25 +125,37 @@ def _decide(
     if kres.answer is not None:
         return kres.answer == "YES", None, "settled by kernelization"
     kernel = kres.instance
+    share = max(1, oracle.SEARCH_STEP_BUDGET // 100)
+    spent = 0  # search steps of a slice that ran out
     try:
-        res = solve_simple_edp(preprocess_simple(kernel, infer_hub(kernel)))
-        return res.feasible, None, "kernel solved as a hub/satellite instance"
-    except StructureError:
-        pass
-    if decomposition is not None:
-        res = solve_treecut(inst, _load_decomposition(decomposition))
-        return res.feasible, None, "solved along the supplied decomposition"
-    try:
-        res = brute_force_edp(kernel)
+        res = brute_force_edp(kernel, budget=share)
     except CapExceeded as exc:
-        raise CapExceeded(
-            "no applicable method: kernel is neither a forest nor hub-shaped, "
-            f"no decomposition was supplied, and the brute-force search gave up: {exc}"
-        ) from None
+        spent, gave_up = share, [f"the search slice gave up: {exc}"]
+        kernel_hub = infer_hub(kernel)
+        try:
+            feasible = solve_simple_edp(preprocess_simple(kernel, kernel_hub)).feasible
+            return feasible, None, f"kernel solved as a hub/satellite instance (hub of {len(kernel_hub)} vertices)"
+        except StructureError:
+            gave_up.append("the kernel is not hub-shaped")
+        except CapExceeded as exc:
+            gave_up.append(f"the hub DP gave up: {exc}")
+        if decomposition is None:
+            gave_up.append("no decomposition was supplied")
+        else:
+            try:
+                feasible = solve_treecut(inst, _load_decomposition(decomposition)).feasible
+                return feasible, None, "solved along the supplied decomposition"
+            except CapExceeded as exc:
+                gave_up.append(f"the treecut DP gave up: {exc}")
+        try:
+            res = brute_force_edp(kernel)
+        except CapExceeded as exc:
+            gave_up.append(f"the full search gave up: {exc}")
+            raise CapExceeded("no applicable method: " + "; ".join(gave_up)) from None
     if res.cut is not None:
         sizes = f"{len(res.cut)} edges separate {_separated(kernel, res.cut)} pairs"
         return False, None, f"kernel refuted by the cut condition ({sizes})"
-    return res.feasible, None, f"kernel settled by brute force ({res.steps} search steps)"
+    return res.feasible, None, f"kernel settled by brute force ({spent + res.steps} search steps)"
 
 
 def _separated(inst: EDPInstance, cut: tuple[int, ...]) -> int:

@@ -30,8 +30,9 @@ witness found are those of the plain search without prunes:
   such a cut is a bridge, which the tests above already catch.
 
 One search step extends a partial path by one edge.  With caps, a search
-gives up after `SEARCH_STEP_BUDGET` steps by raising `CapExceeded`; without
-caps it runs to the end.
+gives up after its step budget, `SEARCH_STEP_BUDGET` unless the caller
+gives a smaller one, by raising `CapExceeded`; without caps it runs to the
+end.
 """
 
 from __future__ import annotations
@@ -84,19 +85,25 @@ def _ordered_pairs(inst: EDPInstance) -> list[int]:
     return sorted(inst.sorted_pairs(), key=lambda pid: (min(inst.pair(pid)), max(inst.pair(pid)), pid))
 
 
-def brute_force_edp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -> SolveResult:
-    """Decide EDP by backtracking over simple paths on unused edges."""
-    if caps is not None and caps.max_edges is not None and inst.graph.num_edges() > caps.max_edges:
+def brute_force_edp(
+    inst: EDPInstance, caps: OracleCaps | None = OracleCaps(), budget: int | None = None
+) -> SolveResult:
+    """Decide EDP by backtracking over simple paths on unused edges.  Under
+    caps the search takes at most `budget` steps, `SEARCH_STEP_BUDGET` when
+    it is None."""
+    if caps is None:
+        return _search(inst, vertex_disjoint=False, budget=None)
+    if caps.max_edges is not None and inst.graph.num_edges() > caps.max_edges:
         raise CapExceeded(f"{inst.graph.num_edges()} edges exceeds cap {caps.max_edges}")
-    return _search(inst, vertex_disjoint=False, budgeted=caps is not None)
+    return _search(inst, vertex_disjoint=False, budget=SEARCH_STEP_BUDGET if budget is None else budget)
 
 
 def brute_force_vdp(inst: EDPInstance, caps: OracleCaps | None = OracleCaps()) -> SolveResult:
     """Decide VDP: paths pairwise vertex-disjoint, endpoints included."""
-    return _search(inst, vertex_disjoint=True, budgeted=caps is not None)
+    return _search(inst, vertex_disjoint=True, budget=None if caps is None else SEARCH_STEP_BUDGET)
 
 
-def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveResult:
+def _search(inst: EDPInstance, vertex_disjoint: bool, budget: int | None) -> SolveResult:
     """Route the pairs in order, backtracking over simple paths in the
     depth-first order of the incidence lists.  A placed route blocks its
     edges, or its vertices when `vertex_disjoint`; the other blocked set
@@ -113,8 +120,8 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
     search with three or more pairs tests the cut condition
     (`_violated_cut`); a violated cut answers NO with 0 steps and names the
     cut, and no YES instance violates it, so the rest are searched as
-    before.  A `budgeted` search raises CapExceeded on the step after the
-    `SEARCH_STEP_BUDGET`-th."""
+    before.  A search with a `budget` raises CapExceeded on the step after
+    the `budget`-th; None means no budget."""
     order = _ordered_pairs(inst)
     g = inst.graph.copy()
     prune_leaves(g, inst.terminals())
@@ -122,7 +129,7 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
     index = {v: i for i, v in enumerate(names)}
     adj = [[(e, index[g.other_end(e, v)]) for e in g.incident(v)] for v in names]
     ends = [tuple(index[v] for v in sorted(inst.pair(pid))) for pid in order]
-    limit = SEARCH_STEP_BUDGET if budgeted else float("inf")
+    limit = float("inf") if budget is None else budget
     used: set[int] = set()
     taken: set[int] = set()
     routes: dict[int, tuple[list[int], list[int]]] = {}
@@ -234,7 +241,7 @@ def _search(inst: EDPInstance, vertex_disjoint: bool, budgeted: bool) -> SolveRe
                     continue
                 steps += 1
                 if steps > limit:
-                    raise CapExceeded(f"search budget of {SEARCH_STEP_BUDGET} steps exhausted")
+                    raise CapExceeded(f"search budget of {budget} steps exhausted")
                 if w == b:
                     yield [*verts, b], [*eids, eid]
                     continue

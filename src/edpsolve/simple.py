@@ -27,6 +27,13 @@ it costs O(1), and only the chosen vector's chain is flattened into its
 records.  A chain walk is stepped in place, so within a chain a vector
 keeps the provenance of its first insertion; across components it keeps
 that of the first pair in vector order.
+
+The DP is XP in the hub size, so each solve runs under an effort budget,
+`HUB_DP_BUDGET` units, and raises `CapExceeded` naming it when the budget
+runs out.  A unit is one vector sum tried or one hub-path extension: each
+chain-table step and each merge is charged `len(table) * len(options)` up
+front, before its sums, and `_DP.paths` one unit per vertex it appends to
+a path or reaches as the far end.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graphs import EDPInstance, MultiGraph, StructureError
-from .oracle import RoutedPath
+from .oracle import CapExceeded, RoutedPath
+
+HUB_DP_BUDGET = 2_000_000
 
 HubPair = tuple[int, int]  # (u, v) with u < v
 # one capacity unit between two hub vertices: a real parallel edge, or a
@@ -167,6 +176,7 @@ class _DP:
     """
 
     def __init__(self, si: SimpleInstance):
+        self.effort = 0
         self.cache: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         self.num_pairs = len(si.inst.pairs)
         self.size_bound = (self.num_pairs + 1) ** math.comb(si.k, 2)
@@ -184,6 +194,12 @@ class _DP:
             self.adj[b].append((a, 1 << sh))
         for ns in self.adj.values():
             ns.sort()
+
+    def charge(self, units: int) -> None:
+        """Spend `units` of the solve's effort budget."""
+        self.effort += units
+        if self.effort > HUB_DP_BUDGET:
+            raise CapExceeded(f"hub DP budget of {HUB_DP_BUDGET} vector sums and path extensions exhausted")
 
     def check(self, table: Table) -> Table:
         self.max_seen = max(self.max_seen, len(table))
@@ -223,6 +239,7 @@ class _DP:
                 for y, bit in stack[-1]:
                     if y in on_path:
                         continue
+                    self.charge(1)
                     if y == v:
                         out.setdefault(vecs[-1] + bit, (*path, v))
                         continue
@@ -243,6 +260,7 @@ class _DP:
         ceiling, with the provenance of the first pair, in vector order,
         that gives it.  The provenance is one cell (table provenance,
         options provenance), so a sum costs O(1) however long the chains."""
+        self.charge(len(table) * len(options))
         rows = sorted(table.items(), key=lambda kv: self.order(kv[0]))
         cols = sorted(options.items(), key=lambda kv: self.order(kv[0]))
         ceiling, guards = self.ceiling, self.guards
@@ -365,6 +383,7 @@ def _chain_table(dp: _DP, choices: list[list[tuple[int | None, int]]], pids: lis
                 if not options:
                     continue
                 out = nxt.setdefault(None if last else (first, other(cs, c)), {})
+                dp.charge(len(table) * len(options))
                 for vec, prov in table.items():
                     room = ceiling - vec
                     for ovec, path in options:

@@ -40,6 +40,11 @@ Residues have a handful of vertices, so they repeat within a solve.  Each
 solve keeps one memo of residue verdicts, keyed by the residue relabeled by
 rank (`_residue_key`); only a residue missing from it becomes an
 `EDPInstance` and goes through the degree-two rule and the hub solver.
+
+Each solve runs under a budget of `RESIDUE_BUDGET` residues tested, memo
+hits included, and raises `CapExceeded` naming it when the budget runs
+out.  A node whose 4^adhesion class assignments alone exceed the budget is
+refused before its records are enumerated.
 """
 
 from __future__ import annotations
@@ -53,7 +58,10 @@ from typing import AbstractSet, Callable, Mapping, NamedTuple
 
 from .decomposition import DecompositionError, NodeViews, TreecutDecomposition, verify_decomposition
 from .graphs import EDPInstance, MultiGraph, StructureError
+from .oracle import CapExceeded
 from .simple import _key, preprocess_simple, solve_simple_edp
+
+RESIDUE_BUDGET = 50_000
 
 INTERNAL = "internal"
 LEAVING = "leaving"
@@ -462,6 +470,7 @@ def dynamic_step(
     node: int,
     tables: Mapping[int, RecordTable],
     memo: dict[tuple[int, ...], bool] | None = None,
+    spent: int = 0,
 ) -> RecordTable:
     """Compute the node's valid records from its children's tables.
 
@@ -474,12 +483,19 @@ def dynamic_step(
 
     `memo` maps residue keys to verdicts (see `_routes`); `solve_treecut`
     passes one dict for the whole solve, else the step uses a fresh one.
+    `spent` is the residues the solve tested before this node.  The step
+    raises `CapExceeded` when they and its own exceed `RESIDUE_BUDGET`, and
+    before any record is enumerated when the node's 4^adhesion class
+    assignments alone do (a child without records still gives the empty
+    table first).
     """
     if memo is None:
         memo = {}
     children = dec.children(node)
     if any(not tables[c].records for c in children):
         return RecordTable(node, ())
+    if 4 ** len(views[node].cut) > RESIDUE_BUDGET:
+        raise _exhausted()
     for c in children:
         _check_fit(views[c], *tables[c].records)
     bag = dec.bag(node)
@@ -504,10 +520,16 @@ def dynamic_step(
                         break
                 else:
                     residues += 1
+                    if spent + residues > RESIDUE_BUDGET:
+                        raise _exhausted()
                     if _routes(cur, bag, memo):
                         valid.append(rec)
                         break
     return RecordTable(node, tuple(valid), residues)
+
+
+def _exhausted() -> CapExceeded:
+    return CapExceeded(f"treecut budget of {RESIDUE_BUDGET} residues exhausted")
 
 
 @dataclass(frozen=True)
@@ -542,12 +564,13 @@ def solve_treecut(inst: EDPInstance, dec: TreecutDecomposition) -> TreecutResult
     bound = record_count_bound(width)
     tables: dict[int, RecordTable] = {}
     memo: dict[tuple[int, ...], bool] = {}
+    spent = 0
     for t in dec.postorder():
-        tables[t] = dynamic_step(inst, dec, views, t, tables, memo)
+        tables[t] = dynamic_step(inst, dec, views, t, tables, memo, spent)
+        spent += tables[t].residues
         if len(tables[t]) > bound:
             raise RuntimeError(f"node {t} exceeds the record-count bound")
     root_table = tables[dec.root]
     if any(rec != EMPTY_RECORD for rec in root_table.records):
         raise RuntimeError("the root keeps a non-empty record")
-    residues = sum(table.residues for table in tables.values())
-    return TreecutResult(bool(root_table.records), tables, width, residues, len(memo))
+    return TreecutResult(bool(root_table.records), tables, width, spent, len(memo))

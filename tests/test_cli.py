@@ -306,6 +306,130 @@ def test_auto_names_the_cut_that_refutes_a_kernel(cut_refuted_kernel):
     assert "auto: kernel refuted by the cut condition (2 edges separate 3 pairs)" in err
 
 
+def test_auto_slice_settles_a_hub_shaped_kernel_without_the_dp(auto_yes_over_cap, monkeypatch):
+    import edpsolve.cli as cli
+
+    path, inst = auto_yes_over_cap
+    kernel = kernelize(inst).instance
+    preprocess_simple(kernel, infer_hub(kernel))  # hub-shaped
+    want = brute_force_edp(kernel, caps=None)
+    calls = []
+    monkeypatch.setattr(cli, "solve_simple_edp", lambda si: calls.append(si))
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 0 and out.splitlines() == ["YES"]
+    assert f"auto: kernel settled by brute force ({want.steps} search steps)" in err
+    assert calls == []
+
+
+def test_auto_runs_the_dp_once_the_slice_runs_out(auto_yes_over_cap, monkeypatch):
+    # a budget of 5 leaves a slice of one step, too few for this kernel
+    path, inst = auto_yes_over_cap
+    kernel = kernelize(inst).instance
+    assert brute_force_edp(kernel, caps=None).steps > 1
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", 5)
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 0 and out.splitlines() == ["YES"]
+    k = len(infer_hub(kernel))
+    assert f"auto: kernel solved as a hub/satellite instance (hub of {k} vertices)" in err
+
+
+def test_dp_budget_exit_3_and_auto_falls_back_to_the_full_search(auto_yes_over_cap, tmp_path, monkeypatch):
+    from edpsolve import simple
+
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 1)
+    inst, dec = gen_random_instance(3, 7, 0, 3, profile="simple")
+    ipath = tmp_path / "s.edp"
+    ipath.write_text(serialize_instance(inst))
+    hub = ",".join(str(v) for v in sorted(dec.bag(sorted(dec.nodes())[1])))
+    code, out, err = run_cli("solve", str(ipath), "--method", "simple", "--hub", hub)
+    assert code == 3 and out == ""
+    assert "hub DP budget of 1 vector sums and path extensions exhausted" in err
+    # the slice (one step) and the DP run out; the full search decides and
+    # the line counts the slice's step too
+    path, inst = auto_yes_over_cap
+    want = brute_force_edp(kernelize(inst).instance, caps=None)
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", want.steps)
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 0 and out.splitlines() == ["YES"]
+    assert f"auto: kernel settled by brute force ({1 + want.steps} search steps)" in err
+
+
+def test_auto_exit_3_names_every_budget_that_ran_out(auto_yes_over_cap, monkeypatch):
+    from edpsolve import simple
+
+    path, _ = auto_yes_over_cap
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", 5)
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 1)
+    code, out, err = run_cli("solve", path, "--method", "auto")
+    assert code == 3 and out == ""
+    assert "the search slice gave up: search budget of 1 steps exhausted" in err
+    assert "the hub DP gave up: hub DP budget of 1 vector sums and path extensions exhausted" in err
+    assert "the full search gave up: search budget of 5 steps exhausted" in err
+    assert "not hub-shaped" not in err
+
+
+def test_auto_decides_a_kernel_with_a_large_hub_by_the_search(tmp_path):
+    # the hub DP spends tens of seconds on this kernel (hub of 28 of 34
+    # vertices); the slice settles it
+    inst, _ = gen_random_instance(6, 400, 16, 3, profile="tree-plus")
+    kernel = kernelize(inst).instance
+    want = brute_force_edp(kernel, caps=None)
+    path = tmp_path / "wide.edp"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run_cli("solve", str(path), "--method", "auto")
+    assert code == 0 and out.splitlines() == ["YES" if want.feasible else "NO"]
+    assert f"auto: kernel settled by brute force ({want.steps} search steps)" in err
+
+
+@pytest.fixture()
+def tcw_open_kernel(tmp_path):
+    """A bounded-tcw instance with its decomposition whose kernel is open
+    and not hub-shaped, and the kernel's search result."""
+    inst, dec = gen_random_instance(6, 40, 5, 2, profile="bounded-tcw")
+    kernel = kernelize(inst).instance
+    with pytest.raises(StructureError):
+        preprocess_simple(kernel, infer_hub(kernel))
+    path = tmp_path / "tcw.edp"
+    path.write_text(serialize_instance(inst))
+    (tmp_path / "tcw.edp.dec").write_text(serialize_decomposition(dec))
+    return str(path), str(path) + ".dec", brute_force_edp(kernel, caps=None)
+
+
+def test_treecut_budget_exit_3(tcw_open_kernel, monkeypatch):
+    from edpsolve import treecut_dp
+
+    path, dec, want = tcw_open_kernel
+    code, out, _ = run_cli("solve", path, "--method", "treecut", "--decomposition", dec)
+    assert code == 0 and out.splitlines() == ["YES" if want.feasible else "NO"]
+    monkeypatch.setattr(treecut_dp, "RESIDUE_BUDGET", 64)  # 4^3: no node is refused before its records
+    code, out, err = run_cli("solve", path, "--method", "treecut", "--decomposition", dec)
+    assert code == 3 and out == ""
+    assert "treecut budget of 64 residues exhausted" in err
+    code, out, _ = run_cli("bench", str(Path(path).parent), "--methods", "treecut")
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "NA"
+
+
+def test_auto_tries_the_decomposition_then_the_full_search(tcw_open_kernel, monkeypatch):
+    from edpsolve import treecut_dp
+
+    path, dec, want = tcw_open_kernel
+    answer = ["YES" if want.feasible else "NO"]
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", want.steps)
+    code, out, err = run_cli("solve", path, "--method", "auto", "--decomposition", dec)
+    assert code == 0 and out.splitlines() == answer
+    assert "auto: solved along the supplied decomposition" in err
+    monkeypatch.setattr(treecut_dp, "RESIDUE_BUDGET", 1)
+    code, out, err = run_cli("solve", path, "--method", "auto", "--decomposition", dec)
+    assert code == 0 and out.splitlines() == answer
+    assert f"auto: kernel settled by brute force ({1 + want.steps} search steps)" in err
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", want.steps - 1)
+    code, out, err = run_cli("solve", path, "--method", "auto", "--decomposition", dec)
+    assert code == 3 and out == ""
+    assert "the kernel is not hub-shaped" in err
+    assert "the treecut DP gave up: treecut budget of 1 residues exhausted" in err
+    assert f"the full search gave up: search budget of {want.steps - 1} steps exhausted" in err
+
+
 def test_auto_and_kernelize_on_disjoint_union(tmp_path):
     # three tree-plus components with interleaved edge ids, a YES instance
     # whose kernel is open and not hub-shaped

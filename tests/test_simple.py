@@ -11,7 +11,7 @@ from edpsolve import simple
 from edpsolve.generators import gen_mss_instance, gen_mss_layout, gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph, StructureError
 from edpsolve.kernel import kernelize
-from edpsolve.oracle import brute_force_edp, check_witness
+from edpsolve.oracle import CapExceeded, brute_force_edp, check_witness
 from edpsolve.simple import _DP, SimpleInstance, infer_hub, preprocess_simple, solve_simple_edp
 
 
@@ -198,6 +198,46 @@ def test_packed_vectors_sort_and_merge_as_their_entries(seed):
     got = dp.merge({pack(dp, x): p for x, p in xs.items()}, {pack(dp, y): p for y, p in ys.items()})
     # merge keeps provenance as one cell (table side, options side)
     assert {dp.vector(s): px + py for s, (px, py) in got.items()} == want
+
+
+def test_dp_budget_counts_path_extensions(monkeypatch):
+    # the nine vertices that the 1-2 walk over K4 appends or reaches as its
+    # far end: 2; 3, 2, 4, 2; 4, 2, 3, 2
+    edges = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+    si = si_of(hub_only(*edges), [1, 2, 3, 4])
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 9)
+    assert len(_DP(si).paths(1, 2)) == 5
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 8)
+    with pytest.raises(CapExceeded, match="hub DP budget of 8 vector sums and path extensions exhausted"):
+        _DP(si).paths(1, 2)
+
+
+def test_dp_budget_charges_each_merge_up_front(monkeypatch):
+    # a merge of 2 by 3 vectors costs 6 units, whatever fits the ceiling
+    xs = [vec_of({}), vec_of({(1, 2): 1})]
+    ys = [vec_of({}), vec_of({(1, 3): 1}), vec_of({(1, 2): 2, (2, 3): 1})]
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 6)
+    assert len(combine(xs, ys)) == 5
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", 5)
+    with pytest.raises(CapExceeded, match="hub DP budget of 5 "):
+        combine(xs, ys)
+
+
+def test_dp_budget_bounds_a_whole_solve(monkeypatch):
+    # the least budget that lets a solve finish is the effort it spends, the
+    # same on every run
+    inst, dec = gen_random_instance(3, 7, 0, 3, profile="simple")
+    si = si_of(inst, sorted(dec.bag(sorted(dec.nodes())[1])))
+    dps, init = [], _DP.__init__
+    monkeypatch.setattr(_DP, "__init__", lambda self, si: dps.append(self) or init(self, si))
+    want = solve_simple_edp(si).feasible
+    effort = dps[0].effort
+    assert effort > 0
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", effort)
+    assert solve_simple_edp(si).feasible == want
+    monkeypatch.setattr(simple, "HUB_DP_BUDGET", effort - 1)
+    with pytest.raises(CapExceeded):
+        solve_simple_edp(si)
 
 
 def test_solve_two_route_satellite_pair():

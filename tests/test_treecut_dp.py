@@ -17,7 +17,7 @@ from edpsolve.decomposition import (
 )
 from edpsolve.generators import gen_random_instance
 from edpsolve.graphs import EDPInstance, MultiGraph
-from edpsolve.oracle import brute_force_edp
+from edpsolve.oracle import CapExceeded, brute_force_edp
 from edpsolve.simple import preprocess_simple, solve_simple_edp
 from edpsolve.treecut_dp import (
     EMPTY_RECORD,
@@ -1118,6 +1118,37 @@ def test_residue_memo_matches_solving_every_residue(monkeypatch):
     monkeypatch.setattr(treecut_dp, "_residue_key", lambda cur, bag: object())
     for (inst, dec), want in zip(cases, memoized):
         assert _solve_outputs(inst, dec) == want
+
+
+def test_residue_budget_counts_every_residue_of_a_solve(monkeypatch):
+    from edpsolve import treecut_dp
+
+    inst, dec = gen_random_instance(1, 100, 12, 2, profile="bounded-tcw")
+    res = solve_treecut(inst, dec)
+    assert res.width == 3 and res.residues > 4**3
+    monkeypatch.setattr(treecut_dp, "RESIDUE_BUDGET", res.residues)
+    assert solve_treecut(inst, dec).feasible == res.feasible
+    monkeypatch.setattr(treecut_dp, "RESIDUE_BUDGET", res.residues - 1)
+    with pytest.raises(CapExceeded, match=f"treecut budget of {res.residues - 1} residues exhausted"):
+        solve_treecut(inst, dec)
+
+
+def test_residue_budget_refuses_a_wide_node_before_its_templates(monkeypatch):
+    from edpsolve import treecut_dp
+
+    inst, dec = gen_random_instance(1, 100, 12, 2, profile="bounded-tcw")
+    views = node_views(inst, dec)
+    tables = {}
+    for node in dec.postorder():
+        if views[node].adhesion == 3:
+            break
+        tables[node] = dynamic_step(inst, dec, views, node, tables)
+    built = []
+    monkeypatch.setattr(treecut_dp, "_record_templates", lambda *args: built.append(args))
+    monkeypatch.setattr(treecut_dp, "RESIDUE_BUDGET", 4**3 - 1)
+    with pytest.raises(CapExceeded, match="treecut budget of 63 residues exhausted"):
+        dynamic_step(inst, dec, views, node, tables)
+    assert built == []
 
 
 def test_residue_memo_counts_on_pinned_chain():
