@@ -20,7 +20,7 @@ from .decomposition import DecompositionError, TreecutDecomposition, parse_decom
 from .generators import edp_to_vdp, gen_mss_layout, gen_random_instance
 from .graphs import EDPInstance, ParseError, StructureError, feedback_edge_set, parse_instance, parse_ints, relabel_compact, serialize_instance
 from .kernel import kernelize
-from .oracle import CapExceeded, OracleCaps, RoutedPath, brute_force_edp
+from .oracle import CapExceeded, RoutedPath, brute_force_edp
 from .simple import infer_hub, preprocess_simple, solve_simple_edp
 from .treecut_dp import solve_treecut
 
@@ -30,10 +30,6 @@ EXIT_INVALID = 2
 EXIT_NO_METHOD = 3
 
 METHODS = ("oracle", "simple", "treecut", "auto")
-
-
-def _caps(args) -> OracleCaps:
-    return OracleCaps(max_edges=args.cap_edges)
 
 
 def _info(args, message: str) -> None:
@@ -53,11 +49,10 @@ def _load_instance(path: str | Path) -> EDPInstance:
 def cmd_solve(args) -> int:
     if args.method == "treecut" and not args.decomposition:
         return _fail("--method treecut requires --decomposition", EXIT_NO_METHOD)
-    caps = _caps(args)
     try:
         inst = _load_instance(args.instance)
         hub = _parse_hub(args.hub) if args.hub else None
-        feasible, routes, how = _decide(inst, args.method, caps, args.decomposition, hub)
+        feasible, routes, how = _decide(inst, args.method, args.decomposition, hub)
     except StructureError as exc:
         return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
     except CapExceeded as exc:
@@ -81,7 +76,6 @@ def cmd_solve(args) -> int:
 def _decide(
     inst: EDPInstance,
     method: str,
-    caps: OracleCaps,
     decomposition: str | Path | None = None,
     hub: frozenset[int] | None = None,
 ) -> tuple[bool, dict[int, RoutedPath] | None, str | None]:
@@ -89,9 +83,8 @@ def _decide(
 
     Returns the answer, the routes when the method routed `inst` itself
     (oracle, simple), and which step decided for auto.  The decomposition
-    file is read only once the method needs it.  `caps` bounds the oracle
-    method; auto's kernel search runs under the default caps, the search
-    step budget alone.
+    file is read only once the method needs it.  The oracle method
+    searches under the step budget, `oracle.SEARCH_STEP_BUDGET`.
 
     Auto kernelizes, then decides an open kernel by the kernel search under
     a slice of a hundredth of `oracle.SEARCH_STEP_BUDGET` (at least one
@@ -103,14 +96,14 @@ def _decide(
     which is XP in the hub size, runs only on kernels that the slice does
     not settle.
 
-    Raises CapExceeded over the caps or the budget (for auto: every
+    Raises CapExceeded when an effort budget runs out (for auto: every
     decider gave up; the message names each budget that ran out),
     StructureError off the hub/satellite shape, DecompositionError for a
     missing or bad decomposition, and OSError or ParseError while reading
     one.
     """
     if method == "oracle":
-        res = brute_force_edp(inst, caps=caps)
+        res = brute_force_edp(inst)
         return res.feasible, res.routes, None
     if method == "simple":
         res = solve_simple_edp(preprocess_simple(inst, hub if hub is not None else infer_hub(inst)))
@@ -230,16 +223,18 @@ def _write_or_print(path: str | None, text: str) -> None:
 
 
 def _parse_mss(spec: str) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], int]:
-    """Grammar: k=2,S=2:2;0:4,t=4:4,l=1 (entries ':'-separated, vectors
-    ';'-separated; an empty S is written S=).  Numbers are read by
-    `strict_int`, as in the text formats."""
-    fields = {}
+    """Grammar: k=2,S=2:2;0:4,t=4:4,l=1, each field once (entries
+    ':'-separated, vectors ';'-separated; an empty S is written S=).
+    Numbers are read by `strict_int`, as in the text formats."""
+    names, fields = {"k", "S", "t", "l"}, {}
     for part in spec.split(","):
         if "=" not in part:
             raise ValueError(f"malformed --mss field {part!r}")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
-    missing = {"k", "S", "t", "l"} - set(fields)
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key not in names or key in fields:
+            raise ValueError(f"{'repeated' if key in fields else 'unknown'} --mss field {key!r}")
+        fields[key] = value
+    missing = names - set(fields)
     if missing:
         raise ValueError(f"--mss is missing {sorted(missing)}")
     what = f"--mss {spec!r}"
@@ -279,7 +274,6 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if unknown := [m for m in methods if m not in METHODS]:
         return _fail(f"unknown method {unknown[0]!r} in --methods; choose from {', '.join(METHODS)}", EXIT_INVALID)
-    caps = _caps(args)
     out = csv.writer(sys.stdout)
     out.writerow(["instance", "method", "n", "m", "pairs", "fes", "answer", "seconds"])
     disagree = False
@@ -296,7 +290,7 @@ def cmd_bench(args) -> int:
         for method in methods:
             start = time.perf_counter()
             try:
-                answer = "YES" if _decide(inst, method, caps, decomposition)[0] else "NO"
+                answer = "YES" if _decide(inst, method, decomposition)[0] else "NO"
             except ParseError as exc:  # the instance parsed, so the decomposition did not
                 return _fail(f"{dec_path}: {exc}", EXIT_INVALID)
             except (CapExceeded, StructureError, DecompositionError):
@@ -314,11 +308,7 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edpsolve", description="Edge-disjoint paths toolkit")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument(
-        "--cap-edges", type=int, default=None,
-        help="edge cap of --method oracle and of bench's oracle rows; none by default "
-        "(every search has a step budget)",
-    )
+    caps.add_argument("--cap-edges", type=int, help="accepted and ignored: no search has a size cap, only a step budget")
     caps.add_argument("--cap-vertices", type=int, help="accepted and ignored: no method runs a vertex-disjoint search")
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")

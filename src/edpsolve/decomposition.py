@@ -318,9 +318,12 @@ def parse_decomposition(text: str | bytes) -> TreecutDecomposition:
 
 
 def serialize_decomposition(dec: TreecutDecomposition) -> str:
+    """The text form; parent 0 marks the root, so node 0 may not be a parent."""
     lines = [f"d tcw {len(dec.nodes())}"]
     for t in dec.nodes():
         par = dec.parent(t)
+        if par == 0:
+            raise DecompositionError(f"node 0 has child {t}, but parent 0 means no parent in the text format", 0)
         verts = " ".join(str(v) for v in sorted(dec.bag(t)))
         lines.append(f"n {t} {par if par is not None else 0}" + (f" {verts}" if verts else ""))
     return "\n".join(lines) + "\n"

@@ -29,10 +29,10 @@ witness found are those of the plain search without prunes:
   before the first step, and no YES instance has one.  With two pairs
   such a cut is a bridge, which the tests above already catch.
 
-One search step extends a partial path by one edge.  With caps, a search
-gives up after its step budget, `SEARCH_STEP_BUDGET` unless the caller
-gives a smaller one, by raising `CapExceeded`; without caps it runs to the
-end.
+One search step extends a partial path by one edge.  Under caps (the
+default), a search gives up after its step budget, `SEARCH_STEP_BUDGET`
+unless the caller gives a smaller one, by raising `CapExceeded`; with
+`caps=None` it runs to the end.  No search has a size cap.
 """
 
 from __future__ import annotations
@@ -47,18 +47,14 @@ SEARCH_STEP_BUDGET = 1_000_000
 
 
 class CapExceeded(RuntimeError):
-    """Instance exceeds the configured brute-force size cap or step budget."""
+    """An effort budget ran out: the search's step budget, the hub DP's or
+    the treecut DP's (or `brute_force_mss`'s item cap)."""
 
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Limits of the brute-force searches: searching under any caps bounds
-    the search by `SEARCH_STEP_BUDGET`, and an edge-disjoint search also
-    refuses a graph of more than `max_edges` edges when that is set.  The
-    default is the budget alone: a size cap would refuse instances that the
-    budgeted search decides in milliseconds."""
-
-    max_edges: int | None = None
+    """Searching under caps bounds the search by its step budget; `None` in
+    their place runs it to the end.  No field: no search has a size cap."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,6 @@ def brute_force_edp(
     it is None."""
     if caps is None:
         return _search(inst, vertex_disjoint=False, budget=None)
-    if caps.max_edges is not None and inst.graph.num_edges() > caps.max_edges:
-        raise CapExceeded(f"{inst.graph.num_edges()} edges exceeds cap {caps.max_edges}")
     return _search(inst, vertex_disjoint=False, budget=SEARCH_STEP_BUDGET if budget is None else budget)
 
 

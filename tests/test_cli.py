@@ -158,12 +158,25 @@ def test_solve_treecut_needs_decomposition(triangle):
     assert "decomposition" in err
 
 
-def test_solve_cap_exceeded_exit_3(tmp_path):
+def test_solve_cap_exceeded_exit_3(tmp_path, monkeypatch):
+    # the cap flags are accepted and ignored: 14 edges over a cap of 4 get
+    # the answer they get without the flags
     inst, _ = gen_random_instance(0, 12, 3, 2, profile="tree-plus")
     path = tmp_path / "big.edp"
     path.write_text(serialize_instance(inst))
-    code, _, err = run_cli("solve", str(path), "--method", "oracle", "--cap-edges", "4")
-    assert code == 3
+    for method in ("oracle", "auto", "simple"):
+        want = run_cli("solve", str(path), "--method", method)[:2]
+        for flag in ("--cap-edges", "--cap-vertices"):
+            assert run_cli("solve", str(path), "--method", method, flag, "4")[:2] == want
+    assert run_cli("solve", str(path), "--method", "oracle")[:2] == (0, "NO\n")
+    # the step budget is what makes the oracle give up
+    inst, _ = gen_random_instance(2, 12, 3, 2, profile="tree-plus")
+    path.write_text(serialize_instance(inst))
+    steps = brute_force_edp(inst, caps=None).steps
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", steps - 1)
+    code, out, err = run_cli("solve", str(path), "--method", "oracle")
+    assert code == 3 and out == ""
+    assert f"search budget of {steps - 1} steps exhausted" in err
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -498,6 +511,15 @@ def test_generate_mss_bad_spec_exit_2():
     assert "even" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message", [("k=1,S=2,t=2,l=1,q=7", "unknown --mss field 'q'"), ("k=1,S=2,t=2,l=1,k=2", "repeated --mss field 'k'")]
+)
+def test_generate_mss_unknown_or_repeated_field_exit_2(spec, message):
+    code, out, err = run_cli("generate", "--type", "mss", "--mss", spec)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("spec", ["k=0,S=,t=,l=+0", "k=1,S=\u0662,t=\u0664,l=1", "k=1,S=2,t=4,l=+1", "k=1,S=2_0,t=4,l=1"])
 def test_generate_mss_takes_strict_integers(spec):
     # '+', '_' and non-ASCII digits, which int() takes, exit 2 as in the
@@ -597,20 +619,27 @@ def test_bench_disagreement_exit_1(tmp_path, monkeypatch):
     assert err.splitlines() == ["# DISAGREE i0.edp: NO,YES", "# DISAGREE i1.edp: NO,YES"]
 
 
-def test_bench_auto_uses_decomposition(tmp_path):
+def test_bench_auto_uses_decomposition(tmp_path, monkeypatch):
+    # kernels that are not hub-shaped and that the search decides in 137
+    # (no) and 309 (yes) steps: under a smaller step budget auto decides
+    # both along the supplied decomposition
     bench_dir = tmp_path / "corpus"
     bench_dir.mkdir()
-    for name, args in (("no", (24, 40, 5, 2)), ("yes", (11, 60, 7, 2))):
+    steps = []
+    for name, args in (("no", (32, 40, 5, 2)), ("yes", (11, 60, 7, 2))):
         inst, dec = gen_random_instance(*args, profile="bounded-tcw")
         (bench_dir / f"{name}.edp").write_text(serialize_instance(inst))
         (bench_dir / f"{name}.edp.dec").write_text(serialize_decomposition(dec))
+        steps.append(brute_force_edp(kernelize(inst).instance, caps=None).steps)
+    assert min(steps) > 1
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", min(steps) - 1)
     code, out, _ = run_cli("bench", str(bench_dir), "--methods", "auto")
     assert code == 0
     rows = {line.split(",")[0]: line.split(",")[6] for line in out.strip().splitlines()[1:]}
     for name in ("no", "yes"):
         path = str(bench_dir / f"{name}.edp")
-        code, solved, _ = run_cli("solve", path, "--method", "auto", "--decomposition", path + ".dec", "--quiet")
-        assert code == 0
+        code, solved, err = run_cli("solve", path, "--method", "auto", "--decomposition", path + ".dec")
+        assert code == 0 and err == "auto: solved along the supplied decomposition\n"
         assert rows[f"{name}.edp"] == solved.splitlines()[0] == name.upper()
 
 
@@ -627,14 +656,16 @@ def test_bench_missing_directory_exit_2(tmp_path):
     assert code == 2
 
 
-def test_bench_na_rows_for_caps_and_shape(tmp_path):
+def test_bench_na_rows_for_caps_and_shape(tmp_path, monkeypatch):
     # a method that cannot answer writes NA and takes no part in the
-    # agreement check: oracle over its edge cap, simple off the hub shape
+    # agreement check: oracle over its step budget, simple off the hub
+    # shape; auto answers by the hub DP on the kernel
     bench_dir = tmp_path / "corpus"
     bench_dir.mkdir()
-    inst, _ = gen_random_instance(0, 12, 3, 2, profile="tree-plus")
+    inst, _ = gen_random_instance(2, 12, 3, 2, profile="tree-plus")
     (bench_dir / "tree.edp").write_text(serialize_instance(inst))
-    code, out, _ = run_cli("bench", str(bench_dir), "--methods", "auto,oracle,simple", "--cap-edges", "4")
+    monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", brute_force_edp(inst, caps=None).steps - 1)
+    code, out, _ = run_cli("bench", str(bench_dir), "--methods", "auto,oracle,simple")
     assert code == 0
     answers = {row.split(",")[1]: row.split(",")[6] for row in out.strip().splitlines()[1:]}
     assert answers["oracle"] == answers["simple"] == "NA"

@@ -170,6 +170,17 @@ def test_parse_normalizes_root_and_round_trips():
         assert dec.bag(dec.root) == frozenset()
         assert verify_decomposition(inst, dec).valid
         assert parse_decomposition(serialize_decomposition(dec)) == dec
+    inst, _ = gen_random_instance(1, 12, 3, 2, profile="tree-plus")
+    for dec in (
+        single_node_decomposition(inst),
+        star_decomposition(inst, [1, 2]),
+        chain_decomposition(inst),
+        spanning_tree_decomposition(inst),
+    ):
+        assert parse_decomposition(serialize_decomposition(dec)) == dec
+    # the children of node 0 would read back as roots
+    with pytest.raises(DecompositionError, match="node 0 has child 1"):
+        serialize_decomposition(TreecutDecomposition({0: None, 1: 0, 2: 1}, {0: [], 1: [1], 2: [2]}))
 
 
 def test_parse_errors():
