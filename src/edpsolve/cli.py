@@ -16,7 +16,8 @@ import time
 from pathlib import Path
 
 from . import oracle
-from .decomposition import DecompositionError, TreecutDecomposition, parse_decomposition, serialize_decomposition, verify_decomposition
+from .decomposition import DecompositionError, TreecutDecomposition, parse_decomposition, partition_errors, serialize_decomposition, verify_decomposition
+from .frontier import solve_frontier
 from .generators import edp_to_vdp, gen_mss_layout, gen_random_instance
 from .graphs import EDPInstance, ParseError, StructureError, feedback_edge_set, parse_instance, parse_ints, relabel_compact, serialize_instance
 from .kernel import kernelize
@@ -52,16 +53,16 @@ def cmd_solve(args) -> int:
     try:
         inst = _load_instance(args.instance)
         hub = _parse_hub(args.hub) if args.hub else None
-        feasible, routes, how = _decide(inst, args.method, args.decomposition, hub)
+        feasible, routes, how = _decide(inst, args.method, args.decomposition, hub, args.witness)
     except StructureError as exc:
         return _fail(f"instance does not fit the hub/satellite shape: {exc}", EXIT_INVALID)
     except CapExceeded as exc:
         return _fail(str(exc), EXIT_NO_METHOD)
     if how:
-        _info(args, f"auto: {how}")
+        _info(args, f"{args.method}: {how}")
     if args.witness and feasible and routes is None:
-        # witness reconstruction through kernels/decompositions is not wired
-        # up; search for one before anything reaches stdout
+        # witness reconstruction through kernels and the record DP is not
+        # wired up; search for one before anything reaches stdout
         try:
             routes = brute_force_edp(inst).routes
         except CapExceeded as exc:
@@ -78,23 +79,27 @@ def _decide(
     method: str,
     decomposition: str | Path | None = None,
     hub: frozenset[int] | None = None,
+    witness: bool = False,
 ) -> tuple[bool, dict[int, RoutedPath] | None, str | None]:
     """Answer `inst` with `method`: oracle, simple, treecut or auto.
 
     Returns the answer, the routes when the method routed `inst` itself
-    (oracle, simple), and which step decided for auto.  The decomposition
-    file is read only once the method needs it.  The oracle method
-    searches under the step budget, `oracle.SEARCH_STEP_BUDGET`.
+    (oracle, simple, and the frontier DP when `witness` is set), and which
+    decider answered for treecut and auto.  The decomposition file is read
+    only once the method needs it.  The oracle method searches under the
+    step budget, `oracle.SEARCH_STEP_BUDGET`.  Treecut decides along the
+    decomposition with `_solve_along`: the frontier DP on a path-shaped
+    decomposition under its budget, else the record DP under its residue
+    budget.
 
     Auto kernelizes, then decides an open kernel by the kernel search under
     a slice of a hundredth of `oracle.SEARCH_STEP_BUDGET` (at least one
     step).  Only when the slice runs out does it try, in order, the
-    hub/satellite DP under its effort budget, the treecut DP along the
-    supplied decomposition under its residue budget, and the search under
-    the full budget.  Every decider is exact, so the order moves only the
-    time: the slice caps what trying the search first costs, and the DP,
-    which is XP in the hub size, runs only on kernels that the slice does
-    not settle.
+    hub/satellite DP under its effort budget, the supplied decomposition as
+    treecut decides it, and the search under the full budget.  Every
+    decider is exact, so the order moves only the time: the slice caps what
+    trying the search first costs, and the DP, which is XP in the hub size,
+    runs only on kernels that the slice does not settle.
 
     Raises CapExceeded when an effort budget runs out (for auto: every
     decider gave up; the message names each budget that ran out),
@@ -111,7 +116,7 @@ def _decide(
     if method == "treecut":
         if decomposition is None:
             raise DecompositionError("--method treecut requires a decomposition")
-        return solve_treecut(inst, _load_decomposition(decomposition)).feasible, None, None
+        return _solve_along(inst, decomposition, witness)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     kres = kernelize(inst)
@@ -136,8 +141,8 @@ def _decide(
             gave_up.append("no decomposition was supplied")
         else:
             try:
-                feasible = solve_treecut(inst, _load_decomposition(decomposition)).feasible
-                return feasible, None, "solved along the supplied decomposition"
+                feasible, routes, _ = _solve_along(inst, decomposition, witness)
+                return feasible, routes, "solved along the supplied decomposition"
             except CapExceeded as exc:
                 gave_up.append(f"the treecut DP gave up: {exc}")
         try:
@@ -149,6 +154,46 @@ def _decide(
         sizes = f"{len(res.cut)} edges separate {_separated(kernel, res.cut)} pairs"
         return False, None, f"kernel refuted by the cut condition ({sizes})"
     return res.feasible, None, f"kernel settled by brute force ({spent + res.steps} search steps)"
+
+
+def _solve_along(
+    inst: EDPInstance, decomposition: str | Path, witness: bool
+) -> tuple[bool, dict[int, RoutedPath] | None, str]:
+    """Decide `inst` along the decomposition file: the answer, the routes
+    when `witness` and the frontier DP answered YES, and which decider
+    answered.
+
+    When every node has at most one child, the vertices bag by bag from the
+    root (each bag ascending) are an order whose cut after each bag is that
+    node's adhesion, and the frontier DP decides along it after the partition
+    check alone.  When its budget runs out, or on any other decomposition,
+    the record DP decides, with its own checks and budget.
+    """
+    dec = _load_decomposition(decomposition)
+    order = _path_order(dec)
+    if order is not None:
+        if errors := partition_errors(inst, dec):
+            raise DecompositionError("invalid decomposition: " + "; ".join(errors))
+        try:
+            res = solve_frontier(inst, order)
+        except CapExceeded:
+            pass
+        else:
+            routes = res.routes() if witness else None
+            return res.feasible, routes, f"decided by the frontier DP along the bag order (cut {res.cut}, peak {res.peak} states)"
+    return solve_treecut(inst, dec).feasible, None, "decided by the record DP"
+
+
+def _path_order(dec: TreecutDecomposition) -> list[int] | None:
+    """The vertices bag by bag from the root, each bag ascending, when every
+    node has at most one child; None otherwise."""
+    order, node = [], dec.root
+    while True:
+        order += sorted(dec.bag(node))
+        kids = dec.children(node)
+        if len(kids) != 1:
+            return None if kids else order
+        node = kids[0]
 
 
 def _separated(inst: EDPInstance, cut: tuple[int, ...]) -> int:

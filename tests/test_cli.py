@@ -409,8 +409,9 @@ def tcw_open_kernel(tmp_path):
 
 
 def test_treecut_budget_exit_3(tcw_open_kernel, monkeypatch):
-    from edpsolve import treecut_dp
+    from edpsolve import frontier, treecut_dp
 
+    monkeypatch.setattr(frontier, "FRONTIER_BUDGET", 0)  # the chain goes to the record DP
     path, dec, want = tcw_open_kernel
     code, out, _ = run_cli("solve", path, "--method", "treecut", "--decomposition", dec)
     assert code == 0 and out.splitlines() == ["YES" if want.feasible else "NO"]
@@ -423,8 +424,9 @@ def test_treecut_budget_exit_3(tcw_open_kernel, monkeypatch):
 
 
 def test_auto_tries_the_decomposition_then_the_full_search(tcw_open_kernel, monkeypatch):
-    from edpsolve import treecut_dp
+    from edpsolve import frontier, treecut_dp
 
+    monkeypatch.setattr(frontier, "FRONTIER_BUDGET", 0)  # the chain goes to the record DP
     path, dec, want = tcw_open_kernel
     answer = ["YES" if want.feasible else "NO"]
     monkeypatch.setattr(oracle, "SEARCH_STEP_BUDGET", want.steps)
@@ -441,6 +443,77 @@ def test_auto_tries_the_decomposition_then_the_full_search(tcw_open_kernel, monk
     assert "the kernel is not hub-shaped" in err
     assert "the treecut DP gave up: treecut budget of 1 residues exhausted" in err
     assert f"the full search gave up: search budget of {want.steps - 1} steps exhausted" in err
+
+
+def test_frontier_budget_exit_falls_through_to_the_same_answer(tcw_open_kernel, monkeypatch):
+    from edpsolve import frontier
+
+    path, dec, want = tcw_open_kernel
+    answer = ["YES" if want.feasible else "NO"]
+    code, out, err = run_cli("solve", path, "--method", "treecut", "--decomposition", dec)
+    assert code == 0 and out.splitlines() == answer
+    assert err.startswith("treecut: decided by the frontier DP along the bag order (cut 3, peak ")
+    assert run_cli("solve", path, "--method", "treecut", "--decomposition", dec, "--quiet") == (0, out, "")
+    monkeypatch.setattr(frontier, "FRONTIER_BUDGET", 10)
+    code, out, err = run_cli("solve", path, "--method", "treecut", "--decomposition", dec)
+    assert code == 0 and out.splitlines() == answer
+    assert err == "treecut: decided by the record DP\n"
+    code, out, _ = run_cli("bench", str(Path(path).parent), "--methods", "treecut")
+    assert code == 0 and out.splitlines()[1].split(",")[6] == answer[0]
+
+
+def test_path_shaped_decomposition_with_a_partition_error_exits_2(tmp_path, triangle):
+    from edpsolve.decomposition import DecompositionError, parse_decomposition
+    from edpsolve.treecut_dp import solve_treecut
+
+    inst = parse_instance(Path(triangle).read_text())
+    for text in ("d tcw 3\nn 1 0\nn 2 1 1\nn 3 2 2\n", "d tcw 3\nn 1 0\nn 2 1 1 2\nn 3 2 2 3 4\n"):
+        dec = tmp_path / "path.dec"
+        dec.write_text(text)
+        with pytest.raises(DecompositionError) as info:
+            solve_treecut(inst, parse_decomposition(text))
+        assert str(info.value).startswith("invalid decomposition: ")
+        argv = ("solve", triangle, "--method", "treecut", "--decomposition", str(dec))
+        assert run_cli(*argv) == (2, "", f"error: {info.value}\n")
+
+
+def test_a_star_in_one_bag_falls_through_to_the_record_dp(tmp_path):
+    # the centre comes first in the bag, so the frontier DP leaves or joins
+    # its 1,200 edges one at a time: the budget, not the stack, stops it
+    from edpsolve.graphs import EDPInstance, MultiGraph
+
+    g = MultiGraph(range(1, 1202), {i: (1, i + 1) for i in range(1, 1201)})
+    path = tmp_path / "star.edp"
+    path.write_text(serialize_instance(EDPInstance(g, {1: frozenset((2, 3))})))
+    Path(f"{path}.dec").write_text("d tcw 1\nn 1 0 " + " ".join(map(str, range(1, 1202))) + "\n")
+    argv = ("solve", str(path), "--method", "treecut", "--decomposition", f"{path}.dec")
+    assert run_cli(*argv) == (0, "YES\n", "treecut: decided by the record DP\n")
+    code, out, _ = run_cli("bench", str(tmp_path), "--methods", "treecut")
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "YES"
+
+
+def test_treecut_witness_on_a_chain_comes_from_the_frontier_dp(tmp_path, monkeypatch):
+    import edpsolve.cli as cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the witness was searched for")
+
+    monkeypatch.setattr(cli, "brute_force_edp", no_search)
+    yes = 0
+    for seed in range(12):
+        inst, dec = gen_random_instance(seed, 30 + seed, 4, 2 + seed % 2, profile="bounded-tcw")
+        path, dpath = tmp_path / f"w{seed}.edp", tmp_path / f"w{seed}.dec"
+        path.write_text(serialize_instance(inst))
+        dpath.write_text(serialize_decomposition(dec))
+        code, out, _ = run_cli("solve", str(path), "--method", "treecut", "--decomposition", str(dpath), "--witness")
+        assert code == 0
+        lines = out.splitlines()
+        if lines[0] == "YES":
+            yes += 1
+            replay_witness(inst, lines[1:])
+        else:
+            assert lines == ["NO"]
+    assert yes >= 4
 
 
 def test_auto_and_kernelize_on_disjoint_union(tmp_path):
@@ -740,6 +813,7 @@ def test_bench_does_not_hide_a_soundness_error(tmp_path, monkeypatch):
     def unsound(*args):
         raise RuntimeError("the root keeps a non-empty record")
 
+    monkeypatch.setattr(cli, "solve_frontier", unsound)
     monkeypatch.setattr(cli, "solve_treecut", unsound)
     with pytest.raises(RuntimeError, match="non-empty record"):
         run_cli("bench", str(bench_dir), "--methods", "treecut")

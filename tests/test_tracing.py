@@ -49,11 +49,12 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
 def test_traced_treecut_solve_reaches_every_dp_layer(monkeypatch, tmp_path):
     # a width-3 chain with an absorbable child: a refactor that routes
     # around a traced name makes its count read 0 here
-    from edpsolve import cli
+    from edpsolve import cli, frontier
     from edpsolve.decomposition import node_views, serialize_decomposition
     from edpsolve.generators import gen_random_instance
     from edpsolve.graphs import serialize_instance
 
+    monkeypatch.setattr(frontier, "FRONTIER_BUDGET", 0)  # the chain goes to the record DP
     inst, dec = gen_random_instance(2, 12, 1, 2, profile="bounded-tcw")
     assert any(view.absorbable for view in node_views(inst, dec).values())
     path, dec_path = tmp_path / "chain.edp", tmp_path / "chain.dec"
